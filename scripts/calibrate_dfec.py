@@ -90,7 +90,7 @@ def main() -> int:
     for dp in (0.08, 0.12, 0.16):
         t_on = np.arange(0.0, 4.01, 0.5)
         t_off = np.arange(12.0, 36.01, 2.0)
-        grid = fq.contour_sweep(model, dp, t_on, t_off, opts, workers=4)
+        grid = fq.contour_sweep(model, dp, t_on, t_off, opts)
         i, j = np.unravel_index(np.nanargmin(grid), grid.shape)
         lengths.append(t_off[j] - t_on[i])
         print(f"dp={dp}: best window [{t_on[i]:.1f}, {t_off[j]:.1f}] s "

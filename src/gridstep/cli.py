@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 numeric failure (degenerate spectrum, integrator
 failure, no switching opportunity, diverged optimization, loss of
 synchronism), 2 input error (missing/malformed files, schema violations,
 inconsistent dimensions). All algorithms are deterministic: the same inputs
-produce byte-identical output files, independent of the worker count.
+produce byte-identical output files, and a sweep cell's value does not
+depend on the grid it belongs to.
 """
 
 from __future__ import annotations
@@ -142,7 +143,6 @@ def cmd_dfec_sweep(args) -> int:
         raise ModelError("dfec sweep requires --out")
     grid = frequency.contour_sweep(
         scn.model, scn.sweep_dp, scn.sweep_t_on, scn.sweep_t_off, scn.sim,
-        workers=args.workers,
     )
     frequency.sweep_to_csv(args.out, scn.sweep_t_on, scn.sweep_t_off, grid)
     best = np.nanmin(grid)
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = dfec_sub.add_parser("sweep", help="switch-time contour grid (cost x 1000)")
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.set_defaults(func=cmd_dfec_sweep)
 
     p_sim = dfec_sub.add_parser("simulate", help="single disturbance response")
@@ -260,11 +259,6 @@ def main(argv=None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and getattr(args, "command", "") == "dfec":
-        if getattr(args, "dfec_command", "") == "sweep":
-            import os
-
-            args.workers = os.cpu_count() or 1
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

@@ -14,11 +14,10 @@ the phenomenon of interest is governed by the swing and governor dynamics.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import minimize
 
 from .errors import DimensionError, OptimizationError, StiffnessError
@@ -112,6 +111,17 @@ class SimOptions:
     disturbance: float = 0.25   # motor mechanical power step, pu
     t_disturbance: float = 0.0
 
+    def __post_init__(self):
+        for name in ("horizon", "dt_out", "rtol", "atol", "ss_window"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DimensionError(f"sim.{name} must be finite and > 0")
+        if self.ss_window > self.horizon:
+            raise DimensionError("sim.ss_window must not exceed sim.horizon")
+        if self.dt_out > self.ss_window:
+            raise DimensionError(
+                "sim.dt_out must not exceed sim.ss_window (the steady-state "
+                "window needs an output sample)")
+
 
 @dataclass(frozen=True)
 class DfecResult:
@@ -173,30 +183,47 @@ class DfecTrajectory:
         return 0.5 * (self.y[:, 1] + self.y[:, 3])
 
 
-def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> DfecTrajectory:
-    """Integrate the disturbance response, restarting at every power step."""
-    y0 = model.equilibrium()
+def _pieces(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions):
+    """Continuous pieces ``(lo, hi, dp_active, p_motor)`` between power steps."""
     breaks = {opts.t_disturbance}
     if action is not None and action.dp > 0.0:
         breaks.update((action.t_on, action.t_off))
     breaks = sorted(b for b in breaks if 0.0 < b < opts.horizon)
     bounds = [0.0] + breaks + [opts.horizon]
-
-    t_grid = np.arange(0.0, opts.horizon + 0.5 * opts.dt_out, opts.dt_out)
-    out = np.empty((len(t_grid), 9))
-    y = y0
-    unstable = False
+    pieces = []
     for lo, hi in zip(bounds, bounds[1:]):
         mid = 0.5 * (lo + hi)
         p_motor = model.p_set + (opts.disturbance if mid >= opts.t_disturbance else 0.0)
         dp_active = 0.0
         if action is not None and action.t_on <= mid < action.t_off:
             dp_active = action.dp
+        pieces.append((lo, hi, dp_active, p_motor))
+    return pieces
+
+
+def _output_grid(opts: SimOptions) -> np.ndarray:
+    return np.arange(0.0, opts.horizon + 0.5 * opts.dt_out, opts.dt_out)
+
+
+def _sample_range(t_grid: np.ndarray, lo: float, hi: float, last: bool) -> tuple[int, int]:
+    """Output samples ``[start, stop)`` that belong to the piece ``[lo, hi)``;
+    the last piece also takes the samples at (or rounded past) the horizon."""
+    start = int(np.searchsorted(t_grid, lo - 1e-12))
+    stop = len(t_grid) if last else int(np.searchsorted(t_grid, hi - 1e-12))
+    return start, stop
+
+
+def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> DfecTrajectory:
+    """Integrate the disturbance response, restarting at every power step."""
+    pieces = _pieces(model, action, opts)
+    t_grid = _output_grid(opts)
+    out = np.empty((len(t_grid), 9))
+    y = model.equilibrium()
+    unstable = False
+    for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
         rhs = dfec_dynamics(model, dp_active, p_motor)
-        mask = (t_grid >= lo - 1e-12) & (t_grid < hi - 1e-12)
-        if hi == bounds[-1]:
-            mask |= t_grid >= hi - 1e-12
-        t_eval = np.clip(t_grid[mask], lo, hi)
+        start, stop = _sample_range(t_grid, lo, hi, n == len(pieces) - 1)
+        t_eval = np.clip(t_grid[start:stop], lo, hi)
         drop_end = len(t_eval) == 0 or t_eval[-1] < hi - 1e-12
         if drop_end:
             t_eval = np.append(t_eval, hi)
@@ -204,9 +231,9 @@ def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions
                         atol=opts.atol, t_eval=t_eval)
         if not sol.success:
             raise StiffnessError(f"DFEC integration failed on [{lo}, {hi}]: {sol.message}")
-        out[mask] = sol.y.T[:-1] if drop_end else sol.y.T
+        out[start:stop] = sol.y.T[:-1] if drop_end else sol.y.T
         y = sol.y[:, -1]
-        if np.abs(out[mask][:, 0] - out[mask][:, 2]).max(initial=0.0) > _ANGLE_SLIP:
+        if np.abs(out[start:stop, 0] - out[start:stop, 2]).max(initial=0.0) > _ANGLE_SLIP:
             unstable = True
             break
     if unstable:
@@ -214,15 +241,238 @@ def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions
     return DfecTrajectory(t=t_grid, y=out, unstable=unstable)
 
 
-def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> float:
-    """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism."""
-    traj = simulate(model, action, opts)
+def _trajectory_cost(traj: DfecTrajectory, opts: SimOptions) -> float:
     if traj.unstable:
         return INSTABILITY_COST
     avg = traj.avg_speed
     tail = traj.t >= opts.horizon - opts.ss_window
     w_ss = float(avg[tail].mean())
     return w_ss - float(avg.min())
+
+
+def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> float:
+    """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism."""
+    return _trajectory_cost(simulate(model, action, opts), opts)
+
+
+# Lane-batched cost engine.  Every lane runs the embedded Dormand-Prince 5(4)
+# pair as ``solve_ivp(method="RK45")`` runs it on one action: the same
+# tableau, RMS error norm, step controller and per-piece initial step, so a
+# lane follows the scalar step sequence and rtol/atol keep their meaning.
+# Stage sums are written out term by term in a fixed order (no BLAS, no axis
+# reductions), so a lane's rounding, and with it its cost, does not depend on
+# the batch it is in.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's RungeKutta
+_ERR_EXP = -1.0 / (RK45.error_estimator_order + 1)
+
+
+def _terms(coefs) -> tuple:
+    return tuple((j, float(c)) for j, c in enumerate(coefs) if c != 0.0)
+
+
+_A_TERMS = tuple(_terms(RK45.A[s, :s]) for s in range(1, RK45.n_stages))
+_B_TERMS = _terms(RK45.B)
+_E_TERMS = _terms(RK45.E)
+# Interpolant coefficients of each stage that has any, as (power of x, 1, 1).
+_P_TERMS = tuple((j, row[:, None, None]) for j, row in enumerate(RK45.P) if row.any())
+
+
+def _combine(K, terms):
+    """``sum(K[j] * c for j, c in terms)``, summed in ``terms`` order; ``c``
+    may be an array that broadcasts against ``K[j]``."""
+    (j, c), *rest = terms
+    acc = K[j] * c
+    for j, c in rest:
+        acc = acc + K[j] * c
+    return acc
+
+
+def _rms(x):
+    """RMS over the 9 state rows of ``x``, summed in row order."""
+    sq = x * x
+    acc = sq[0]
+    for row in sq[1:]:
+        acc = acc + row
+    return np.sqrt(acc) / 3.0
+
+
+def _lane_dynamics(model: TwoMachineModel):
+    """``dfec_dynamics`` over lanes: ``rhs(y (9, n), dp_active (n,), p_motor (n,))``."""
+    g = model.gov
+    ws = model.omega_s
+    p_sync = model.p_sync
+    h1_2, h2_2 = 2.0 * model.h1, 2.0 * model.h2
+    t2_over_t1 = g.t2 / g.t1
+    blend2, blend3 = g.k2 * (1.0 - g.k3), g.k2 * g.k3
+    lag_t56 = np.array([[g.t5], [g.t6]])
+
+    def rhs(y, dp_active, p_motor):
+        g1, g2, a1, a2, a3 = y[4:]
+        dy = np.empty_like(y)
+        speed_dev = y[1:4:2] - 1.0            # w1 - 1, w2 - 1
+        dy[0:4:2] = ws * speed_dev
+        u = speed_dev[0]
+        pe = p_sync * np.sin(y[0] - y[2])
+        dy[4] = (u - g1) / g.t1
+        y1 = g1 + t2_over_t1 * (u - g1)
+        dy[5] = (g.k1 * y1 - g2) / g.t3
+        p_cmd = np.minimum(np.maximum(model.p_set - g2, g.p_min), g.p_max)
+        dy[6] = (p_cmd - a1) / g.t4
+        dy[7:9] = (y[6:8] - y[7:9]) / lag_t56   # (a1 - a2) / t5, (a2 - a3) / t6
+        pm1 = (1.0 - g.k2) * a1 + blend2 * a2 + blend3 * a3
+        dy[1] = (pm1 - (pe - dp_active) - model.d1 * u) / h1_2
+        dy[3] = (pe - p_motor - model.d2 * speed_dev[1]) / h2_2
+        return dy
+
+    return rhs
+
+
+class _Lanes:
+    """Per-lane solver state of the active lanes, one column (or entry) each."""
+
+    FIELDS = ("lane", "piece", "t", "y", "f", "h_abs", "rejected", "k_next",
+              "lo", "hi", "dp_active", "p_motor", "k_end")
+
+    def __init__(self, y0, n):
+        self.lane = np.arange(n)
+        self.piece = np.zeros(n, dtype=int)
+        self.t = np.zeros(n)
+        self.y = np.repeat(y0[:, None], n, axis=1)
+        self.f = np.empty_like(self.y)
+        self.rejected = np.zeros(n, dtype=bool)
+        self.k_next = np.zeros(n, dtype=int)
+        self.h_abs, self.lo, self.hi, self.dp_active, self.p_motor = np.empty((5, n))
+        self.k_end = np.zeros(n, dtype=int)
+
+    def keep(self, mask):
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[..., mask])
+
+
+def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray:
+    """``nadir_cost`` of every action (``None`` = uncontrolled), integrated
+    together as numpy lanes.
+
+    The state is held as a ``(9, lanes)`` array. Each lane keeps its own time,
+    step size and piece, and restarts at its own power steps. Dense output is
+    sampled onto the ``dt_out`` grid, where the loss-of-synchronism check
+    runs; each lane keeps only the running minimum and tail sum of its
+    average speed. A lane's cost is bit-identical whatever batch it is in and
+    agrees with ``nadir_cost`` to rounding.
+    """
+    n = len(actions)
+    rhs = _lane_dynamics(model)
+    t_grid = _output_grid(opts)
+    in_tail = t_grid >= opts.horizon - opts.ss_window
+
+    # Piece table (lane, piece): bounds, power levels and end of its samples.
+    plans = [_pieces(model, a, opts) for a in actions]
+    n_pieces = np.array([len(p) for p in plans], dtype=int)
+    table = np.zeros((5, n, max(n_pieces, default=0)))
+    for i, plan in enumerate(plans):
+        for k, (lo, hi, dp_active, p_motor) in enumerate(plan):
+            k_end = _sample_range(t_grid, lo, hi, k == len(plan) - 1)[1]
+            table[:, i, k] = lo, hi, dp_active, p_motor, k_end
+
+    run_min = np.full(n, np.inf)
+    tail_sum = np.zeros(n)
+    unstable = np.zeros(n, dtype=bool)
+    L = _Lanes(model.equilibrium(), n)
+
+    def start_piece(idx):
+        """Start lanes ``idx`` on their current piece as fresh solvers
+        (scipy's ``select_initial_step``)."""
+        lo, hi, dp_active, p_motor, k_end = table[:, L.lane[idx], L.piece[idx]]
+        L.lo[idx], L.hi[idx], L.dp_active[idx], L.p_motor[idx] = lo, hi, dp_active, p_motor
+        L.k_end[idx] = k_end
+        y0 = L.y[:, idx]
+        f0 = L.f[:, idx] = rhs(y0, dp_active, p_motor)
+        length = hi - lo
+        scale = opts.atol + np.abs(y0) * opts.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, length)
+        d2 = _rms((rhs(y0 + h0 * f0, dp_active, p_motor) - f0) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** -_ERR_EXP)
+        L.h_abs[idx] = np.minimum(np.minimum(100.0 * h0, h1), length)
+        L.rejected[idx] = False
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        start_piece(slice(None))
+        while len(L.lane):
+            # One attempted step per lane (scipy's RungeKutta._step_impl).
+            t, y, h_abs, rejected = L.t, L.y, L.h_abs, L.rejected
+            min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+            tiny = h_abs < min_step
+            if tiny.any():
+                if np.any(rejected & tiny):
+                    raise StiffnessError("DFEC integration failed: required step "
+                                         "size is less than spacing between numbers.")
+                h_abs = np.where(tiny, min_step, h_abs)
+            t_new = np.minimum(t + h_abs, L.hi)
+            h = t_new - t
+            K = np.empty((RK45.n_stages + 1,) + y.shape)
+            K[0] = L.f
+            for s, terms in enumerate(_A_TERMS, start=1):
+                K[s] = rhs(y + _combine(K, terms) * h, L.dp_active, L.p_motor)
+            y_new = y + h * _combine(K, _B_TERMS)
+            K[-1] = rhs(y_new, L.dp_active, L.p_motor)
+            scale = opts.atol + np.maximum(np.abs(y), np.abs(y_new)) * opts.rtol
+            err = _rms(_combine(K, _E_TERMS) * h / scale)
+            grow = _SAFETY * err ** _ERR_EXP
+            accept = err < 1.0
+            factor = np.where(err == 0.0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, grow))
+            factor = np.where(rejected, np.minimum(1.0, factor), factor)
+            shrink = np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR)   # NaN shrinks
+            L.h_abs = h * np.where(accept, factor, shrink)
+            L.rejected = ~accept
+            if not accept.any():
+                continue
+
+            # Dense output of the accepted steps, sampled onto the grid.
+            done = accept & (t_new >= L.hi)
+            k_stop = np.where(done, L.k_end, np.minimum(
+                np.searchsorted(t_grid, t_new, "right"), L.k_end))
+            count = np.where(accept, k_stop - L.k_next, 0)
+            Q = _combine(K, _P_TERMS)               # (power of x, state, lane)
+            if count.any():
+                src = np.repeat(np.arange(len(count)), count)
+                ks = np.arange(len(src)) + np.repeat(L.k_next - (np.cumsum(count) - count), count)
+                ts = np.minimum(np.maximum(t_grid[ks], L.lo[src]), L.hi[src])
+                x = (ts - t[src]) / h[src]
+                x2 = x * x
+                x3 = x2 * x
+                Qs = Q[:, :4, src]
+                ys = h[src] * (Qs[0] * x + Qs[1] * x2 + Qs[2] * x3 + Qs[3] * (x3 * x)) \
+                    + y[:4, src]
+                avg = 0.5 * (ys[1] + ys[3])
+                lane = L.lane[src]
+                np.minimum.at(run_min, lane, avg)
+                tail = in_tail[ks]
+                np.add.at(tail_sum, lane[tail], avg[tail])
+                unstable[lane[np.abs(ys[0] - ys[2]) > _ANGLE_SLIP]] = True
+                L.k_next = L.k_next + count
+
+            L.t = np.where(accept, t_new, t)
+            L.y = np.where(accept, y_new, y)
+            L.f = np.where(accept, K[-1], L.f)
+            if done.any():
+                # The next piece starts from the interpolant at the break,
+                # as solve_ivp's last t_eval sample hands it on.
+                L.y[:, done] = h[done] * (((Q[0] + Q[1]) + Q[2]) + Q[3])[:, done] + y[:, done]
+                L.piece = L.piece + done
+            finished = (L.piece >= n_pieces[L.lane]) | unstable[L.lane]
+            if finished.any():
+                L.keep(~finished)
+                done = done[~finished]
+            if done.any():
+                start_piece(np.flatnonzero(done))
+
+    costs = np.full(n, INSTABILITY_COST)
+    stable = ~unstable
+    costs[stable] = tail_sum[stable] / int(in_tail.sum()) - run_min[stable]
+    return costs
 
 
 def steady_state_speed(model: TwoMachineModel, opts: SimOptions) -> float:
@@ -254,11 +504,9 @@ def optimize_action(
     window is parameterized as ``(dp, t_on, length)`` so ``t_on < t_off``
     holds by construction).
     """
-    uncontrolled = nadir_cost(model, None, opts)
     traj0 = simulate(model, None, opts)
+    uncontrolled = _trajectory_cost(traj0, opts)
     nadir0 = 1.0 - float(traj0.avg_speed.min())
-
-    scales = np.array([bounds.dp_max, bounds.t_on_max, bounds.t_off_max])
 
     def unpack(v):
         dp = float(np.clip(v[0], 0.0, 1.0)) * bounds.dp_max
@@ -266,29 +514,34 @@ def optimize_action(
         length = float(np.clip(v[2], 1e-3, 1.0)) * (bounds.t_off_max - t_on)
         return dp, t_on, t_on + max(length, 1e-3)
 
+    def penalty(v):
+        return float(np.sum(np.clip(np.abs(v - 0.5) - 0.5, 0.0, None) ** 2)) * 10.0
+
     def cost_of(v):
-        penalty = float(np.sum(np.clip(np.abs(v - 0.5) - 0.5, 0.0, None) ** 2)) * 10.0
         dp, t_on, t_off = unpack(v)
         if dp <= 0.0:
-            return uncontrolled + penalty
-        c = nadir_cost(model, DfecAction(dp, t_on, t_off), opts)
-        return c + penalty
+            return uncontrolled + penalty(v)
+        return nadir_cost(model, DfecAction(dp, t_on, t_off), opts) + penalty(v)
 
-    candidates = []
+    starts = []
     if initial_guess is not None:
-        v = np.array([
+        starts.append(np.array([
             initial_guess.dp / bounds.dp_max,
             initial_guess.t_on / bounds.t_on_max,
             (initial_guess.t_off - initial_guess.t_on)
             / max(bounds.t_off_max - initial_guess.t_on, 1e-9),
-        ])
-        candidates.append((v, cost_of(v)))
+        ]))
     grid = (np.arange(grid_starts) + 0.5) / grid_starts
-    for gd in grid:
-        for gon in grid:
-            for glen in grid:
-                v = np.array([gd, gon, glen])
-                candidates.append((v, cost_of(v)))
+    starts += [np.array([gd, gon, glen]) for gd in grid for gon in grid for glen in grid]
+
+    # The start scan is one batch of independent evaluations.
+    windows = [unpack(v) for v in starts]
+    lanes = [k for k, (dp, _, _) in enumerate(windows) if dp > 0.0]
+    scanned = nadir_costs(model, [DfecAction(*windows[k]) for k in lanes], opts)
+    costs = [uncontrolled + penalty(v) for v in starts]
+    for k, c in zip(lanes, scanned):
+        costs[k] = float(c) + penalty(starts[k])
+    candidates = list(zip(starts, costs))
 
     finite = [(v, c) for v, c in candidates if np.isfinite(c)]
     if not finite:
@@ -329,34 +582,21 @@ def contour_sweep(
     t_on_values: np.ndarray,
     t_off_values: np.ndarray,
     opts: SimOptions,
-    workers: int = 1,
 ) -> np.ndarray:
     """Cost grid (scaled by 1000) over switch-on/switch-off times.
 
     Cells with ``t_on >= t_off`` carry NaN. Rows follow ``t_on_values``,
-    columns ``t_off_values``. Evaluations are independent; with
-    ``workers > 1`` rows fan out over a thread pool and are merged in order.
+    columns ``t_off_values``. All valid cells are integrated as one batch of
+    ``nadir_costs`` lanes; a cell's value does not depend on the grid it
+    belongs to.
     """
     t_on_values = np.asarray(t_on_values, dtype=float)
     t_off_values = np.asarray(t_off_values, dtype=float)
-
-    def row(i):
-        vals = np.full(len(t_off_values), np.nan)
-        for j, t_off in enumerate(t_off_values):
-            t_on = t_on_values[i]
-            if t_on >= t_off:
-                continue
-            vals[j] = 1000.0 * nadir_cost(model, DfecAction(dp, t_on, t_off), opts)
-        return vals
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(len(t_on_values))))
-    else:
-        rows = [row(i) for i in range(len(t_on_values))]
-    return np.vstack(rows)
+    grid = np.full((len(t_on_values), len(t_off_values)), np.nan)
+    rows, cols = np.nonzero(t_on_values[:, None] < t_off_values[None, :])
+    actions = [DfecAction(dp, t_on_values[i], t_off_values[j]) for i, j in zip(rows, cols)]
+    grid[rows, cols] = 1000.0 * nadir_costs(model, actions, opts)
+    return grid
 
 
 def sweep_to_csv(path, t_on_values, t_off_values, grid) -> None:

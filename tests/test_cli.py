@@ -163,7 +163,7 @@ class TestDfec:
         out = tmp_path / "sweep.csv"
         code, _, _ = run(
             capsys, "dfec", "sweep", "--scenario", str(small_dfec_scenario),
-            "--out", str(out), "--workers", "2",
+            "--out", str(out),
         )
         assert code == 0
         lines = out.read_text().splitlines()
@@ -179,3 +179,36 @@ class TestDfec:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["cost"] <= doc["uncontrolled_cost"] + 1e-12
+
+    def test_sweep_workers_flag_is_gone(self, capsys, tmp_path, small_dfec_scenario):
+        with pytest.raises(SystemExit) as exc:
+            main(["dfec", "sweep", "--scenario", str(small_dfec_scenario),
+                  "--out", str(tmp_path / "sweep.csv"), "--workers", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sim", [
+        {"dt_out": 0},
+        {"ss_window": 150.0},
+        {"horizon": 0},
+        {"horizon": -10.0},
+        {"rtol": 0},
+        {"rtol": -1e-6},
+        {"atol": 0},
+        {"ss_window": 0},
+        {"ss_window": -2.0},
+    ])
+    def test_bad_sim_options_are_input_errors(self, capsys, tmp_path, sim):
+        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+        doc["sim"].update(sim)
+        scn = write_json(tmp_path / "bad_sim.json", doc)
+        for command in ("simulate", "sweep"):
+            code, _, err = run(capsys, "dfec", command, "--scenario", str(scn),
+                               "--out", str(tmp_path / "out.csv"))
+            assert code == 2
+            assert "input error: sim." in err
+
+    def test_simulate_dt_out_zero_flag_is_input_error(self, capsys):
+        code, _, err = run(capsys, "dfec", "simulate", "--scenario",
+                           str(DATA / "dfec_twomachine.json"), "--dt-out", "0")
+        assert code == 2
+        assert "dt_out" in err

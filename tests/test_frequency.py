@@ -108,6 +108,55 @@ class TestNadirCost:
         assert abs(w_ss - predicted) / abs(1.0 - predicted) < 0.02
 
 
+class TestBatchedCosts:
+    # Per-lane dp; t_on = 0 (no switch-on break); t_off beyond the horizon
+    # (switch-off break dropped); an uncontrolled lane; a lane whose large
+    # injection pulls the machines out of step.
+    ACTIONS = (
+        fq.DfecAction(0.12, 1.5, 28.0),
+        fq.DfecAction(0.05, 0.0, 12.0),
+        fq.DfecAction(0.2, 3.0, FAST.horizon + 5.0),
+        None,
+        fq.DfecAction(4.0, 1.0, 10.0),
+        fq.DfecAction(0.08, 0.0, 1e3),
+    )
+
+    def test_matches_scalar_cost(self, model):
+        batched = fq.nadir_costs(model, self.ACTIONS, FAST)
+        scalar = np.array([fq.nadir_cost(model, a, FAST) for a in self.ACTIONS])
+        assert np.isinf(scalar[4]) and np.isinf(batched[4])
+        finite = np.isfinite(scalar)
+        assert finite.sum() == len(self.ACTIONS) - 1
+        assert np.all(np.isfinite(batched[finite]))
+        rel = np.abs(batched[finite] - scalar[finite]) / np.abs(scalar[finite])
+        assert rel.max() < 1e-10
+
+    def test_lane_cost_independent_of_batch(self, model):
+        batched = fq.nadir_costs(model, self.ACTIONS, FAST)
+        alone = np.array([fq.nadir_costs(model, [a], FAST)[0] for a in self.ACTIONS])
+        reordered = fq.nadir_costs(model, self.ACTIONS[::-1], FAST)[::-1]
+        assert batched.tobytes() == alone.tobytes() == reordered.tobytes()
+
+    def test_empty_batch(self, model):
+        assert fq.nadir_costs(model, [], FAST).shape == (0,)
+
+
+class TestSimOptions:
+    @pytest.mark.parametrize("field", ["horizon", "dt_out", "rtol", "atol", "ss_window"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_rejected(self, field, value):
+        with pytest.raises(DimensionError, match=field):
+            replace(FAST, **{field: value})
+
+    def test_ss_window_longer_than_horizon_rejected(self):
+        with pytest.raises(DimensionError, match="ss_window"):
+            replace(FAST, ss_window=FAST.horizon + 1.0)
+
+    def test_dt_out_longer_than_ss_window_rejected(self):
+        with pytest.raises(DimensionError, match="dt_out"):
+            replace(FAST, dt_out=FAST.ss_window * 2.0)
+
+
 @pytest.fixture(scope="module")
 def small_result(model):
     return fq.optimize_action(
@@ -150,12 +199,15 @@ class TestContourSweep:
         assert np.isnan(grid[1, 0])       # t_on=20 >= t_off=10
         assert np.isfinite(grid[0, 0])
 
-    def test_workers_do_not_change_values(self, model):
+    def test_cell_value_independent_of_grid(self, model):
         t_on = np.array([0.0, 2.0])
         t_off = np.array([10.0, 20.0])
-        g1 = fq.contour_sweep(model, 0.08, t_on, t_off, FAST, workers=1)
-        g3 = fq.contour_sweep(model, 0.08, t_on, t_off, FAST, workers=3)
-        assert g1.tobytes() == g3.tobytes()
+        whole = fq.contour_sweep(model, 0.08, t_on, t_off, FAST)
+        cells = np.array([
+            [fq.contour_sweep(model, 0.08, [a], [b], FAST)[0, 0] for b in t_off]
+            for a in t_on
+        ])
+        assert whole.tobytes() == cells.tobytes()
 
     def test_csv_format(self, model, tmp_path):
         t_on = np.array([0.0, 2.0])
