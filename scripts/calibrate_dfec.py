@@ -62,12 +62,11 @@ def main() -> int:
     model, opts, bounds = scn.model, scn.sim, scn.bounds
     failures = []
 
-    c0 = fq.nadir_cost(model, None, opts)
+    w_ss, _, c0 = fq.simulate(model, None, opts).summary(opts)
     print(f"uncontrolled nadir cost: {c0:.5f} pu (target 0.040 +/- 0.005)")
     if not 0.035 <= c0 <= 0.045:
         failures.append("uncontrolled nadir outside 4% +/- 0.5%")
 
-    w_ss = fq.steady_state_speed(model, opts)
     droop_pred = 1.0 - opts.disturbance / (model.gov.k1 + model.d1 + model.d2)
     err = abs(w_ss - droop_pred) / abs(1.0 - droop_pred)
     print(f"steady-state speed: {w_ss:.6f}, droop relation predicts "

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +85,12 @@ def _require_dfec(scn) -> DfecScenario:
 def cmd_deoc(args) -> int:
     grid = load_grid(args.system)
     scn = _require_deoc(load_scenario(args.scenario))
-    t_end = args.t_end if args.t_end is not None else scn.t_end
-    dt_out = args.dt_out if args.dt_out is not None else scn.dt_out
+    if args.t_end is not None or args.dt_out is not None:
+        scn = replace(
+            scn,
+            t_end=args.t_end if args.t_end is not None else scn.t_end,
+            dt_out=args.dt_out if args.dt_out is not None else scn.dt_out,
+        )
 
     model = build_reduced_model(grid)
     basis = analyze(model)
@@ -108,9 +113,10 @@ def cmd_deoc(args) -> int:
     doc.update(schedule.to_dict(model.base_mva))
     _write_json(doc, out_dir / "schedule.json")
 
-    controlled = simulate_deoc(model, basis, scn.disturbance, schedule, t_end, dt_out)
+    controlled = simulate_deoc(model, basis, scn.disturbance, schedule, scn.t_end,
+                              scn.dt_out)
     uncontrolled = simulate_deoc(
-        model, basis, scn.disturbance, DeocSchedule(stages=()), t_end, dt_out
+        model, basis, scn.disturbance, DeocSchedule(stages=()), scn.t_end, scn.dt_out
     )
     controlled.to_csv(out_dir / "controlled.csv")
     uncontrolled.to_csv(out_dir / "uncontrolled.csv")
@@ -154,8 +160,6 @@ def cmd_dfec_simulate(args) -> int:
     scn = _require_dfec(load_scenario(args.scenario))
     sim = scn.sim
     if args.t_end is not None or args.dt_out is not None:
-        from dataclasses import replace
-
         sim = replace(
             sim,
             horizon=args.t_end if args.t_end is not None else sim.horizon,
@@ -168,11 +172,8 @@ def cmd_dfec_simulate(args) -> int:
         return EXIT_NUMERIC
     if args.out is not None:
         _dfec_trajectory_csv(args.out, traj)
-    avg = traj.avg_speed
-    tail = traj.t >= sim.horizon - sim.ss_window
-    w_ss = float(avg[tail].mean())
-    print(f"w_ss={w_ss:.6f} nadir={1.0 - avg.min():.6f} "
-          f"cost={w_ss - avg.min():.6f}")
+    w_ss, nadir, cost = traj.summary(sim)
+    print(f"w_ss={w_ss:.6f} nadir={nadir:.6f} cost={cost:.6f}")
     return EXIT_OK
 
 

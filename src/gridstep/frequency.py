@@ -13,11 +13,13 @@ the phenomenon of interest is governed by the swing and governor dynamics.
 
 from __future__ import annotations
 
+import bisect
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45
 from scipy.optimize import minimize
 
 from .errors import DimensionError, OptimizationError, StiffnessError
@@ -148,26 +150,26 @@ class DfecResult:
 def dfec_dynamics(model: TwoMachineModel, dp_active: float, p_motor: float):
     """Right-hand side for one continuous piece (fixed injection and load)."""
     g = model.gov
-    ws = model.omega_s
-    p_sync = model.p_sync
+    ws, p_sync, p_set = model.omega_s, model.p_sync, model.p_set
+    damp1, damp2 = model.d1, model.d2
     h1_2, h2_2 = 2.0 * model.h1, 2.0 * model.h2
+    k1, t1, t3, t4, t5, t6 = g.k1, g.t1, g.t3, g.t4, g.t5, g.t6
     t2_over_t1 = g.t2 / g.t1
+    p_min, p_max = g.p_min, g.p_max
+    blend1, blend2, blend3 = 1.0 - g.k2, g.k2 * (1.0 - g.k3), g.k2 * g.k3
+    sin = math.sin
 
     def rhs(t, y):
         d1, w1, d2, w2, g1, g2, a1, a2, a3 = y
-        pe = p_sync * math.sin(d1 - d2)
+        pe = p_sync * sin(d1 - d2)
         u = w1 - 1.0
-        dg1 = (u - g1) / g.t1
         y1 = g1 + t2_over_t1 * (u - g1)
-        dg2 = (g.k1 * y1 - g2) / g.t3
-        p_cmd = min(max(model.p_set - g2, g.p_min), g.p_max)
-        da1 = (p_cmd - a1) / g.t4
-        da2 = (a1 - a2) / g.t5
-        da3 = (a2 - a3) / g.t6
-        pm1 = (1.0 - g.k2) * a1 + g.k2 * (1.0 - g.k3) * a2 + g.k2 * g.k3 * a3
-        dw1 = (pm1 - (pe - dp_active) - model.d1 * (w1 - 1.0)) / h1_2
-        dw2 = (pe - p_motor - model.d2 * (w2 - 1.0)) / h2_2
-        return [ws * (w1 - 1.0), dw1, ws * (w2 - 1.0), dw2, dg1, dg2, da1, da2, da3]
+        p_cmd = min(max(p_set - g2, p_min), p_max)
+        pm1 = blend1 * a1 + blend2 * a2 + blend3 * a3
+        return [ws * u, (pm1 - (pe - dp_active) - damp1 * u) / h1_2,
+                ws * (w2 - 1.0), (pe - p_motor - damp2 * (w2 - 1.0)) / h2_2,
+                (u - g1) / t1, (k1 * y1 - g2) / t3,
+                (p_cmd - a1) / t4, (a1 - a2) / t5, (a2 - a3) / t6]
 
     return rhs
 
@@ -175,12 +177,23 @@ def dfec_dynamics(model: TwoMachineModel, dp_active: float, p_motor: float):
 @dataclass
 class DfecTrajectory:
     t: np.ndarray
-    y: np.ndarray          # (n, 9)
+    y: np.ndarray          # (n, 9); nadir_cost keeps the first 4 columns
     unstable: bool
 
     @property
     def avg_speed(self) -> np.ndarray:
         return 0.5 * (self.y[:, 1] + self.y[:, 3])
+
+    def summary(self, opts: SimOptions) -> tuple[float, float, float]:
+        """``(w_ss, nadir, cost)``: ``w_ss`` is the mean average speed over the
+        last ``ss_window``, ``nadir = 1 - min``, ``cost = w_ss - min``; an
+        unstable run gives ``(nan, nan, inf)``."""
+        if self.unstable:
+            return math.nan, math.nan, INSTABILITY_COST
+        avg = self.avg_speed
+        w_ss = float(avg[self.t >= opts.horizon - opts.ss_window].mean())
+        low = float(avg.min())
+        return w_ss, 1.0 - low, w_ss - low
 
 
 def _pieces(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions):
@@ -213,59 +226,161 @@ def _sample_range(t_grid: np.ndarray, lo: float, hi: float, last: bool) -> tuple
     return start, stop
 
 
-def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> DfecTrajectory:
-    """Integrate the disturbance response, restarting at every power step."""
-    pieces = _pieces(model, action, opts)
-    t_grid = _output_grid(opts)
-    out = np.empty((len(t_grid), 9))
-    y = model.equilibrium()
-    unstable = False
-    for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
-        rhs = dfec_dynamics(model, dp_active, p_motor)
-        start, stop = _sample_range(t_grid, lo, hi, n == len(pieces) - 1)
-        t_eval = np.clip(t_grid[start:stop], lo, hi)
-        drop_end = len(t_eval) == 0 or t_eval[-1] < hi - 1e-12
-        if drop_end:
-            t_eval = np.append(t_eval, hi)
-        sol = solve_ivp(rhs, (lo, hi), y, method="RK45", rtol=opts.rtol,
-                        atol=opts.atol, t_eval=t_eval)
-        if not sol.success:
-            raise StiffnessError(f"DFEC integration failed on [{lo}, {hi}]: {sol.message}")
-        out[start:stop] = sol.y.T[:-1] if drop_end else sol.y.T
-        y = sol.y[:, -1]
-        if np.abs(out[start:stop, 0] - out[start:stop, 2]).max(initial=0.0) > _ANGLE_SLIP:
-            unstable = True
-            break
-    if unstable:
-        out[:] = np.nan
-    return DfecTrajectory(t=t_grid, y=out, unstable=unstable)
-
-
-def _trajectory_cost(traj: DfecTrajectory, opts: SimOptions) -> float:
-    if traj.unstable:
-        return INSTABILITY_COST
-    avg = traj.avg_speed
-    tail = traj.t >= opts.horizon - opts.ss_window
-    w_ss = float(avg[tail].mean())
-    return w_ss - float(avg.min())
-
-
-def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> float:
-    """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism."""
-    return _trajectory_cost(simulate(model, action, opts), opts)
-
-
-# Lane-batched cost engine.  Every lane runs the embedded Dormand-Prince 5(4)
-# pair as ``solve_ivp(method="RK45")`` runs it on one action: the same
-# tableau, RMS error norm, step controller and per-piece initial step, so a
-# lane follows the scalar step sequence and rtol/atol keep their meaning.
-# Stage sums are written out term by term in a fixed order (no BLAS, no axis
-# reductions), so a lane's rounding, and with it its cost, does not depend on
-# the batch it is in.
+# Both integrators step an action as scipy's ``RK45`` solver does: the
+# Dormand-Prince 5(4) tableau of ``scipy.integrate.RK45``, the RMS error norm,
+# scipy's step controller and ``select_initial_step`` at every piece, so
+# rtol/atol keep their meaning. ``_dense_rows`` steps one action on
+# plain floats; ``nadir_costs`` steps a batch as numpy lanes.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's RungeKutta
 _ERR_EXP = -1.0 / (RK45.error_estimator_order + 1)
 
+# The tableau as floats. Stage 2 carries no weight in B, E or P, and the
+# interpolant's x**1 column is stage 1 alone (Dormand-Prince), so those
+# terms are left out; ``_PjxN`` weighs stage j in the x**N column.
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65) = (RK45.A[s, :s].tolist() for s in range(1, 6))
+_B1, _, _B3, _B4, _B5, _B6 = RK45.B.tolist()
+_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
+(_P1x2, _P1x3, _P1x4), _, (_P3x2, _P3x3, _P3x4), (_P4x2, _P4x3, _P4x4), \
+    (_P5x2, _P5x3, _P5x4), (_P6x2, _P6x3, _P6x4), (_P7x2, _P7x3, _P7x4) = \
+    (row[1:] for row in RK45.P.tolist())
 
+
+def _norm(values) -> float:
+    """RMS over the 9 states, summed in state order."""
+    return math.sqrt(sum([v * v for v in values])) / 3.0
+
+
+def _initial_step(rhs, t, y, f, length, rtol, atol):
+    """scipy's ``select_initial_step`` on floats."""
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _norm([v / s for v, s in zip(y, scale)])
+    d1 = _norm([v / s for v, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    f1 = rhs(t + h0, [v + h0 * fv for v, fv in zip(y, f)])
+    d2 = _norm([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERR_EXP
+    return min(100.0 * h0, h1, length)
+
+
+def _dense_rows(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions,
+                width: int) -> array | None:
+    """The first ``width`` state components at every output sample, row after
+    row; ``None`` as soon as a sample shows loss of synchronism.
+
+    Each piece between power steps is a fresh solver that starts from the
+    previous piece's interpolant at the break. Samples are read off each
+    accepted step's dense output.
+    """
+    t_grid = _output_grid(opts)
+    t_out = t_grid.tolist()
+    rtol, atol = opts.rtol, opts.atol
+    pieces = _pieces(model, action, opts)
+    y = model.equilibrium().tolist()
+    rows = array("d")
+    for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
+        rhs = dfec_dynamics(model, dp_active, p_motor)
+        k_start, k_end = _sample_range(t_grid, lo, hi, n == len(pieces) - 1)
+        t_samples = np.clip(t_grid[k_start:k_end], lo, hi).tolist()
+        t = lo
+        f = rhs(t, y)
+        h_abs = _initial_step(rhs, t, y, f, hi - lo, rtol, atol)
+        while True:
+            # One step (scipy's RungeKutta._step_impl).
+            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StiffnessError("DFEC integration failed: required step "
+                                         "size is less than spacing between numbers.")
+                t_new = min(t + h_abs, hi)
+                h = t_new - t
+                k1 = f
+                k2 = rhs(t, [y_ + (a * _A21) * h for y_, a in zip(y, k1)])
+                k3 = rhs(t, [y_ + (a * _A31 + b * _A32) * h
+                             for y_, a, b in zip(y, k1, k2)])
+                k4 = rhs(t, [y_ + (a * _A41 + b * _A42 + c * _A43) * h
+                             for y_, a, b, c in zip(y, k1, k2, k3)])
+                k5 = rhs(t, [y_ + (a * _A51 + b * _A52 + c * _A53 + d * _A54) * h
+                             for y_, a, b, c, d in zip(y, k1, k2, k3, k4)])
+                k6 = rhs(t, [y_ + (a * _A61 + b * _A62 + c * _A63 + d * _A64
+                                   + e * _A65) * h
+                             for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+                y_new = [y_ + h * (a * _B1 + c * _B3 + d * _B4 + e * _B5 + g * _B6)
+                         for y_, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+                k7 = rhs(t_new, y_new)
+                err = _norm([
+                    (a * _E1 + c * _E3 + d * _E4 + e * _E5 + g * _E6 + q * _E7) * h
+                    / (atol + (m0 if m0 > m1 else m1) * rtol)
+                    for m0, m1, a, c, d, e, g, q
+                    in zip(map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7)])
+                if err < 1.0:
+                    factor = _MAX_FACTOR if err == 0.0 else min(
+                        _MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
+                    h_abs = h * (min(1.0, factor) if rejected else factor)
+                    break
+                h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+                rejected = True
+
+            # Dense output of the step, sampled onto the grid; at a break all
+            # 9 components are needed to start the next piece.
+            end = t_new >= hi
+            k = len(rows) // width
+            k_stop = k_end if end else bisect.bisect_right(t_out, t_new, k, k_end)
+            if k_stop == k and not end:
+                t, y, f = t_new, y_new, k7
+                continue
+            Q = [(a,
+                  a * _P1x2 + c * _P3x2 + d * _P4x2 + e * _P5x2 + g * _P6x2 + q * _P7x2,
+                  a * _P1x3 + c * _P3x3 + d * _P4x3 + e * _P5x3 + g * _P6x3 + q * _P7x3,
+                  a * _P1x4 + c * _P3x4 + d * _P4x4 + e * _P5x4 + g * _P6x4 + q * _P7x4)
+                 for a, c, d, e, g, q
+                 in zip(*(col[:9 if end else width] for col in (k1, k3, k4, k5, k6, k7)))]
+            for ts in t_samples[k - k_start:k_stop - k_start]:
+                x = (ts - t) / h
+                x2 = x * x
+                x3 = x2 * x
+                x4 = x3 * x
+                row = [h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + y_
+                       for (q0, q1, q2, q3), y_ in zip(Q[:width], y)]
+                if abs(row[0] - row[2]) > _ANGLE_SLIP:
+                    return None
+                rows.extend(row)
+            if end:
+                y = [h * (((q0 + q1) + q2) + q3) + y_ for (q0, q1, q2, q3), y_ in zip(Q, y)]
+                break
+            t, y, f = t_new, y_new, k7
+    return rows
+
+
+def _trajectory(model, action, opts, width) -> DfecTrajectory:
+    t = _output_grid(opts)
+    rows = _dense_rows(model, action, opts, width)
+    if rows is None:
+        return DfecTrajectory(t=t, y=np.full((len(t), width), np.nan), unstable=True)
+    return DfecTrajectory(t=t, y=np.frombuffer(rows).reshape(-1, width), unstable=False)
+
+
+def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> DfecTrajectory:
+    """Integrate the disturbance response, restarting at every power step."""
+    return _trajectory(model, action, opts, 9)
+
+
+def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> float:
+    """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism.
+    Only the angles and speeds are interpolated."""
+    return _trajectory(model, action, opts, 4).summary(opts)[2]
+
+
+# Lane-batched cost engine. Every lane follows the scalar step sequence.
+# Stage sums are written out term by term in a fixed order (no BLAS, no axis
+# reductions), so a lane's rounding, and with it its cost, does not depend on
+# the batch it is in.
 def _terms(coefs) -> tuple:
     return tuple((j, float(c)) for j, c in enumerate(coefs) if c != 0.0)
 
@@ -458,8 +573,7 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
             L.y = np.where(accept, y_new, y)
             L.f = np.where(accept, K[-1], L.f)
             if done.any():
-                # The next piece starts from the interpolant at the break,
-                # as solve_ivp's last t_eval sample hands it on.
+                # The next piece starts from the interpolant at the break.
                 L.y[:, done] = h[done] * (((Q[0] + Q[1]) + Q[2]) + Q[3])[:, done] + y[:, done]
                 L.piece = L.piece + done
             finished = (L.piece >= n_pieces[L.lane]) | unstable[L.lane]
@@ -476,9 +590,7 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
 
 
 def steady_state_speed(model: TwoMachineModel, opts: SimOptions) -> float:
-    traj = simulate(model, None, opts)
-    tail = traj.t >= opts.horizon - opts.ss_window
-    return float(traj.avg_speed[tail].mean())
+    return simulate(model, None, opts).summary(opts)[0]
 
 
 @dataclass(frozen=True)
@@ -504,9 +616,7 @@ def optimize_action(
     window is parameterized as ``(dp, t_on, length)`` so ``t_on < t_off``
     holds by construction).
     """
-    traj0 = simulate(model, None, opts)
-    uncontrolled = _trajectory_cost(traj0, opts)
-    nadir0 = 1.0 - float(traj0.avg_speed.min())
+    _, nadir0, uncontrolled = simulate(model, None, opts).summary(opts)
 
     def unpack(v):
         dp = float(np.clip(v[0], 0.0, 1.0)) * bounds.dp_max
@@ -564,8 +674,7 @@ def optimize_action(
         # dp = 0 is always feasible; never return something worse.
         dp, t_on, t_off, best_c = 0.0, 0.0, 1e-3, uncontrolled
     action = DfecAction(dp, max(t_on, 0.0), t_off)
-    traj_c = simulate(model, action if dp > 0 else None, opts)
-    nadir_c = 1.0 - float(traj_c.avg_speed.min()) if not traj_c.unstable else float("nan")
+    nadir_c = simulate(model, action if dp > 0 else None, opts).summary(opts)[1]
     return DfecResult(
         action=action,
         cost=best_c,

@@ -10,11 +10,12 @@ two-machine model, simulation options, optimization bounds, and sweep grid.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import DimensionError, ModelError
 from .frequency import ActionBounds, DfecAction, GovernorParams, SimOptions, TwoMachineModel
 from .simulate import Disturbance
 
@@ -67,6 +68,7 @@ DFEC_SCENARIO_SCHEMA = {
         "name": {"type": "string"},
         "model": {
             "type": "object",
+            "additionalProperties": False,
             "required": ["h1", "h2", "e1", "e2", "x"],
             "properties": {
                 k: {"type": "number"}
@@ -75,6 +77,7 @@ DFEC_SCENARIO_SCHEMA = {
         },
         "governor": {
             "type": "object",
+            "additionalProperties": False,
             "required": ["k1", "t1", "t2", "t3", "k2", "k3", "t4", "t5", "t6"],
             "properties": {
                 k: {"type": "number"}
@@ -84,6 +87,7 @@ DFEC_SCENARIO_SCHEMA = {
         },
         "sim": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 k: {"type": "number"}
                 for k in ("horizon", "dt_out", "rtol", "atol", "ss_window",
@@ -92,6 +96,7 @@ DFEC_SCENARIO_SCHEMA = {
         },
         "bounds": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 k: {"type": "number", "exclusiveMinimum": 0}
                 for k in ("dp_max", "t_on_max", "t_off_max")
@@ -99,11 +104,13 @@ DFEC_SCENARIO_SCHEMA = {
         },
         "action": {
             "type": "object",
+            "additionalProperties": False,
             "required": ["dp", "t_on", "t_off"],
             "properties": {k: {"type": "number"} for k in ("dp", "t_on", "t_off")},
         },
         "optimize": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "grid_starts": {"type": "integer", "minimum": 1},
                 "refine_starts": {"type": "integer", "minimum": 1},
@@ -111,6 +118,7 @@ DFEC_SCENARIO_SCHEMA = {
         },
         "sweep": {
             "type": "object",
+            "additionalProperties": False,
             "required": ["dp", "t_on", "t_off"],
             "properties": {
                 "dp": {"type": "number", "minimum": 0},
@@ -144,6 +152,11 @@ class DeocScenario:
     scale: float | None = None
     dp_overrides_mw: tuple | None = None     # per-stage vector (MW) or None
     name: str = ""
+
+    def __post_init__(self):
+        for name in ("t_end", "dt_out"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DimensionError(f"{name} must be finite and > 0")
 
     def dp_overrides_pu(self, base_mva: float):
         if self.dp_overrides_mw is None:

@@ -127,6 +127,17 @@ class TestDeoc:
             out / "uncontrolled.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--dt-out", "--t-end"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_time_flags_are_input_errors(self, capsys, tmp_path, flag, value):
+        code, _, err = run(
+            capsys, "deoc", "--system", str(DATA / "wscc9.json"),
+            "--scenario", str(DATA / "scenario_wscc9.json"),
+            "--out", str(tmp_path / "o"), flag, value,
+        )
+        assert code == 2
+        assert flag[2:].replace("-", "_") + " must be finite and > 0" in err
+
     def test_wrong_scenario_kind_is_input_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "deoc", "--system", str(DATA / "wscc9.json"),
@@ -206,6 +217,23 @@ class TestDfec:
                                "--out", str(tmp_path / "out.csv"))
             assert code == 2
             assert "input error: sim." in err
+
+    @pytest.mark.parametrize("section,content", [
+        ("model", None),
+        ("governor", None),
+        ("sim", None),
+        ("bounds", None),
+        ("action", {"dp": 0.1, "t_on": 1.0, "t_off": 10.0}),
+        ("optimize", {"grid_starts": 2}),
+        ("sweep", None),
+    ])
+    def test_unknown_key_is_input_error(self, capsys, tmp_path, section, content):
+        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+        doc[section] = dict(content or doc[section], bogus=1)
+        scn = write_json(tmp_path / "unknown_key.json", doc)
+        code, _, err = run(capsys, "dfec", "simulate", "--scenario", str(scn))
+        assert code == 2
+        assert "'bogus' was unexpected" in err
 
     def test_simulate_dt_out_zero_flag_is_input_error(self, capsys):
         code, _, err = run(capsys, "dfec", "simulate", "--scenario",

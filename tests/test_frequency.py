@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dfec_oracle
 from gridstep import frequency as fq
 from gridstep.errors import DimensionError
 
@@ -95,17 +96,62 @@ class TestNadirCost:
         # The slow turbine lag needs ~2 minutes to settle completely, so the
         # comparison horizon is extended past the scenario default.
         opts = replace(opts, horizon=120.0)
-        traj_u = fq.simulate(model, None, opts)
-        traj_c = fq.simulate(model, fq.DfecAction(0.12, 1.5, 28.0), opts)
-        tail = traj_u.t >= opts.horizon - opts.ss_window
-        w_u = traj_u.avg_speed[tail].mean()
-        w_c = traj_c.avg_speed[tail].mean()
+        w_u = fq.simulate(model, None, opts).summary(opts)[0]
+        w_c = fq.simulate(model, fq.DfecAction(0.12, 1.5, 28.0), opts).summary(opts)[0]
         assert abs(w_u - w_c) < 1e-4
 
     def test_steady_state_matches_droop_relation(self, model, opts):
         w_ss = fq.steady_state_speed(model, opts)
         predicted = 1.0 - opts.disturbance / (model.gov.k1 + model.d1 + model.d2)
         assert abs(w_ss - predicted) / abs(1.0 - predicted) < 0.02
+
+
+class TestScalarStepper:
+    """The plain-float stepper against the solve_ivp oracle."""
+
+    BREAK_ON_SAMPLE = fq.DfecAction(0.1, 1.0, 12.0)
+    ACTIONS = (
+        None,
+        fq.DfecAction(0.05, 0.0, 12.0),                 # t_on = 0: no switch-on break
+        fq.DfecAction(0.2, 3.0, FAST.horizon + 5.0),    # t_off past the horizon
+        BREAK_ON_SAMPLE,
+    )
+
+    def test_break_lands_on_output_sample(self):
+        t_grid = fq._output_grid(FAST)
+        a = self.BREAK_ON_SAMPLE
+        assert a.t_on in t_grid and a.t_off in t_grid
+
+    @pytest.mark.parametrize("action", ACTIONS)
+    def test_trajectory_matches_oracle(self, model, action):
+        traj = fq.simulate(model, action, FAST)
+        ref = dfec_oracle.simulate(model, action, FAST)
+        assert not traj.unstable and not ref.unstable
+        assert traj.y.shape == ref.y.shape == (len(ref.t), 9)
+        np.testing.assert_array_equal(traj.t, ref.t)
+        err = np.abs(traj.y - ref.y).max(axis=0)
+        assert np.all(err <= 1e-10 * np.abs(ref.y).max(axis=0))
+
+    @pytest.mark.parametrize("action", ACTIONS)
+    def test_cost_matches_oracle(self, model, action):
+        cost = fq.nadir_cost(model, action, FAST)
+        ref = dfec_oracle.nadir_cost(model, action, FAST)
+        assert abs(cost - ref) <= 1e-10 * ref
+        assert cost == fq.simulate(model, action, FAST).summary(FAST)[2]
+
+    def test_loss_of_synchronism(self, model):
+        action = fq.DfecAction(4.0, 1.0, 10.0)
+        assert dfec_oracle.simulate(model, action, FAST).unstable
+        assert fq.nadir_cost(model, action, FAST) == float("inf")
+        traj = fq.simulate(model, action, FAST)
+        assert traj.unstable
+        assert traj.y.shape == (len(traj.t), 9) and np.isnan(traj.y).all()
+
+    def test_runs_are_bit_identical(self, model):
+        a = fq.DfecAction(0.12, 1.5, 28.0)
+        first, second = fq.simulate(model, a, FAST), fq.simulate(model, a, FAST)
+        assert first.y.tobytes() == second.y.tobytes()
+        assert fq.nadir_cost(model, a, FAST) == fq.nadir_cost(model, a, FAST)
 
 
 class TestBatchedCosts:
