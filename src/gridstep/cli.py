@@ -106,18 +106,17 @@ def cmd_deoc(args) -> int:
         stage_window=scn.stage_window,
     )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    doc = {"schema_version": 1, "system": grid.name, "scenario": scn.name}
-    doc.update(schedule.to_dict(model.base_mva))
-    _write_json(doc, out_dir / "schedule.json")
-
     controlled = simulate_deoc(model, basis, scn.disturbance, schedule, scn.t_end,
                               scn.dt_out)
     uncontrolled = simulate_deoc(
         model, basis, scn.disturbance, DeocSchedule(stages=()), scn.t_end, scn.dt_out
     )
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    doc = {"schema_version": 1, "system": grid.name, "scenario": scn.name}
+    doc.update(schedule.to_dict(model.base_mva))
+    _write_json(doc, out_dir / "schedule.json")
     controlled.to_csv(out_dir / "controlled.csv")
     uncontrolled.to_csv(out_dir / "uncontrolled.csv")
     controlled.to_json(out_dir / "controlled.json")

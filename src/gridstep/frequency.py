@@ -233,6 +233,10 @@ def _sample_range(t_grid: np.ndarray, lo: float, hi: float, last: bool) -> tuple
 # plain floats; ``nadir_costs`` steps a batch as numpy lanes.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's RungeKutta
 _ERR_EXP = -1.0 / (RK45.error_estimator_order + 1)
+# A first step guess ``h0`` of zero or NaN means the state derivative overflowed;
+# stepping on would divide by zero or loop on a NaN step the min-step rule passes.
+_NO_INITIAL_STEP = ("DFEC integration failed: the state derivative is not finite, "
+                    "so no initial step size exists.")
 
 # The tableau as floats. Stage 2 carries no weight in B, E or P, and the
 # interpolant's x**1 column is stage 1 alone (Dormand-Prince), so those
@@ -258,6 +262,8 @@ def _initial_step(rhs, t, y, f, length, rtol, atol):
     d1 = _norm([v / s for v, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, length)
+    if not h0 > 0.0:
+        raise StiffnessError(_NO_INITIAL_STEP)
     f1 = rhs(t + h0, [v + h0 * fv for v, fv in zip(y, f)])
     d2 = _norm([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -507,6 +513,8 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, length)
+        if not np.all(h0 > 0.0):
+            raise StiffnessError(_NO_INITIAL_STEP)
         d2 = _rms((rhs(y0 + h0 * f0, dp_active, p_motor) - f0) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** -_ERR_EXP)

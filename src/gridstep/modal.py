@@ -139,42 +139,30 @@ def _project_real(mat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mat.real)
 
 
-def propagate(basis: ModalBasis, center: np.ndarray, x_start: np.ndarray, dt: float) -> np.ndarray:
-    """Exact state ``dt`` seconds ahead for dynamics centered at ``center``."""
+def propagate(basis: ModalBasis, center: np.ndarray, x_start: np.ndarray,
+              dt: float | np.ndarray) -> np.ndarray:
+    """Exact state ``dt`` seconds ahead for dynamics centered at ``center``.
+    Takes one offset (a ``(2m,)`` state) or an array of offsets (one state each)."""
     z = basis.m_inv @ (np.asarray(x_start, dtype=float) - center)
-    x = basis.m @ (np.exp(basis.eigenvalues * dt) * z)
-    return x.real + center
-
-
-def propagate_batch(
-    basis: ModalBasis, center: np.ndarray, x_start: np.ndarray, dts: np.ndarray
-) -> np.ndarray:
-    """Closed-form states at many offsets; returns (len(dts), 2m)."""
-    dts = np.asarray(dts, dtype=float)
-    z = basis.m_inv @ (np.asarray(x_start, dtype=float) - center)
-    phases = np.exp(np.outer(dts, basis.eigenvalues)) * z  # (k, 2m)
+    phases = np.exp(np.multiply.outer(dt, basis.eigenvalues)) * z
     return (phases @ basis.m.T).real + center
 
 
-def orbit_value(basis: ModalBasis, center: np.ndarray, x: np.ndarray) -> float:
+def orbit_value(basis: ModalBasis, center: np.ndarray, x: np.ndarray) -> float | np.ndarray:
     """Conserved orbit amplitude ``(x-c)^T D (x-c) + xdot^T E xdot``.
 
     ``xdot`` is recomputed internally as ``A (x - center)`` so the two terms
     are always consistent; along any trajectory of the centered dynamics the
-    value is constant and equals ``2 (x0-c)^T D (x0-c)``.
+    value is constant and equals ``2 (x0-c)^T D (x0-c)``. Takes one ``(2m,)``
+    state or a ``(k, 2m)`` stack (one value per state).
     """
-    dx = np.asarray(x, dtype=float) - center
-    if dx.shape != (basis.n_states,):
-        raise DimensionError(f"state has shape {dx.shape}, expected ({basis.n_states},)")
-    xdot = basis.a @ dx
-    return float(dx @ basis.d @ dx + xdot @ basis.e @ xdot)
-
-
-def orbit_value_batch(basis: ModalBasis, center: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    dx = np.asarray(xs, dtype=float) - center
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (basis.n_states,):
+        raise DimensionError(f"state has shape {x.shape}, expected (..., {basis.n_states})")
+    dx = x - center
     xdot = dx @ basis.a.T
-    return np.einsum("ij,jk,ik->i", dx, basis.d, dx) + np.einsum(
-        "ij,jk,ik->i", xdot, basis.e, xdot
+    return np.einsum("...j,jk,...k->...", dx, basis.d, dx) + np.einsum(
+        "...j,jk,...k->...", xdot, basis.e, xdot
     )
 
 

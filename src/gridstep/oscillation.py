@@ -22,7 +22,7 @@ from .errors import (
     NoSwitchOpportunityError,
     ReachabilityWarning,
 )
-from .modal import ModalBasis, orbit_value, propagate, propagate_batch
+from .modal import ModalBasis, orbit_value, propagate
 from .network import ReducedModel, equilibrium_shifted
 
 SAMPLE_DT = 1e-3          # root/minimum bracketing step, s
@@ -80,33 +80,20 @@ class DeocSchedule:
 
 def switching_function(
     basis: ModalBasis, x_e: np.ndarray, x_c: np.ndarray, x: np.ndarray
-) -> float:
-    """Closed-form switch-on indicator; its zero marks the switching instant."""
+) -> float | np.ndarray:
+    """Closed-form switch-on indicator; its zero marks the switching instant.
+    Takes one ``(2m,)`` state or a ``(k, 2m)`` stack (one value per state)."""
     g = basis.d + basis.a.T @ basis.e @ basis.a
     shift = x_e - x_c
     dx = np.asarray(x, dtype=float) - x_c
-    return float(2.0 * shift @ basis.d @ shift - dx @ g @ dx)
+    return 2.0 * shift @ basis.d @ shift - np.einsum("...j,jk,...k->...", dx, g, dx)
 
 
-def _switching_function_batch(
-    basis: ModalBasis, x_e: np.ndarray, x_c: np.ndarray, xs: np.ndarray
-) -> np.ndarray:
-    g = basis.d + basis.a.T @ basis.e @ basis.a
-    shift = x_e - x_c
-    amp = 2.0 * shift @ basis.d @ shift
-    dx = xs - x_c
-    return amp - np.einsum("ij,jk,ik->i", dx, g, dx)
-
-
-def oscillation_energy(model: ReducedModel, x: np.ndarray) -> float:
-    """Kinetic oscillation energy ``w_s (w-1)^T H (w-1)`` in pu."""
-    dw = np.asarray(x, dtype=float)[model.n_machines:] - 1.0
-    return float(model.omega_s * dw @ (model.h * dw))
-
-
-def oscillation_energy_batch(model: ReducedModel, xs: np.ndarray) -> np.ndarray:
-    dw = np.asarray(xs, dtype=float)[:, model.n_machines:] - 1.0
-    return model.omega_s * np.einsum("ij,j,ij->i", dw, model.h, dw)
+def oscillation_energy(model: ReducedModel, x: np.ndarray) -> float | np.ndarray:
+    """Kinetic oscillation energy ``w_s (w-1)^T H (w-1)`` in pu. Takes one
+    ``(2m,)`` state or a ``(k, 2m)`` stack (one value per state)."""
+    dw = np.asarray(x, dtype=float)[..., model.n_machines:] - 1.0
+    return model.omega_s * np.einsum("...j,j,...j->...", dw, model.h, dw)
 
 
 def design_dp(
@@ -210,16 +197,13 @@ def find_switch_on(
     if not t_arm < t_max:
         raise DimensionError("t_arm must be < t_max")
     x_e = model.x_eq
-    shift = x_e - x_c
-    h_amp = float(2.0 * shift @ basis.d @ shift)
-    tol = H_ROOT_RTOL * h_amp
-
-    ts = np.arange(max(t_arm, t0), t_max + 0.5 * dt, dt)
-    xs = propagate_batch(basis, x_e, x0, ts - t0)
-    hs = _switching_function_batch(basis, x_e, x_c, xs)
+    tol = H_ROOT_RTOL * switching_function(basis, x_e, x_c, x_c)  # h's threshold term
 
     def h_at(t):
         return switching_function(basis, x_e, x_c, propagate(basis, x_e, x0, t - t0))
+
+    ts = np.arange(max(t_arm, t0), t_max + 0.5 * dt, dt)
+    hs = h_at(ts)
 
     roots_rejected = 0
     for k in range(len(ts) - 1):
@@ -282,12 +266,11 @@ def find_switch_off(
     ``(t_off, x_off, energy_off)``; if no interior minimum appears before
     ``t_max``, returns the window end and emits :class:`MaxWindowWarning`.
     """
-    ts = np.arange(t_on, t_max + 0.5 * dt, dt)
-    xs = propagate_batch(basis, x_c, x_on, ts - t_on)
-    ek = oscillation_energy_batch(model, xs)
-
     def ek_at(t):
         return oscillation_energy(model, propagate(basis, x_c, x_on, t - t_on))
+
+    ts = np.arange(t_on, t_max + 0.5 * dt, dt)
+    ek = ek_at(ts)
 
     for k in range(1, len(ts) - 1):
         if ek[k] <= ek[k - 1] and ek[k] <= ek[k + 1] and (ek[k] < ek[k - 1] or ek[k] < ek[k + 1]):

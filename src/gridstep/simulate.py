@@ -1,6 +1,5 @@
-"""Time-domain simulation: exact piecewise-modal propagation with switching
-events, an adaptive numeric integrator for nonlinear models, disturbance
-application, and trajectory recording/export."""
+"""DEOC time-domain simulation: disturbance application, exact piecewise-modal
+propagation across switching events, and trajectory recording/export."""
 
 from __future__ import annotations
 
@@ -9,12 +8,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import DimensionError, ModelError, ScheduleError, StiffnessError
-from .modal import ModalBasis, orbit_value_batch, propagate, propagate_batch
+from .errors import DimensionError, ModelError, ScheduleError
+from .modal import ModalBasis, orbit_value, propagate
 from .network import ReducedModel
-from .oscillation import DeocSchedule, _switching_function_batch, oscillation_energy_batch
+from .oscillation import DeocSchedule, oscillation_energy, switching_function
 
 
 @dataclass(frozen=True)
@@ -134,16 +132,18 @@ def _injection_column(model: ReducedModel, bus: int) -> np.ndarray:
 
 def _segments(model, schedule: DeocSchedule, t0: float, t_end: float):
     """(t_start, center, stage_id) pieces covering [t0, t_end]."""
+    if t_end < t0:
+        raise ScheduleError(f"t_end = {t_end:.6g} s is before the disturbance ends at {t0:.6g} s")
+    stages = schedule.stages  # ordered and disjoint (DeocSchedule checks)
+    if stages and stages[0].t_on < t0 - 1e-12:
+        raise ScheduleError(f"schedule starts at {stages[0].t_on:.6g} s, "
+                            f"before the disturbance ends at {t0:.6g} s")
+    if stages and stages[-1].t_off > t_end + 1e-9:
+        raise ScheduleError(
+            f"schedule ends at {stages[-1].t_off:.6g} s, after t_end = {t_end:.6g} s")
     segs = [(t0, model.x_eq, -1)]
-    prev_off = t0
-    for k, st in enumerate(schedule.stages):
-        if st.t_on < prev_off - 1e-12 or st.t_off > t_end + 1e-9:
-            raise ScheduleError(
-                f"stage {k} [{st.t_on}, {st.t_off}] outside [{prev_off}, {t_end}]"
-            )
-        segs.append((st.t_on, st.x_c, k))
-        segs.append((st.t_off, model.x_eq, -1))
-        prev_off = st.t_off
+    for k, st in enumerate(stages):
+        segs += [(st.t_on, st.x_c, k), (st.t_off, model.x_eq, -1)]
     return segs
 
 
@@ -183,21 +183,15 @@ def simulate_deoc(
             events.append((t_start, "switch-on" if stage_id >= 0 else "switch-off"))
         t_next = segs[si + 1][0] if si + 1 < len(segs) else np.inf
         mask = (t_grid >= t_start - 1e-12) & (t_grid < t_next - 1e-12)
-        if si == 0:
-            mask |= t_grid < t_start  # guard for float fuzz at the first stamp
-        if si + 1 == len(segs):
-            mask |= t_grid >= t_next - 1e-12
-        if not mask.any():
-            continue
-        xs = propagate_batch(basis, center, x_seg, t_grid[mask] - t_start)
+        xs = propagate(basis, center, x_seg, t_grid[mask] - t_start)
         samples[mask] = xs
-        orbit[mask] = orbit_value_batch(basis, center, xs)
+        orbit[mask] = orbit_value(basis, center, xs)
         stage_ids[mask] = stage_id
         xc_for_h = _h_reference(schedule, stage_id, t_start)
         if xc_for_h is not None:
-            h_vals[mask] = _switching_function_batch(basis, model.x_eq, xc_for_h, xs)
+            h_vals[mask] = switching_function(basis, model.x_eq, xc_for_h, xs)
 
-    ek = oscillation_energy_batch(model, samples)
+    ek = oscillation_energy(model, samples)
     events.sort(key=lambda ev: ev[0])
     return Trajectory(
         t=t_grid,
@@ -219,60 +213,3 @@ def _h_reference(schedule: DeocSchedule, stage_id: int, t_start: float):
         if st.t_on >= t_start - 1e-12:
             return st.x_c
     return None
-
-
-def integrate_nonlinear(
-    dynamics,
-    x0: np.ndarray,
-    t_span: tuple[float, float],
-    event_times=(),
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    dt_out: float = 0.01,
-    method: str = "DOP853",
-):
-    """Adaptive explicit integration with restarts at declared event times.
-
-    The vector field may be discontinuous at the event times (power steps),
-    so each piece is integrated separately and the pieces are stitched on a
-    shared ``dt_out`` grid. Returns ``(t, x)`` arrays.
-    """
-    t0, t1 = t_span
-    boundaries = [t0] + sorted(t for t in event_times if t0 < t < t1) + [t1]
-    t_grid = np.arange(t0, t1 + 0.5 * dt_out, dt_out)
-    out = np.empty((len(t_grid), len(x0)))
-
-    x = np.asarray(x0, dtype=float)
-    for lo, hi in zip(boundaries, boundaries[1:]):
-        mask = (t_grid >= lo - 1e-12) & (t_grid < hi - 1e-12)
-        if hi == boundaries[-1]:
-            mask |= t_grid >= hi - 1e-12
-        t_eval = np.clip(t_grid[mask], lo, hi)
-        drop_end = len(t_eval) == 0 or t_eval[-1] < hi - 1e-12
-        if drop_end:
-            t_eval = np.append(t_eval, hi)  # boundary state doubles as restart
-        sol = solve_ivp(
-            dynamics, (lo, hi), x, method=method, rtol=rtol, atol=atol,
-            t_eval=t_eval,
-        )
-        if not sol.success:
-            raise StiffnessError(f"integration failed on [{lo}, {hi}]: {sol.message}")
-        out[mask] = sol.y.T[:-1] if drop_end else sol.y.T
-        x = sol.y[:, -1]
-    return t_grid, out
-
-
-def deoc_rhs(model: ReducedModel, schedule: DeocSchedule):
-    """Piecewise-linear vector field of the controlled swing model, for
-    cross-checking the closed-form propagation numerically."""
-    stages = schedule.stages
-
-    def rhs(t, x):
-        center = model.x_eq
-        for st in stages:
-            if st.t_on <= t < st.t_off:
-                center = st.x_c
-                break
-        return model.a @ (x - center)
-
-    return rhs

@@ -9,7 +9,6 @@ import json
 import math
 import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,8 +34,8 @@ from gridstep.cli import main as cli_main
 from gridstep.modal import propagate
 from gridstep.oscillation import auto_scale, default_targets
 from gridstep.scenario import load_scenario
-from gridstep.simulate import deoc_rhs, integrate_nonlinear
 
+import oracle
 from conftest import DATA, write_json
 
 
@@ -93,9 +92,8 @@ def test_orbit_value_conserved_closed_form_and_numeric(wscc9_case):
     rel_var = np.ptp(traj.orbit) / traj.orbit[0]
     assert rel_var < 1e-8
 
-    t, x = integrate_nonlinear(deoc_rhs(model, DeocSchedule(stages=())),
-                               x0, (t0, t0 + 10.0), dt_out=0.005)
-    vals = np.array([orbit_value(basis, model.x_eq, xi) for xi in x])
+    t, x = oracle.deoc(model, DeocSchedule(stages=()), x0, t0, t0 + 10.0, 0.005)
+    vals = orbit_value(basis, model.x_eq, x)
     assert np.ptp(vals) / vals[0] < 1e-5
 
     assert time.perf_counter() - start < 1.0
@@ -330,9 +328,7 @@ def test_closed_form_matches_numeric_integration(system_file, scenario_file):
         )
     t_end = t0 + 10.0
     traj = simulate_deoc(model, basis, scn.disturbance, sched, t_end, 0.005)
-    events = [t for st in sched.stages for t in (st.t_on, st.t_off)]
-    t, x = integrate_nonlinear(deoc_rhs(model, sched), x0, (t0, t_end),
-                               event_times=events, dt_out=0.005)
+    t, x = oracle.deoc(model, sched, x0, t0, t_end, 0.005)
     assert np.abs(x - traj.x).max() < 1e-5
 
 

@@ -138,6 +138,22 @@ class TestDeoc:
         assert code == 2
         assert flag[2:].replace("-", "_") + " must be finite and > 0" in err
 
+    @pytest.mark.parametrize("zero_dp,t_end,message", [
+        (False, "0.5", "schedule ends at 1.26172 s, after t_end = 0.5 s"),
+        (True, "0.05", "t_end = 0.05 s is before the disturbance ends at 0.0833333 s"),
+    ])
+    def test_short_t_end_writes_nothing(self, capsys, tmp_path, zero_dp, t_end, message):
+        doc = json.loads((DATA / "scenario_wscc9.json").read_text())
+        if zero_dp:  # every stage is skipped: the schedule is empty
+            doc["dp_overrides_mw"] = [[0.0] * 6, [0.0] * 6]
+        scn = write_json(tmp_path / "scn.json", doc)
+        out = tmp_path / "o"
+        code, _, err = run(capsys, "deoc", "--system", str(DATA / "wscc9.json"),
+                           "--scenario", str(scn), "--out", str(out), "--t-end", t_end)
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
     def test_wrong_scenario_kind_is_input_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "deoc", "--system", str(DATA / "wscc9.json"),
@@ -190,6 +206,17 @@ class TestDfec:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["cost"] <= doc["uncontrolled_cost"] + 1e-12
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "optimize"])
+    def test_overflowing_action_is_numeric_failure(self, capsys, tmp_path, command):
+        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+        doc["sim"]["horizon"], doc["action"] = 20.0, {"dp": 1e308, "t_on": 1.0, "t_off": 5.0}
+        doc["sweep"]["dp"] = doc["bounds"]["dp_max"] = 1e308
+        scn = write_json(tmp_path / "overflow.json", doc)
+        code, _, err = run(capsys, "dfec", command, "--scenario", str(scn),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "state derivative is not finite" in err
 
     def test_sweep_workers_flag_is_gone(self, capsys, tmp_path, small_dfec_scenario):
         with pytest.raises(SystemExit) as exc:

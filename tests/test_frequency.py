@@ -1,15 +1,14 @@
 """Two-machine frequency excursion model: dynamics, cost, optimization,
 sweeps."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import dfec_oracle
+import oracle
 from gridstep import frequency as fq
-from gridstep.errors import DimensionError
+from gridstep.errors import DimensionError, StiffnessError
 
 FAST = fq.SimOptions(horizon=40.0, rtol=1e-6, atol=1e-8)
 
@@ -125,7 +124,7 @@ class TestScalarStepper:
     @pytest.mark.parametrize("action", ACTIONS)
     def test_trajectory_matches_oracle(self, model, action):
         traj = fq.simulate(model, action, FAST)
-        ref = dfec_oracle.simulate(model, action, FAST)
+        ref = oracle.simulate(model, action, FAST)
         assert not traj.unstable and not ref.unstable
         assert traj.y.shape == ref.y.shape == (len(ref.t), 9)
         np.testing.assert_array_equal(traj.t, ref.t)
@@ -135,13 +134,13 @@ class TestScalarStepper:
     @pytest.mark.parametrize("action", ACTIONS)
     def test_cost_matches_oracle(self, model, action):
         cost = fq.nadir_cost(model, action, FAST)
-        ref = dfec_oracle.nadir_cost(model, action, FAST)
+        ref = oracle.nadir_cost(model, action, FAST)
         assert abs(cost - ref) <= 1e-10 * ref
         assert cost == fq.simulate(model, action, FAST).summary(FAST)[2]
 
     def test_loss_of_synchronism(self, model):
         action = fq.DfecAction(4.0, 1.0, 10.0)
-        assert dfec_oracle.simulate(model, action, FAST).unstable
+        assert oracle.simulate(model, action, FAST).unstable
         assert fq.nadir_cost(model, action, FAST) == float("inf")
         traj = fq.simulate(model, action, FAST)
         assert traj.unstable
@@ -185,6 +184,14 @@ class TestBatchedCosts:
 
     def test_empty_batch(self, model):
         assert fq.nadir_costs(model, [], FAST).shape == (0,)
+
+
+@pytest.mark.parametrize("integrate", [
+    fq.simulate, fq.nadir_cost, lambda model, a, opts: fq.nadir_costs(model, [a], opts)])
+def test_overflowing_action_is_stiffness_error(model, integrate):
+    # The state derivative overflows: no finite initial step size exists.
+    with pytest.raises(StiffnessError, match="not finite"):
+        integrate(model, fq.DfecAction(1e308, 1.0, 5.0), FAST)
 
 
 class TestSimOptions:

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from gridstep import DegenerateSpectrumError, analyze, build_reduced_model, orbit_value
-from gridstep.modal import modal_report, orbit_value_batch, propagate, propagate_batch
+from gridstep import DegenerateSpectrumError, DimensionError, analyze, build_reduced_model
+from gridstep.modal import modal_report, orbit_value, propagate
 from gridstep.network import Branch, Bus, Generator, GridSystem
+from gridstep.oscillation import oscillation_energy, switching_function
 
 SMIB_FREQ = math.sqrt(120.0 * math.pi * 2.0 / 7.0)  # sqrt(w_s b / 2H), H=3.5, b=2
 
@@ -89,22 +93,22 @@ class TestPropagate:
         x = propagate(smib_basis, smib_model.x_eq, x0, period)
         assert np.abs(x - x0).max() < 1e-9
 
-    def test_batch_matches_scalar(self, wscc9_basis, wscc9_model):
-        x0 = wscc9_model.x_eq + np.array([0.05, -0.02, 0.001, 0.0005])
-        dts = np.array([0.0, 0.1, 1.3, 4.9])
-        batch = propagate_batch(wscc9_basis, wscc9_model.x_eq, x0, dts)
-        for k, dt in enumerate(dts):
-            assert batch[k] == pytest.approx(
-                propagate(wscc9_basis, wscc9_model.x_eq, x0, dt)
-            )
-
     def test_modal_coordinate_norm_invariant(self, wscc9_basis, wscc9_model):
         x0 = wscc9_model.x_eq + np.array([0.05, -0.02, 0.001, 0.0005])
         n0 = np.linalg.norm(wscc9_basis.m_inv @ (x0 - wscc9_model.x_eq))
-        for dt in (0.3, 1.1, 7.7):
-            x = propagate(wscc9_basis, wscc9_model.x_eq, x0, dt)
-            n = np.linalg.norm(wscc9_basis.m_inv @ (x - wscc9_model.x_eq))
-            assert n == pytest.approx(n0, rel=1e-9)
+        xs = propagate(wscc9_basis, wscc9_model.x_eq, x0, np.array([0.3, 1.1, 7.7]))
+        n = np.linalg.norm((xs - wscc9_model.x_eq) @ wscc9_basis.m_inv.T, axis=1)
+        assert n == pytest.approx(n0, rel=1e-9)
+
+    def test_batch_matches_scalar(self, wscc9_basis, wscc9_model):
+        # A stack of offsets gives the states reached by single-offset steps.
+        x0 = wscc9_model.x_eq + np.array([0.05, -0.02, 0.001, 0.0005])
+        dts = np.array([0.0, 0.1, 1.3, 4.9])
+        batch = propagate(wscc9_basis, wscc9_model.x_eq, x0, dts)
+        x = x0
+        for k, step in enumerate(np.diff(dts, prepend=0.0)):
+            x = propagate(wscc9_basis, wscc9_model.x_eq, x, step)
+            assert np.abs(batch[k] - x).max() <= 1e-12 * np.abs(x).max()
 
 
 class TestOrbitValue:
@@ -117,20 +121,61 @@ class TestOrbitValue:
         val = orbit_value(wscc9_basis, wscc9_model.x_eq, x0)
         assert val == pytest.approx(2.0 * dx @ wscc9_basis.d @ dx, rel=1e-9)
 
+    @pytest.mark.parametrize("shape", [(3,), (5, 3)])
+    def test_wrong_state_length_rejected(self, wscc9_basis, wscc9_model, shape):
+        with pytest.raises(DimensionError, match="expected"):
+            orbit_value(wscc9_basis, wscc9_model.x_eq, np.zeros(shape))
+
     def test_conserved_over_period_samples(self, smib_basis, smib_model):
         x0 = smib_model.x_eq + np.array([0.1, 0.002])
         v0 = orbit_value(smib_basis, smib_model.x_eq, x0)
-        period = 2.0 * math.pi / SMIB_FREQ
-        for dt in np.linspace(0.0, period, 50):
-            x = propagate(smib_basis, smib_model.x_eq, x0, dt)
-            assert orbit_value(smib_basis, smib_model.x_eq, x) == pytest.approx(
-                v0, rel=1e-9
-            )
+        dts = np.linspace(0.0, 2.0 * math.pi / SMIB_FREQ, 50)
+        xs = propagate(smib_basis, smib_model.x_eq, x0, dts)
+        assert orbit_value(smib_basis, smib_model.x_eq, xs) == pytest.approx(v0, rel=1e-9)
 
     def test_batch_matches_scalar(self, wscc9_basis, wscc9_model):
-        xs = wscc9_model.x_eq + 0.01 * np.random.default_rng(0).normal(size=(5, 4))
-        vals = orbit_value_batch(wscc9_basis, wscc9_model.x_eq, xs)
-        for k in range(5):
-            assert vals[k] == pytest.approx(
-                orbit_value(wscc9_basis, wscc9_model.x_eq, xs[k])
-            )
+        # A stack gives each state's quadratic form 2 dx^T D dx.
+        dxs = 0.01 * np.random.default_rng(0).normal(size=(5, 4))
+        vals = orbit_value(wscc9_basis, wscc9_model.x_eq, wscc9_model.x_eq + dxs)
+        expected = [2.0 * dx @ wscc9_basis.d @ dx for dx in dxs]
+        assert vals == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("system", ["wscc9", "ieee39"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_orbit_value_conserved_along_propagate(request, system, data):
+    model, basis = (request.getfixturevalue(f"{system}_{k}") for k in ("model", "basis"))
+    deviation = arrays(float, basis.n_states, elements=st.floats(-0.5, 0.5, allow_subnormal=False))
+    center = model.x_eq + data.draw(deviation, label="center")
+    x0 = model.x_eq + data.draw(deviation, label="x0")
+    offset = st.floats(0.0, 100.0, allow_subnormal=False)
+    dt = data.draw(offset | arrays(float, st.integers(1, 8), elements=offset), label="dt")
+    v0 = orbit_value(basis, center, x0)
+    v = orbit_value(basis, center, propagate(basis, center, x0, dt))
+    # Rounding the state (|x| ~ 1) moves the quadratic form by about
+    # |grad V| * 1e-16 ~ sqrt(|D| V) * 1e-16, with |D| < 1e4 on these bases.
+    assert np.all(np.abs(v - v0) <= 1e-9 * v0 + 1e-11 * np.sqrt(v0))
+
+
+# Each DEOC kernel takes one state (or offset) or a stack of them; ``ref`` is
+# the start state of ``propagate`` and the ``x_c`` of ``switching_function``.
+KERNELS = {
+    "propagate": lambda basis, model, ref, arg: propagate(basis, model.x_eq, ref, arg),
+    "orbit_value": lambda basis, model, ref, arg: orbit_value(basis, model.x_eq, arg),
+    "switching_function":
+        lambda basis, model, ref, arg: switching_function(basis, model.x_eq, ref, arg),
+    "oscillation_energy": lambda basis, model, ref, arg: oscillation_energy(model, arg),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_stack_gives_each_rows_value(wscc9_basis, wscc9_model, kernel):
+    rng = np.random.default_rng(0)
+    ref = wscc9_model.x_eq + 0.02 * rng.normal(size=4)
+    stack = np.array([0.0, 0.1, 1.3, 4.9]) if kernel == "propagate" else (
+        wscc9_model.x_eq + 0.01 * rng.normal(size=(5, 4)))
+    values = KERNELS[kernel](wscc9_basis, wscc9_model, ref, stack)
+    rows = np.array([KERNELS[kernel](wscc9_basis, wscc9_model, ref, row) for row in stack])
+    assert values.shape == rows.shape
+    assert np.abs(values - rows).max() <= 1e-12 * np.abs(rows).max()

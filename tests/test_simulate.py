@@ -1,4 +1,4 @@
-"""Piecewise closed-form simulation, disturbances, numeric integration,
+"""Piecewise closed-form simulation, disturbances, the numeric oracle,
 trajectory export."""
 
 import json
@@ -16,7 +16,9 @@ from gridstep import (
     build_schedule,
     simulate_deoc,
 )
-from gridstep.simulate import deoc_rhs, integrate_nonlinear
+from gridstep.modal import propagate
+
+import oracle
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +102,7 @@ class TestSimulateDeoc:
     def test_out_of_window_stage_rejected(
         self, wscc9_model, wscc9_basis, wscc9_pulse, wscc9_schedule
     ):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="schedule ends at .* after t_end"):
             simulate_deoc(
                 wscc9_model, wscc9_basis, wscc9_pulse, wscc9_schedule,
                 wscc9_schedule.stages[-1].t_off - 0.1, 0.01,
@@ -118,18 +120,28 @@ class TestSimulateDeoc:
 
 
 class TestIntegrateNonlinear:
+    """The piecewise ``solve_ivp`` oracle of ``tests/oracle.py``."""
+
     def test_zero_field_constant(self):
-        t, x = integrate_nonlinear(lambda t, y: np.zeros(2), np.array([1.0, -2.0]),
-                                   (0.0, 1.0), dt_out=0.1)
+        pieces = [(0.0, 1.0, lambda t, y: np.zeros(2))]
+        t_grid = np.arange(0.0, 1.05, 0.1)
+        (start, stop, x), = oracle.piecewise(pieces, [1.0, -2.0], t_grid, "DOP853", 1e-8, 1e-10)
+        assert (start, stop) == (0, len(t_grid))
         assert np.abs(x - np.array([1.0, -2.0])).max() < 1e-12
 
-    def test_linear_model_matches_closed_form(self, smib_model, smib_basis):
-        from gridstep.modal import propagate_batch
+    def test_restarts_from_state_at_break(self):
+        # dx/dt = +1 on [0, 0.55), -1 on [0.55, 1]: a tent peaking off-grid.
+        pieces = [(0.0, 0.55, lambda t, y: np.ones(1)), (0.55, 1.0, lambda t, y: -np.ones(1))]
+        t_grid = np.arange(0.0, 1.05, 0.1)
+        x = np.full(len(t_grid), np.nan)
+        for start, stop, samples in oracle.piecewise(pieces, [0.0], t_grid, "DOP853", 1e-8, 1e-10):
+            x[start:stop] = samples[:, 0]
+        assert np.abs(x - np.minimum(t_grid, 1.1 - t_grid)).max() < 1e-12
 
+    def test_linear_model_matches_closed_form(self, smib_model, smib_basis):
         x0 = smib_model.x_eq + np.array([0.1, 0.002])
-        rhs = deoc_rhs(smib_model, DeocSchedule(stages=()))
-        t, x = integrate_nonlinear(rhs, x0, (0.0, 10.0), dt_out=0.01)
-        exact = propagate_batch(smib_basis, smib_model.x_eq, x0, t)
+        t, x = oracle.deoc(smib_model, DeocSchedule(stages=()), x0, 0.0, 10.0, 0.01)
+        exact = propagate(smib_basis, smib_model.x_eq, x0, t)
         assert np.abs(x - exact).max() < 1e-6
 
 
