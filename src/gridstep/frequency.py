@@ -72,8 +72,9 @@ class TwoMachineModel:
     omega_s: float = 120.0 * math.pi
 
     def __post_init__(self):
-        if self.x <= 0.0 or self.h1 <= 0.0 or self.h2 <= 0.0:
-            raise DimensionError("reactance and inertias must be positive")
+        for name in ("e1", "e2", "x", "h1", "h2", "omega_s"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DimensionError(f"model.{name} must be finite and > 0")
         if abs(self.p_set * self.x / (self.e1 * self.e2)) >= 1.0:
             raise DimensionError("no equilibrium: |p_set x / (e1 e2)| >= 1")
 
@@ -133,6 +134,14 @@ class DfecResult:
     uncontrolled_nadir: float   # 1 - min average speed, pu
     controlled_nadir: float
     history: tuple = ()
+    # How the surrogate steered the search (see ``optimize_action``): the
+    # step-response amplitude, the polish's start point with its surrogate
+    # and nonlinear costs, and the count of nonlinear cost evaluations.
+    dp_ref: float = math.nan
+    start: tuple = ()
+    start_surrogate_cost: float = math.nan
+    start_cost: float = math.nan
+    nonlinear_evals: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -144,6 +153,14 @@ class DfecResult:
             "history": [
                 {"start": list(map(float, s)), "cost": float(c)} for s, c in self.history
             ],
+            "surrogate": {
+                "dp_ref": self.dp_ref,
+                "start": list(map(float, self.start)),
+                "start_cost": self.start_surrogate_cost,
+                "start_nonlinear_cost": self.start_cost,
+                "gap": self.start_cost - self.start_surrogate_cost,
+            },
+            "nonlinear_evals": self.nonlinear_evals,
         }
 
 
@@ -185,15 +202,20 @@ class DfecTrajectory:
         return 0.5 * (self.y[:, 1] + self.y[:, 3])
 
     def summary(self, opts: SimOptions) -> tuple[float, float, float]:
-        """``(w_ss, nadir, cost)``: ``w_ss`` is the mean average speed over the
-        last ``ss_window``, ``nadir = 1 - min``, ``cost = w_ss - min``; an
-        unstable run gives ``(nan, nan, inf)``."""
+        """``(w_ss, nadir, cost)`` (see ``_speed_summary``); an unstable run
+        gives ``(nan, nan, inf)``."""
         if self.unstable:
             return math.nan, math.nan, INSTABILITY_COST
-        avg = self.avg_speed
-        w_ss = float(avg[self.t >= opts.horizon - opts.ss_window].mean())
-        low = float(avg.min())
-        return w_ss, 1.0 - low, w_ss - low
+        return _speed_summary(self.t, self.avg_speed, opts)
+
+
+def _speed_summary(t: np.ndarray, avg: np.ndarray, opts: SimOptions) -> tuple[float, float, float]:
+    """``(w_ss, nadir, cost)`` of an average-speed series on the output grid
+    ``t``: ``w_ss`` is its mean over the last ``ss_window``,
+    ``nadir = 1 - min`` and ``cost = w_ss - min``."""
+    w_ss = float(avg[t >= opts.horizon - opts.ss_window].mean())
+    low = float(avg.min())
+    return w_ss, 1.0 - low, w_ss - low
 
 
 def _pieces(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions):
@@ -608,6 +630,52 @@ class ActionBounds:
     t_off_max: float = 40.0
 
 
+@dataclass(frozen=True)
+class StepResponse:
+    """Linear-response surrogate of the average speed.
+
+    A block ``(dp, t_on, t_off)`` is taken to move the average speed by
+    ``dp (s(t - t_on) - s(t - t_off))`` on top of the uncontrolled run, where
+    ``s`` is the unit step response: the average-speed lift of a sustained
+    injection ``dp_ref`` from ``t = 0``, divided by ``dp_ref`` (a secant).
+    With equal inertias and damping the electrical power cancels out of the
+    average-speed equation and the superposition is close to exact
+    (Anderson & Mirheydar, "A low-order system frequency response model",
+    IEEE Trans. Power Syst. 5(3), 1990); elsewhere it is only a guide.
+    """
+
+    t: np.ndarray           # output grid
+    uncontrolled: np.ndarray
+    s: np.ndarray
+    dp_ref: float
+    opts: SimOptions
+
+    @classmethod
+    def measure(cls, model: TwoMachineModel, uncontrolled: DfecTrajectory,
+                dp_ref: float, opts: SimOptions) -> "StepResponse":
+        """Step response at ``dp_ref``, halved until the step run keeps
+        synchronism; ``uncontrolled`` must be a stable run."""
+        while True:
+            step = _trajectory(model, DfecAction(dp_ref, 0.0, math.inf), opts, 4)
+            if not step.unstable:
+                break
+            dp_ref *= 0.5
+        avg = uncontrolled.avg_speed
+        return cls(uncontrolled.t, avg, (step.avg_speed - avg) / dp_ref, dp_ref, opts)
+
+    def avg_speed(self, dp: float, t_on: float, t_off: float) -> np.ndarray:
+        t, s = self.t, self.s
+        lift = np.interp(t - t_on, t, s, left=0.0) - np.interp(t - t_off, t, s, left=0.0)
+        return self.uncontrolled + dp * lift
+
+    def cost(self, dp: float, t_on: float, t_off: float) -> float:
+        return _speed_summary(self.t, self.avg_speed(dp, t_on, t_off), self.opts)[2]
+
+
+_NELDER_MEAD = {"xatol": 1e-3, "fatol": 1e-9, "maxiter": 400}
+_POLISH_STEP = 0.005  # edge of the polish's initial simplex, unit-cube units
+
+
 def optimize_action(
     model: TwoMachineModel,
     bounds: ActionBounds,
@@ -619,12 +687,22 @@ def optimize_action(
     """Derivative-free search for the best injection block.
 
     The cost comes from an event-driven simulation with a nonsmooth ``min``,
-    so a penalized Nelder-Mead simplex is run from the best points of a
-    coarse ``grid_starts^3`` scan (variables scaled to the unit cube; the
-    window is parameterized as ``(dp, t_on, length)`` so ``t_on < t_off``
-    holds by construction).
+    so a penalized Nelder-Mead simplex is used (variables scaled to the unit
+    cube; the window is parameterized as ``(dp, t_on, length)`` so
+    ``t_on < t_off`` holds by construction). A ``StepResponse`` surrogate,
+    built from the uncontrolled run and one step run at ``dp_max / 2``,
+    decides where to look: it ranks the initial guess and a ``grid_starts^3``
+    grid of starts and is minimized from the best ``refine_starts`` of them.
+    The nonlinear model decides the answer: the surrogate optima are
+    evaluated as one batch, and Nelder-Mead on the nonlinear cost polishes
+    the best one from a small simplex.
     """
-    _, nadir0, uncontrolled = simulate(model, None, opts).summary(opts)
+    uncontrolled_run = _trajectory(model, None, opts, 4)
+    _, nadir0, uncontrolled = uncontrolled_run.summary(opts)
+    if uncontrolled_run.unstable:
+        raise OptimizationError("the uncontrolled run loses synchronism, so there "
+                                "is no step response to rank starts on")
+    surrogate = StepResponse.measure(model, uncontrolled_run, 0.5 * bounds.dp_max, opts)
 
     def unpack(v):
         dp = float(np.clip(v[0], 0.0, 1.0)) * bounds.dp_max
@@ -635,11 +713,18 @@ def optimize_action(
     def penalty(v):
         return float(np.sum(np.clip(np.abs(v - 0.5) - 0.5, 0.0, None) ** 2)) * 10.0
 
-    def cost_of(v):
-        dp, t_on, t_off = unpack(v)
-        if dp <= 0.0:
-            return uncontrolled + penalty(v)
-        return nadir_cost(model, DfecAction(dp, t_on, t_off), opts) + penalty(v)
+    def objective(cost):
+        def cost_of(v):
+            dp, t_on, t_off = unpack(v)
+            return (cost(dp, t_on, t_off) if dp > 0.0 else uncontrolled) + penalty(v)
+        return cost_of
+
+    nonlinear_evals = 0
+
+    def nonlinear(dp, t_on, t_off):
+        nonlocal nonlinear_evals
+        nonlinear_evals += 1
+        return nadir_cost(model, DfecAction(dp, t_on, t_off), opts)
 
     starts = []
     if initial_guess is not None:
@@ -652,37 +737,41 @@ def optimize_action(
     grid = (np.arange(grid_starts) + 0.5) / grid_starts
     starts += [np.array([gd, gon, glen]) for gd in grid for gon in grid for glen in grid]
 
-    # The start scan is one batch of independent evaluations.
-    windows = [unpack(v) for v in starts]
+    # Rank the starts and descend on the surrogate.
+    surrogate_of = objective(surrogate.cost)
+    ranked = sorted(starts, key=surrogate_of)[:refine_starts]
+    optima = [minimize(surrogate_of, v0, method="Nelder-Mead", options=_NELDER_MEAD).x
+              for v0 in ranked]
+
+    # The surrogate optima on the nonlinear model, as one batch.
+    windows = [unpack(v) for v in optima]
     lanes = [k for k, (dp, _, _) in enumerate(windows) if dp > 0.0]
-    scanned = nadir_costs(model, [DfecAction(*windows[k]) for k in lanes], opts)
-    costs = [uncontrolled + penalty(v) for v in starts]
-    for k, c in zip(lanes, scanned):
-        costs[k] = float(c) + penalty(starts[k])
-    candidates = list(zip(starts, costs))
-
-    finite = [(v, c) for v, c in candidates if np.isfinite(c)]
+    costs = [uncontrolled + penalty(v) for v in optima]
+    for k, c in zip(lanes, nadir_costs(model, [DfecAction(*windows[k]) for k in lanes], opts)):
+        costs[k] = float(c) + penalty(optima[k])
+    nonlinear_evals += len(lanes)
+    history = list(zip(windows, costs))
+    finite = [k for k, c in enumerate(costs) if np.isfinite(c)]
     if not finite:
-        raise OptimizationError("all optimizer starts diverged", history=candidates)
-    finite.sort(key=lambda vc: vc[1])
+        raise OptimizationError("all optimizer starts diverged", history=history)
+    best = min(finite, key=costs.__getitem__)
+    start_v, start_c = optima[best], costs[best]
 
-    history = []
-    best_v, best_c = finite[0]
-    for v0, c0 in finite[:refine_starts]:
-        res = minimize(
-            cost_of, v0, method="Nelder-Mead",
-            options={"xatol": 1e-3, "fatol": 1e-9, "maxiter": 400},
-        )
-        history.append((unpack(res.x), float(res.fun)))
-        if res.fun < best_c:
-            best_v, best_c = res.x, float(res.fun)
+    # Polish on the nonlinear cost from a small simplex pointing into the cube.
+    steps = np.where(start_v < 0.5, _POLISH_STEP, -_POLISH_STEP)
+    simplex = np.vstack([start_v, start_v + np.diag(steps)])
+    polish = minimize(objective(nonlinear), start_v, method="Nelder-Mead",
+                      options=dict(_NELDER_MEAD, initial_simplex=simplex))
+    best_v, best_c = start_v, start_c
+    if polish.fun < best_c:
+        best_v, best_c = polish.x, float(polish.fun)
 
     dp, t_on, t_off = unpack(best_v)
     if best_c > uncontrolled:
         # dp = 0 is always feasible; never return something worse.
         dp, t_on, t_off, best_c = 0.0, 0.0, 1e-3, uncontrolled
     action = DfecAction(dp, max(t_on, 0.0), t_off)
-    nadir_c = simulate(model, action if dp > 0 else None, opts).summary(opts)[1]
+    nadir_c = _trajectory(model, action if dp > 0 else None, opts, 4).summary(opts)[1]
     return DfecResult(
         action=action,
         cost=best_c,
@@ -690,6 +779,11 @@ def optimize_action(
         uncontrolled_nadir=nadir0,
         controlled_nadir=nadir_c,
         history=tuple(history),
+        dp_ref=surrogate.dp_ref,
+        start=unpack(start_v),
+        start_surrogate_cost=surrogate_of(start_v),
+        start_cost=start_c,
+        nonlinear_evals=nonlinear_evals,
     )
 
 

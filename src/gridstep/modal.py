@@ -42,10 +42,6 @@ class ModalBasis:
     def n_states(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def n_pairs(self) -> int:
-        return len(self.modes)
-
     def modal_coords(self, center: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self.m_inv @ (np.asarray(x, dtype=float) - center)
 

@@ -225,10 +225,20 @@ def _axis(spec: dict) -> np.ndarray:
     return np.linspace(spec["start"], spec["stop"], spec["count"])
 
 
+def _require_finite(value, path: str) -> None:
+    """Reject NaN and infinities (which JSON readers accept) anywhere in ``value``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise DimensionError(f"{path} must be finite, got {value}")
+
+
 def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
     import jsonschema
 
     jsonschema.validate(doc, DFEC_SCENARIO_SCHEMA)
+    _require_finite(doc, "")
     gov = GovernorParams(**doc["governor"])
     model = TwoMachineModel(gov=gov, **doc["model"])
     sim = SimOptions(**doc.get("sim", {}))

@@ -64,9 +64,6 @@ class Trajectory:
     def n_machines(self) -> int:
         return self.x.shape[1] // 2
 
-    def frequencies_hz(self, f_nominal: float = 60.0) -> np.ndarray:
-        return self.x[:, self.n_machines:] * f_nominal
-
     def columns(self) -> list[str]:
         m = self.n_machines
         buses = self.machine_buses or tuple(range(1, m + 1))

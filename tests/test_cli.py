@@ -206,6 +206,18 @@ class TestDfec:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["cost"] <= doc["uncontrolled_cost"] + 1e-12
+        assert {"action", "cost", "uncontrolled_cost", "uncontrolled_nadir",
+                "controlled_nadir", "history"} < set(doc)
+        assert len(doc["history"]) == 1                 # refine_starts
+        surrogate = doc["surrogate"]
+        assert surrogate["dp_ref"] == 0.05              # dp_max / 2
+        assert surrogate["start"] == doc["history"][0]["start"]
+        assert surrogate["start_nonlinear_cost"] == doc["history"][0]["cost"]
+        assert surrogate["gap"] == (surrogate["start_nonlinear_cost"]
+                                    - surrogate["start_cost"])
+        # Symmetric machines: the surrogate is exact to the integrator's tolerance.
+        assert abs(surrogate["gap"]) <= 1e-6 * doc["uncontrolled_cost"]
+        assert doc["nonlinear_evals"] > len(doc["history"])
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "optimize"])
     def test_overflowing_action_is_numeric_failure(self, capsys, tmp_path, command):
@@ -261,6 +273,33 @@ class TestDfec:
         code, _, err = run(capsys, "dfec", "simulate", "--scenario", str(scn))
         assert code == 2
         assert "'bogus' was unexpected" in err
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("model", "e1"), 0.0, "model.e1 must be finite and > 0"),
+        (("model", "e2"), 0.0, "model.e2 must be finite and > 0"),
+        (("model", "x"), -0.4, "model.x must be finite and > 0"),
+        (("model", "h2"), 0.0, "model.h2 must be finite and > 0"),
+        (("model", "omega_s"), 0.0, "model.omega_s must be finite and > 0"),
+        (("model", "h1"), float("nan"), "model.h1 must be finite"),
+        (("governor", "k1"), float("inf"), "governor.k1 must be finite"),
+        (("sim", "disturbance"), float("nan"), "sim.disturbance must be finite"),
+        (("bounds", "dp_max"), float("nan"), "bounds.dp_max must be finite"),
+        (("sweep", "t_on", "start"), float("nan"), "sweep.t_on.start must be finite"),
+    ])
+    def test_bad_model_numbers_are_input_errors(self, capsys, tmp_path, path, value,
+                                                message):
+        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+        *parents, key = path
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        scn = write_json(tmp_path / "bad_number.json", doc)
+        for command in ("simulate", "sweep"):
+            code, _, err = run(capsys, "dfec", command, "--scenario", str(scn),
+                               "--out", str(tmp_path / "out.csv"))
+            assert code == 2
+            assert f"input error: {message}" in err
 
     def test_simulate_dt_out_zero_flag_is_input_error(self, capsys):
         code, _, err = run(capsys, "dfec", "simulate", "--scenario",

@@ -210,6 +210,35 @@ class TestSimOptions:
             replace(FAST, dt_out=FAST.ss_window * 2.0)
 
 
+class TestStepResponse:
+    """The linear-response surrogate against the nonlinear model."""
+
+    ACTIONS = (
+        (0.05, 0.0, 12.0),
+        (0.12, 1.5, 28.0),
+        (0.2, 3.0, FAST.horizon + 5.0),     # t_off past the horizon
+        (0.1, 1.0, 12.0),
+        (0.116, 0.0, 29.6),                 # near the bundled optimum
+        (0.12, 2.0, 30.0),
+        (0.08, 0.5, 39.99),
+    )
+
+    def test_exact_on_symmetric_calibration(self, model):
+        # Equal inertias and damping: the superposition is nearly exact (the
+        # model's nonlinearity reaches the average speed only through the
+        # governor's input). Late switch-offs leave a cost of ~5e-4 at
+        # this horizon, so the cost error is measured against the
+        # uncontrolled cost, the scale of every cost here.
+        uncontrolled = fq._trajectory(model, None, FAST, 4)
+        c0 = uncontrolled.summary(FAST)[2]
+        surrogate = fq.StepResponse.measure(model, uncontrolled, 0.1, FAST)
+        assert surrogate.dp_ref == 0.1
+        for action in self.ACTIONS:
+            run = fq._trajectory(model, fq.DfecAction(*action), FAST, 4)
+            assert np.abs(surrogate.avg_speed(*action) - run.avg_speed).max() <= 1e-7
+            assert abs(surrogate.cost(*action) - run.summary(FAST)[2]) <= 1e-6 * c0
+
+
 @pytest.fixture(scope="module")
 def small_result(model):
     return fq.optimize_action(
@@ -232,6 +261,28 @@ class TestOptimize:
         res = small_result
         assert res.cost <= res.uncontrolled_cost + 1e-12
         assert res.controlled_nadir <= res.uncontrolled_nadir + 1e-12
+
+    def test_large_dp_max_halves_step_amplitude(self, model):
+        # A sustained 4 pu injection (dp_max / 2) pulls the machines out of
+        # step; the step response is taken at 2 pu instead.
+        res = fq.optimize_action(
+            model, fq.ActionBounds(dp_max=8.0, t_on_max=2.0, t_off_max=10.0),
+            replace(FAST, horizon=20.0), grid_starts=2, refine_starts=1,
+        )
+        assert res.dp_ref == 2.0
+        assert np.isfinite(res.cost) and res.cost <= res.uncontrolled_cost
+
+    def test_polish_absorbs_surrogate_error_on_asymmetric_machines(self, model):
+        asym = replace(model, h2=1.5, d2=0.5)
+        bounds = fq.ActionBounds(dp_max=0.2, t_on_max=4.0, t_off_max=25.0)
+        res = fq.optimize_action(asym, bounds, FAST)
+        # The surrogate is far off here: its optimum's cost reads ~40 % low.
+        assert res.start_cost - res.start_surrogate_cost > 0.1 * res.start_cost
+        actions = [fq.DfecAction(dp, t_on, t_off)
+                   for dp in np.linspace(0.0, bounds.dp_max, 9)[1:]
+                   for t_on in np.linspace(0.0, bounds.t_on_max, 9)
+                   for t_off in np.linspace(0.0, bounds.t_off_max, 11) if t_on < t_off]
+        assert res.cost <= 1.02 * fq.nadir_costs(asym, actions, FAST).min()
 
     def test_result_serializes(self, small_result):
         doc = small_result.to_dict()
