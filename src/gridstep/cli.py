@@ -33,6 +33,7 @@ from .errors import (
     ScheduleError,
     StiffnessError,
 )
+from .fileio import write_csv
 from .modal import analyze, modal_report
 from .network import build_reduced_model, load_grid
 from .oscillation import DeocSchedule, build_schedule, default_targets
@@ -177,19 +178,9 @@ def cmd_dfec_simulate(args) -> int:
 
 
 def _dfec_trajectory_csv(path, traj) -> None:
-    import csv
-
     names = ["t", "delta_1", "omega_1", "delta_2", "omega_2",
              "gov_y1", "gov_y2", "turb_1", "turb_2", "turb_3", "avg_omega"]
-    avg = traj.avg_speed
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(len(traj.t)):
-            row = [f"{traj.t[i]:.9f}"]
-            row += [f"{v:.12e}" for v in traj.y[i]]
-            row += [f"{avg[i]:.12e}"]
-            writer.writerow(row)
+    write_csv(path, names, ["%.9f"] + ["%.12e"] * 10, [traj.t, *traj.y.T, traj.avg_speed])
 
 
 def cmd_validate(args) -> int:

@@ -1,0 +1,44 @@
+"""Input-file validation and CSV table output shared by the readers and writers."""
+
+from __future__ import annotations
+
+import numpy as np
+
+# One validator per schema, built (and the schema checked) on first use.
+_VALIDATORS: dict[int, tuple[dict, object]] = {}
+
+# Rows formatted per write: bounds the Python floats alive at once.
+_ROWS_PER_WRITE = 1024
+
+
+def validate(doc, schema: dict) -> None:
+    """Raise the error ``jsonschema.validate(doc, schema)`` raises, if any.
+
+    ``schema`` must be a module constant: its validator is built, and the
+    schema itself checked, once per process."""
+    import jsonschema
+
+    entry = _VALIDATORS.get(id(schema))
+    if entry is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        entry = _VALIDATORS[id(schema)] = (schema, cls(schema))  # keeps the id in use
+    error = jsonschema.exceptions.best_match(entry[1].iter_errors(doc))
+    if error is not None:
+        raise error
+
+
+def write_csv(path, names, formats, columns) -> None:
+    """Write equal-length ``columns`` under the header ``names``, each value
+    through its column's ``%`` format.
+
+    The bytes are those ``csv.writer`` writes for the same strings (comma
+    separated, ``\\r\\n`` line ends): names and formatted numbers need no
+    quoting."""
+    template = ",".join(formats) + "\r\n"
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\r\n")
+        for lo in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            rows = zip(*(c[lo:lo + _ROWS_PER_WRITE].tolist() for c in columns))
+            fh.writelines(map(template.__mod__, rows))

@@ -693,9 +693,10 @@ def optimize_action(
     built from the uncontrolled run and one step run at ``dp_max / 2``,
     decides where to look: it ranks the initial guess and a ``grid_starts^3``
     grid of starts and is minimized from the best ``refine_starts`` of them.
-    The nonlinear model decides the answer: the surrogate optima are
-    evaluated as one batch, and Nelder-Mead on the nonlinear cost polishes
-    the best one from a small simplex.
+    The nonlinear model decides the answer: the surrogate optima are costed
+    on it, and Nelder-Mead on the nonlinear cost polishes the best one from a
+    small simplex. The reported ``cost`` is the ``nadir_cost`` of the
+    reported action.
     """
     uncontrolled_run = _trajectory(model, None, opts, 4)
     _, nadir0, uncontrolled = uncontrolled_run.summary(opts)
@@ -743,13 +744,10 @@ def optimize_action(
     optima = [minimize(surrogate_of, v0, method="Nelder-Mead", options=_NELDER_MEAD).x
               for v0 in ranked]
 
-    # The surrogate optima on the nonlinear model, as one batch.
+    # The surrogate optima on the nonlinear model.
     windows = [unpack(v) for v in optima]
-    lanes = [k for k, (dp, _, _) in enumerate(windows) if dp > 0.0]
-    costs = [uncontrolled + penalty(v) for v in optima]
-    for k, c in zip(lanes, nadir_costs(model, [DfecAction(*windows[k]) for k in lanes], opts)):
-        costs[k] = float(c) + penalty(optima[k])
-    nonlinear_evals += len(lanes)
+    nonlinear_of = objective(nonlinear)
+    costs = [nonlinear_of(v) for v in optima]
     history = list(zip(windows, costs))
     finite = [k for k, c in enumerate(costs) if np.isfinite(c)]
     if not finite:
@@ -757,24 +755,24 @@ def optimize_action(
     best = min(finite, key=costs.__getitem__)
     start_v, start_c = optima[best], costs[best]
 
-    # Polish on the nonlinear cost from a small simplex pointing into the cube.
+    # Polish on the nonlinear cost from a small simplex pointing into the cube;
+    # its first vertex, start_v, is already costed.
     steps = np.where(start_v < 0.5, _POLISH_STEP, -_POLISH_STEP)
     simplex = np.vstack([start_v, start_v + np.diag(steps)])
-    polish = minimize(objective(nonlinear), start_v, method="Nelder-Mead",
+    polish = minimize(lambda v: start_c if np.array_equal(v, start_v) else nonlinear_of(v),
+                      start_v, method="Nelder-Mead",
                       options=dict(_NELDER_MEAD, initial_simplex=simplex))
-    best_v, best_c = start_v, start_c
-    if polish.fun < best_c:
-        best_v, best_c = polish.x, float(polish.fun)
+    best_v = polish.x if polish.fun < start_c else start_v
 
-    dp, t_on, t_off = unpack(best_v)
-    if best_c > uncontrolled:
-        # dp = 0 is always feasible; never return something worse.
-        dp, t_on, t_off, best_c = 0.0, 0.0, 1e-3, uncontrolled
-    action = DfecAction(dp, max(t_on, 0.0), t_off)
-    nadir_c = _trajectory(model, action if dp > 0 else None, opts, 4).summary(opts)[1]
+    # Report the reported action's own cost, without the cube penalty.
+    action = DfecAction(*unpack(best_v))
+    _, nadir_c, cost = _trajectory(model, action, opts, 4).summary(opts)
+    if not cost < uncontrolled:
+        # dp = 0 is always feasible; an action no better than none is none.
+        action, nadir_c, cost = DfecAction(0.0, 0.0, 1e-3), nadir0, uncontrolled
     return DfecResult(
         action=action,
-        cost=best_c,
+        cost=cost,
         uncontrolled_cost=uncontrolled,
         uncontrolled_nadir=nadir0,
         controlled_nadir=nadir_c,

@@ -22,6 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionError, ModelError
+from .fileio import validate
 
 OMEGA_S_DEFAULT = 120.0 * math.pi
 
@@ -377,9 +378,7 @@ GRID_SCHEMA = {
 
 
 def grid_from_dict(doc: dict) -> GridSystem:
-    import jsonschema
-
-    jsonschema.validate(doc, GRID_SCHEMA)
+    validate(doc, GRID_SCHEMA)
     base = float(doc["base_mva"])
     to_pu = (1.0 / base) if doc["units"] == "MW" else 1.0
     return GridSystem(

@@ -27,6 +27,7 @@ from .network import ReducedModel, equilibrium_shifted
 
 SAMPLE_DT = 1e-3          # root/minimum bracketing step, s
 H_ROOT_RTOL = 1e-10       # |h| tolerance relative to the h(x_c) term
+SEARCH_BLOCK = 512        # samples evaluated at a time by the switch-time searches
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,8 @@ def find_switch_on(
     """Earliest usable switching-function root along the uncontrolled orbit.
 
     ``x0`` is the state at time ``t0``; the search covers ``[t_arm, t_max]``
-    with fixed-step bracketing followed by bisection. The switching function
+    with fixed-step bracketing followed by bisection, and samples the window
+    only up to the first accepted root. The switching function
     vanishes twice per revolution of the targeted mode, but only one of the
     crossings steers the trajectory toward ``x_e`` before the opposite orbit
     extreme; with ``validate_roots`` each root is verified by riding the
@@ -203,17 +205,15 @@ def find_switch_on(
         return switching_function(basis, x_e, x_c, propagate(basis, x_e, x0, t - t0))
 
     ts = np.arange(max(t_arm, t0), t_max + 0.5 * dt, dt)
-    hs = h_at(ts)
-
+    hs = np.empty(len(ts))
     roots_rejected = 0
-    for k in range(len(ts) - 1):
-        if hs[k] == 0.0 or hs[k] * hs[k + 1] < 0.0:
-            t_on = _bisect(h_at, ts[k], ts[k + 1], hs[k], hs[k + 1], tol)
-            x_on = propagate(basis, x_e, x0, t_on - t0)
-            if validate_roots and not _root_improves(basis, model, x_c, x_on, t_on, dt):
-                roots_rejected += 1
-                continue
-            return t_on, x_on, abs(h_at(t_on))
+    for k in _scan(h_at, ts, hs, _brackets, 1):
+        t_on = _bisect(h_at, ts[k], ts[k + 1], hs[k], hs[k + 1], tol)
+        x_on = propagate(basis, x_e, x0, t_on - t0)
+        if validate_roots and not _root_improves(basis, model, x_c, x_on, t_on, dt):
+            roots_rejected += 1
+            continue
+        return t_on, x_on, abs(h_at(t_on))
 
     min_h = float(np.min(np.abs(hs)))
     raise NoSwitchOpportunityError(
@@ -234,6 +234,35 @@ def _root_improves(basis, model, x_c, x_on, t_on, dt) -> bool:
     before = orbit_value(basis, model.x_eq, x_on)
     after = orbit_value(basis, model.x_eq, x_off)
     return after < before
+
+
+def _scan(func, ts, values, flags, width):
+    """Indices ``k``, in order, that ``flags`` marks on ``values = func(ts)``.
+
+    ``flags(v)`` marks each ``k < len(v) - width`` from ``v[k : k + width + 1]``.
+    ``func`` is evaluated ``SEARCH_BLOCK`` samples at a time, into ``values``,
+    and only as far as the caller keeps iterating: ``values`` is complete
+    once the generator is exhausted."""
+    done = marked = 0
+    while done < len(ts):
+        stop = min(done + SEARCH_BLOCK, len(ts))
+        values[done:stop] = func(ts[done:stop])
+        done = stop
+        if done - width > marked:
+            for k in np.flatnonzero(flags(values[marked:done])):
+                yield marked + int(k)
+            marked = done - width
+
+
+def _brackets(v):
+    """``v[k]`` is zero, or ``v[k]`` and ``v[k + 1]`` differ in sign."""
+    return (v[:-1] == 0.0) | (v[:-1] * v[1:] < 0.0)
+
+
+def _minima(v):
+    """``v[k + 1]`` is a local minimum, flat on at most one side."""
+    lo, mid, hi = v[:-2], v[1:-1], v[2:]
+    return (mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))
 
 
 def _bisect(func, lo, hi, f_lo, f_hi, tol, max_iter=200):
@@ -270,17 +299,15 @@ def find_switch_off(
         return oscillation_energy(model, propagate(basis, x_c, x_on, t - t_on))
 
     ts = np.arange(t_on, t_max + 0.5 * dt, dt)
-    ek = ek_at(ts)
-
-    for k in range(1, len(ts) - 1):
-        if ek[k] <= ek[k - 1] and ek[k] <= ek[k + 1] and (ek[k] < ek[k - 1] or ek[k] < ek[k + 1]):
-            res = minimize_scalar(
-                ek_at, bounds=(ts[k - 1], ts[k + 1]), method="bounded",
-                options={"xatol": 1e-9},
-            )
-            t_off = float(res.x)
-            x_off = propagate(basis, x_c, x_on, t_off - t_on)
-            return t_off, x_off, oscillation_energy(model, x_off)
+    ek = np.empty(len(ts))
+    for k in _scan(ek_at, ts, ek, _minima, 2):
+        res = minimize_scalar(
+            ek_at, bounds=(ts[k], ts[k + 2]), method="bounded",
+            options={"xatol": 1e-9},
+        )
+        t_off = float(res.x)
+        x_off = propagate(basis, x_c, x_on, t_off - t_on)
+        return t_off, x_off, oscillation_energy(model, x_off)
 
     warnings.warn(MaxWindowWarning(
         f"no oscillation-energy minimum in [{t_on:.3f}, {t_max:.3f}] s; using window end"

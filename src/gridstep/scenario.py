@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelError
+from .fileio import validate
 from .frequency import ActionBounds, DfecAction, GovernorParams, SimOptions, TwoMachineModel
 from .simulate import Disturbance
 
@@ -189,9 +190,7 @@ def scenario_kind(doc: dict) -> str:
 
 
 def deoc_scenario_from_dict(doc: dict) -> DeocScenario:
-    import jsonschema
-
-    jsonschema.validate(doc, DEOC_SCENARIO_SCHEMA)
+    validate(doc, DEOC_SCENARIO_SCHEMA)
     d = doc["disturbance"]
     dist = Disturbance(
         kind=d["kind"],
@@ -235,9 +234,7 @@ def _require_finite(value, path: str) -> None:
 
 
 def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
-    import jsonschema
-
-    jsonschema.validate(doc, DFEC_SCENARIO_SCHEMA)
+    validate(doc, DFEC_SCENARIO_SCHEMA)
     _require_finite(doc, "")
     gov = GovernorParams(**doc["governor"])
     model = TwoMachineModel(gov=gov, **doc["model"])

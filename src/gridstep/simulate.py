@@ -3,13 +3,13 @@ propagation across switching events, and trajectory recording/export."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, ModelError, ScheduleError
+from .fileio import write_csv
 from .modal import ModalBasis, orbit_value, propagate
 from .network import ReducedModel
 from .oscillation import DeocSchedule, oscillation_energy, switching_function
@@ -74,30 +74,47 @@ class Trajectory:
         return names
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns())
-            for i in range(len(self.t)):
-                row = [f"{self.t[i]:.9f}"]
-                row += [f"{v:.12e}" for v in self.x[i]]
-                row += [f"{self.ek[i]:.12e}", f"{self.orbit[i]:.12e}"]
-                row += ["nan" if np.isnan(self.h[i]) else f"{self.h[i]:.12e}"]
-                row += [str(int(self.stage[i]))]
-                writer.writerow(row)
+        n = self.x.shape[1]
+        write_csv(path, self.columns(), ["%.9f"] + ["%.12e"] * (n + 3) + ["%d"],
+                  [self.t, *self.x.T, self.ek, self.orbit, self.h, self.stage])
 
     def to_json(self, path) -> None:
-        doc = {
-            "columns": self.columns(),
-            "events": [{"t": t, "label": label} for t, label in self.events],
-            "t": [float(v) for v in self.t],
-            "x": [[float(v) for v in row] for row in self.x],
-            "ek": [float(v) for v in self.ek],
-            "orbit_value": [float(v) for v in self.orbit],
-            "h": [None if np.isnan(v) else float(v) for v in self.h],
-            "stage": [int(v) for v in self.stage],
+        """Write what ``json.dump(doc, fh, indent=1, sort_keys=True)`` writes
+        for the columns, events and per-sample arrays (NaN ``h`` as ``null``)."""
+        events = [{"t": t, "label": label} for t, label in self.events]
+        members = {
+            "columns": _json_member(self.columns()),
+            "events": _json_member(events),
+            "t": _json_array(self.t.tolist()),
+            "x": _json_array(self.x.tolist()),
+            "ek": _json_array(self.ek.tolist()),
+            "orbit_value": _json_array(self.orbit.tolist()),
+            "h": _json_array([None if v != v else v for v in self.h.tolist()]),
+            "stage": _json_array(self.stage.tolist()),
         }
+        body = ",\n".join(f" {json.dumps(key)}: {members[key]}" for key in sorted(members))
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("{\n" + body + "\n}")
+
+
+def _json_member(value) -> str:
+    """``value`` as ``json.dump(..., indent=1)`` lays out a top-level member."""
+    return json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n ")
+
+
+def _json_array(values: list) -> str:
+    """``_json_member`` for a list of numbers, or of nonempty rows of
+    numbers: the C encoder writes the values in one call, and only the line
+    breaks are put in here."""
+    if not values:
+        return "[]"
+    if not isinstance(values[0], list):
+        return "[\n  " + json.dumps(values, separators=(",\n  ", ":"))[1:-1] + "\n ]"
+    # "[[a,<sep>b],<sep>[c,<sep>d]]": numbers hold no brackets, so "],<sep>["
+    # is exactly where one row ends and the next begins.
+    sep = "\n   "
+    body = json.dumps(values, separators=("," + sep, ":"))[2:-2]
+    return "[\n  [" + sep + body.replace("]," + sep + "[", "\n  ],\n  [" + sep) + "\n  ]\n ]"
 
 
 def apply_disturbance(model: ReducedModel, basis: ModalBasis, dist: Disturbance):

@@ -1,6 +1,7 @@
 import json
 from importlib.resources import files
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -63,6 +64,29 @@ def dfec_scenario():
     from gridstep.scenario import load_scenario
 
     return load_scenario(DATA / "dfec_twomachine.json")
+
+
+@pytest.fixture(scope="session", params=["wscc9", "ieee39"])
+def bundled_deoc(request):
+    """A bundled DEOC study as ``gridstep deoc`` runs it: model, basis,
+    scenario, post-disturbance ``(t0, x0)``, targets and schedule."""
+    from gridstep.oscillation import build_schedule, default_targets
+    from gridstep.scenario import load_scenario
+    from gridstep.simulate import apply_disturbance
+
+    name = request.param
+    model = request.getfixturevalue(f"{name}_model")
+    basis = request.getfixturevalue(f"{name}_basis")
+    scn = load_scenario(DATA / f"scenario_{name}.json")
+    t0, x0 = apply_disturbance(model, basis, scn.disturbance)
+    targets = scn.targets
+    if targets is None:
+        targets = default_targets(basis, model, x0, scn.n_targets)
+    kwargs = dict(dp_overrides=scn.dp_overrides_pu(model.base_mva), scale=scn.scale,
+                  stage_window=scn.stage_window)
+    schedule = build_schedule(basis, model, x0, t0, targets, **kwargs)
+    return SimpleNamespace(model=model, basis=basis, scn=scn, t0=t0, x0=x0,
+                           targets=targets, kwargs=kwargs, schedule=schedule)
 
 
 def write_json(path, doc):

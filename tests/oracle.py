@@ -1,7 +1,13 @@
-"""Numerical oracle: ``scipy.integrate.solve_ivp`` run piece by piece, a fresh
-solver for each continuous piece that restarts from the previous solver's
-state at the break. Tests check the closed-form DEOC propagation and both
-DFEC steppers against it."""
+"""Reference implementations the tests compare the package against.
+
+The numerical oracle is ``scipy.integrate.solve_ivp`` run piece by piece, a
+fresh solver for each continuous piece that restarts from the previous
+solver's state at the break. Tests check the closed-form DEOC propagation and
+both DFEC steppers against it. The reference writers are the ``csv.writer``
+and ``json.dump`` code of the output files."""
+
+import csv
+import json
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -62,3 +68,47 @@ def simulate(model, action, opts) -> fq.DfecTrajectory:
 
 def nadir_cost(model, action, opts) -> float:
     return simulate(model, action, opts).summary(opts)[2]
+
+
+# Reference writers: the package's writers must match them byte for byte.
+
+def trajectory_csv(traj, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(traj.columns())
+        for i in range(len(traj.t)):
+            row = [f"{traj.t[i]:.9f}"]
+            row += [f"{v:.12e}" for v in traj.x[i]]
+            row += [f"{traj.ek[i]:.12e}", f"{traj.orbit[i]:.12e}"]
+            row += ["nan" if np.isnan(traj.h[i]) else f"{traj.h[i]:.12e}"]
+            row += [str(int(traj.stage[i]))]
+            writer.writerow(row)
+
+
+def trajectory_json(traj, path) -> None:
+    doc = {
+        "columns": traj.columns(),
+        "events": [{"t": t, "label": label} for t, label in traj.events],
+        "t": [float(v) for v in traj.t],
+        "x": [[float(v) for v in row] for row in traj.x],
+        "ek": [float(v) for v in traj.ek],
+        "orbit_value": [float(v) for v in traj.orbit],
+        "h": [None if np.isnan(v) else float(v) for v in traj.h],
+        "stage": [int(v) for v in traj.stage],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+
+
+def dfec_trajectory_csv(path, traj) -> None:
+    names = ["t", "delta_1", "omega_1", "delta_2", "omega_2",
+             "gov_y1", "gov_y2", "turb_1", "turb_2", "turb_3", "avg_omega"]
+    avg = traj.avg_speed
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for i in range(len(traj.t)):
+            row = [f"{traj.t[i]:.9f}"]
+            row += [f"{v:.12e}" for v in traj.y[i]]
+            row += [f"{avg[i]:.12e}"]
+            writer.writerow(row)

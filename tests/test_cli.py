@@ -2,9 +2,12 @@
 
 import json
 
+import jsonschema
 import pytest
 
 from gridstep.cli import main
+from gridstep.network import GRID_SCHEMA
+from gridstep.scenario import DEOC_SCENARIO_SCHEMA, DFEC_SCENARIO_SCHEMA
 
 from conftest import DATA, write_json
 
@@ -55,6 +58,26 @@ class TestValidate:
         path = write_json(tmp_path / "bad_x.json", doc)
         code, _, err = run(capsys, "validate", "--system", str(path))
         assert code == 2
+
+
+    @pytest.mark.parametrize("flag, name, schema, edit", [
+        ("--system", "wscc9.json", GRID_SCHEMA,
+         lambda d: d.update(base_mva="100", buses=[{"id": 1}])),
+        ("--scenario", "scenario_wscc9.json", DEOC_SCENARIO_SCHEMA,
+         lambda d: d.update(t_end=-1.0, disturbance={"kind": "fault"})),
+        ("--scenario", "dfec_twomachine.json", DFEC_SCENARIO_SCHEMA,
+         lambda d: d.update(model={"h1": "4"}, bounds={"dp_max": 0.0})),
+    ])
+    def test_schema_errors_match_jsonschema_validate(self, capsys, tmp_path, flag, name,
+                                                     schema, edit):
+        doc = json.loads((DATA / name).read_text())
+        edit(doc)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(doc, schema)
+        path = write_json(tmp_path / name, doc)
+        for _ in range(2):   # the second load reuses the validator the first one built
+            code, _, err = run(capsys, "validate", flag, str(path))
+            assert (code, err) == (2, f"input error: {expected.value.message}\n")
 
 
 class TestModes:

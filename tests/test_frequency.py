@@ -276,6 +276,7 @@ class TestOptimize:
         asym = replace(model, h2=1.5, d2=0.5)
         bounds = fq.ActionBounds(dp_max=0.2, t_on_max=4.0, t_off_max=25.0)
         res = fq.optimize_action(asym, bounds, FAST)
+        assert res.cost == fq.nadir_cost(asym, res.action, FAST)   # no cube penalty
         # The surrogate is far off here: its optimum's cost reads ~40 % low.
         assert res.start_cost - res.start_surrogate_cost > 0.1 * res.start_cost
         actions = [fq.DfecAction(dp, t_on, t_off)

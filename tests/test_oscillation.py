@@ -8,6 +8,7 @@ import pytest
 
 from gridstep import (
     DeocSchedule,
+    MaxWindowWarning,
     NoSwitchOpportunityError,
     build_schedule,
     design_dp,
@@ -17,8 +18,9 @@ from gridstep import (
     oscillation_energy,
     switching_function,
 )
+from gridstep import oscillation
 from gridstep.modal import propagate
-from gridstep.oscillation import auto_scale, default_targets
+from gridstep.oscillation import SAMPLE_DT, auto_scale, default_targets
 from gridstep.simulate import Disturbance, apply_disturbance
 
 
@@ -140,6 +142,100 @@ class TestSwitchTimes:
                 smib_cc_basis, smib_cc_model, x_c, smib_cc_model.x_eq,
                 0.0, 0.0, 2.0,
             )
+
+
+FULL_GRID = 10**9   # SEARCH_BLOCK that evaluates a whole search window at once
+
+
+@pytest.fixture(scope="module")
+def smib_cc_stage(smib_cc_basis, smib_cc_model, smib_cc_excited):
+    """``(x_c, t0, x0)`` of the auto-designed stage on the excited SMIB case."""
+    t0, x0 = smib_cc_excited
+    s = auto_scale(smib_cc_basis, smib_cc_model, x0, (0,))
+    dp = design_dp(smib_cc_basis, smib_cc_model, x0, (0,), s)
+    return equilibrium_shifted(smib_cc_model, dp), t0, x0
+
+
+def _same(a, b):
+    """Two ``(t, x, value)`` search results are equal bit for bit."""
+    assert a[0] == b[0] and a[2] == b[2]
+    assert a[1].tobytes() == b[1].tobytes()
+
+
+class TestSearchBlocks:
+    """The searches evaluate their grid SEARCH_BLOCK samples at a time and
+    stop at the first accepted root or minimum; where a block ends must not
+    change what they return."""
+
+    @pytest.mark.parametrize("validate_roots", [False, True])   # rejected / accepted root
+    @pytest.mark.parametrize("edge", [0, 1])                    # first / last sample of a block
+    def test_root_at_block_edge(self, monkeypatch, smib_cc_basis, smib_cc_model,
+                                smib_cc_stage, validate_roots, edge):
+        x_c, t0, x0 = smib_cc_stage
+        args = (smib_cc_basis, smib_cc_model, x_c, x0, t0, t0, t0 + 3.0)
+        monkeypatch.setattr(oscillation, "SEARCH_BLOCK", FULL_GRID)
+        unchecked = find_switch_on(*args, validate_roots=False)
+        ref = find_switch_on(*args, validate_roots=validate_roots)
+        # The first root fails the check, so the accepted one is a later root.
+        assert (ref[0] > unchecked[0]) == validate_roots
+        ts = np.arange(t0, t0 + 3.0 + 0.5 * SAMPLE_DT, SAMPLE_DT)
+        k = int(np.searchsorted(ts, unchecked[0])) - 1    # its bracket [ts[k], ts[k + 1]]
+        monkeypatch.setattr(oscillation, "SEARCH_BLOCK", k + edge)
+        _same(find_switch_on(*args, validate_roots=validate_roots), ref)
+
+    @pytest.mark.parametrize("shift", range(-2, 3))
+    def test_minimum_near_block_edge(self, monkeypatch, smib_cc_basis, smib_cc_model,
+                                     smib_cc_stage, shift):
+        x_c, t0, x0 = smib_cc_stage
+        t_on, x_on, _ = find_switch_on(smib_cc_basis, smib_cc_model, x_c, x0, t0, t0, t0 + 3.0)
+        args = (smib_cc_basis, smib_cc_model, x_c, x_on, t_on, t_on + 3.0)
+        monkeypatch.setattr(oscillation, "SEARCH_BLOCK", FULL_GRID)
+        ref = find_switch_off(*args)
+        j = round((ref[0] - t_on) / SAMPLE_DT)            # the minimum sample, give or take one
+        monkeypatch.setattr(oscillation, "SEARCH_BLOCK", j + shift)
+        _same(find_switch_off(*args), ref)
+
+    def test_no_root_reports_min_over_whole_window(self, monkeypatch, smib_cc_basis,
+                                                   smib_cc_model, smib_cc_stage):
+        _, t0, x0 = smib_cc_stage
+        model, basis = smib_cc_model, smib_cc_basis
+        x_c = equilibrium_shifted(model, np.array([1e-4]))   # too small a shift for a root
+        errors = []
+        for block in (FULL_GRID, 7):
+            monkeypatch.setattr(oscillation, "SEARCH_BLOCK", block)
+            with pytest.raises(NoSwitchOpportunityError) as exc:
+                find_switch_on(basis, model, x_c, x0, t0, t0, t0 + 2.0)
+            errors.append(exc.value)
+        ts = np.arange(t0, t0 + 2.0 + 0.5 * SAMPLE_DT, SAMPLE_DT)
+        h = switching_function(basis, model.x_eq, x_c, propagate(basis, model.x_eq, x0, ts - t0))
+        assert errors[0].min_abs_h == errors[1].min_abs_h == np.abs(h).min()
+        assert str(errors[0]) == str(errors[1])
+        assert "min |h| = " in str(errors[0])
+
+    def test_window_end_without_minimum(self, monkeypatch, smib_cc_basis, smib_cc_model,
+                                        smib_cc_stage):
+        x_c, t0, x0 = smib_cc_stage
+        t_on, x_on, _ = find_switch_on(smib_cc_basis, smib_cc_model, x_c, x0, t0, t0, t0 + 3.0)
+        args = (smib_cc_basis, smib_cc_model, x_c, x_on, t_on, t_on + 0.02)
+        results = []
+        for block in (FULL_GRID, 4):
+            monkeypatch.setattr(oscillation, "SEARCH_BLOCK", block)
+            with pytest.warns(MaxWindowWarning):
+                results.append(find_switch_off(*args))
+        _same(*results)
+        assert results[0][0] == np.arange(t_on, t_on + 0.02 + 0.5 * SAMPLE_DT, SAMPLE_DT)[-1]
+
+    def test_bundled_schedules_match_full_grid(self, monkeypatch, bundled_deoc):
+        b = bundled_deoc
+        monkeypatch.setattr(oscillation, "SEARCH_BLOCK", FULL_GRID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = build_schedule(b.basis, b.model, b.x0, b.t0, b.targets, **b.kwargs)
+        assert len(ref.stages) == len(b.schedule.stages) > 0
+        for got, want in zip(b.schedule.stages, ref.stages):
+            assert (got.t_on, got.t_off, got.h_residual, got.energy_on, got.energy_off) == (
+                want.t_on, want.t_off, want.h_residual, want.energy_on, want.energy_off)
+        assert b.schedule.skipped == ref.skipped
 
 
 class TestBuildSchedule:

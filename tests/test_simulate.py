@@ -2,10 +2,16 @@
 trajectory export."""
 
 import json
+import tempfile
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridstep import (
     DeocSchedule,
@@ -16,7 +22,10 @@ from gridstep import (
     build_schedule,
     simulate_deoc,
 )
+from gridstep import frequency as fq
+from gridstep.cli import _dfec_trajectory_csv
 from gridstep.modal import propagate
+from gridstep.simulate import Trajectory
 
 import oracle
 
@@ -163,3 +172,67 @@ class TestExport:
         assert np.asarray(doc["t"]) == pytest.approx(traj.t)
         assert np.asarray(doc["x"]) == pytest.approx(traj.x)
         assert len(doc["events"]) == len(traj.events)
+
+
+def _assert_writers_match(traj, tmp_path):
+    """``to_csv``/``to_json`` write the reference writers' bytes."""
+    for write, reference, name in ((traj.to_csv, oracle.trajectory_csv, "traj.csv"),
+                                   (traj.to_json, oracle.trajectory_json, "traj.json")):
+        write(tmp_path / name)
+        reference(traj, tmp_path / f"ref_{name}")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes(), name
+
+
+class TestWritersMatchReference:
+    def test_bundled_trajectories(self, tmp_path, bundled_deoc):
+        b = bundled_deoc
+        for schedule in (b.schedule, DeocSchedule(stages=())):   # uncontrolled: h all NaN
+            traj = simulate_deoc(b.model, b.basis, b.scn.disturbance, schedule,
+                                 b.scn.t_end, b.scn.dt_out)
+            _assert_writers_match(traj, tmp_path)
+
+    def test_one_sample_and_no_events(self, tmp_path, wscc9_model, wscc9_basis, wscc9_pulse):
+        t0 = wscc9_pulse.start + wscc9_pulse.duration
+        traj = simulate_deoc(wscc9_model, wscc9_basis, wscc9_pulse, DeocSchedule(stages=()),
+                             t0, 0.01)
+        assert len(traj.t) == 1
+        _assert_writers_match(traj, tmp_path)
+        _assert_writers_match(replace(traj, events=[]), tmp_path)
+
+    def test_dfec_simulate_csv(self, tmp_path, dfec_scenario):
+        opts = replace(dfec_scenario.sim, horizon=20.0)
+        traj = fq.simulate(dfec_scenario.model, dfec_scenario.action, opts)
+        _dfec_trajectory_csv(tmp_path / "traj.csv", traj)
+        oracle.dfec_trajectory_csv(tmp_path / "ref.csv", traj)
+        assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf])
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_writers_match_reference_on_extreme_values(data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 3))
+    t = sorted(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=n, max_size=n, unique=True)))
+    column = arrays(np.float64, n, elements=_ANY_FLOAT)
+    traj = Trajectory(
+        t=np.array(t),
+        x=data.draw(arrays(np.float64, (n, 2 * m), elements=_ANY_FLOAT)),
+        ek=data.draw(column),
+        orbit=data.draw(column),
+        h=data.draw(column),
+        stage=data.draw(arrays(np.int64, n, elements=st.integers(-1, 2**40))),
+        events=[(data.draw(_ANY_FLOAT), "switch-on")] * data.draw(st.integers(0, 2)),
+    )
+    dfec = fq.DfecTrajectory(t=traj.t, y=data.draw(arrays(np.float64, (n, 9), elements=_ANY_FLOAT)),
+                             unstable=False)
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(invalid="ignore"):  # inf + -inf
+        tmp = Path(tmp)
+        _assert_writers_match(traj, tmp)
+        _dfec_trajectory_csv(tmp / "dfec.csv", dfec)
+        oracle.dfec_trajectory_csv(tmp / "ref.csv", dfec)
+        assert (tmp / "dfec.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
