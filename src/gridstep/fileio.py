@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import DimensionError
 
 # One validator per schema, built (and the schema checked) on first use.
 _VALIDATORS: dict[int, tuple[dict, object]] = {}
@@ -12,7 +16,9 @@ _ROWS_PER_WRITE = 1024
 
 
 def validate(doc, schema: dict) -> None:
-    """Raise the error ``jsonschema.validate(doc, schema)`` raises, if any.
+    """Raise the error ``jsonschema.validate(doc, schema)`` raises, if any,
+    then :class:`DimensionError` for the first NaN or infinity in ``doc``
+    (JSON readers accept both).
 
     ``schema`` must be a module constant: its validator is built, and the
     schema itself checked, once per process."""
@@ -26,6 +32,18 @@ def validate(doc, schema: dict) -> None:
     error = jsonschema.exceptions.best_match(entry[1].iter_errors(doc))
     if error is not None:
         raise error
+    _require_finite(doc, "")
+
+
+def _require_finite(value, path: str) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise DimensionError(f"{path} must be finite, got {value}")
 
 
 def write_csv(path, names, formats, columns) -> None:

@@ -164,8 +164,15 @@ class DfecResult:
         }
 
 
-def dfec_dynamics(model: TwoMachineModel, dp_active: float, p_motor: float):
-    """Right-hand side for one continuous piece (fixed injection and load)."""
+def dfec_dynamics(model: TwoMachineModel, dp_active, p_motor,
+                  sin=math.sin, maximum=max, minimum=min):
+    """Right-hand side for one continuous piece (fixed injection and load):
+    ``rhs(t, y)`` returns the 9 derivatives as a list.
+
+    With numpy's ``sin``, ``maximum`` and ``minimum`` the same rule steps
+    numpy lanes: ``y`` is then ``(9, lanes)`` and ``dp_active``/``p_motor``
+    are ``(lanes,)``; every lane sees the float rule's operations in its
+    order."""
     g = model.gov
     ws, p_sync, p_set = model.omega_s, model.p_sync, model.p_set
     damp1, damp2 = model.d1, model.d2
@@ -174,14 +181,13 @@ def dfec_dynamics(model: TwoMachineModel, dp_active: float, p_motor: float):
     t2_over_t1 = g.t2 / g.t1
     p_min, p_max = g.p_min, g.p_max
     blend1, blend2, blend3 = 1.0 - g.k2, g.k2 * (1.0 - g.k3), g.k2 * g.k3
-    sin = math.sin
 
     def rhs(t, y):
         d1, w1, d2, w2, g1, g2, a1, a2, a3 = y
         pe = p_sync * sin(d1 - d2)
         u = w1 - 1.0
         y1 = g1 + t2_over_t1 * (u - g1)
-        p_cmd = min(max(p_set - g2, p_min), p_max)
+        p_cmd = minimum(maximum(p_set - g2, p_min), p_max)
         pm1 = blend1 * a1 + blend2 * a2 + blend3 * a3
         return [ws * u, (pm1 - (pe - dp_active) - damp1 * u) / h1_2,
                 ws * (w2 - 1.0), (pe - p_motor - damp2 * (w2 - 1.0)) / h2_2,
@@ -252,7 +258,10 @@ def _sample_range(t_grid: np.ndarray, lo: float, hi: float, last: bool) -> tuple
 # Dormand-Prince 5(4) tableau of ``scipy.integrate.RK45``, the RMS error norm,
 # scipy's step controller and ``select_initial_step`` at every piece, so
 # rtol/atol keep their meaning. ``_dense_rows`` steps one action on
-# plain floats; ``nadir_costs`` steps a batch as numpy lanes.
+# plain floats; ``nadir_costs`` steps a batch as numpy lanes. Each loop is the
+# only fast one for its work (one action, or a sweep's many), so both stay;
+# they share ``dfec_dynamics``, the tableau below, ``_initial_step`` and the
+# piece start.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's RungeKutta
 _ERR_EXP = -1.0 / (RK45.error_estimator_order + 1)
 # A first step guess ``h0`` of zero or NaN means the state derivative overflowed;
@@ -405,31 +414,10 @@ def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptio
     return _trajectory(model, action, opts, 4).summary(opts)[2]
 
 
-# Lane-batched cost engine. Every lane follows the scalar step sequence.
-# Stage sums are written out term by term in a fixed order (no BLAS, no axis
-# reductions), so a lane's rounding, and with it its cost, does not depend on
-# the batch it is in.
-def _terms(coefs) -> tuple:
-    return tuple((j, float(c)) for j, c in enumerate(coefs) if c != 0.0)
-
-
-_A_TERMS = tuple(_terms(RK45.A[s, :s]) for s in range(1, RK45.n_stages))
-_B_TERMS = _terms(RK45.B)
-_E_TERMS = _terms(RK45.E)
-# Interpolant coefficients of each stage that has any, as (power of x, 1, 1).
-_P_TERMS = tuple((j, row[:, None, None]) for j, row in enumerate(RK45.P) if row.any())
-
-
-def _combine(K, terms):
-    """``sum(K[j] * c for j, c in terms)``, summed in ``terms`` order; ``c``
-    may be an array that broadcasts against ``K[j]``."""
-    (j, c), *rest = terms
-    acc = K[j] * c
-    for j, c in rest:
-        acc = acc + K[j] * c
-    return acc
-
-
+# Lane-batched cost engine. Every lane follows the scalar step sequence and
+# ``dfec_dynamics``'s operations. Stage sums are written out term by term in
+# the order ``_dense_rows`` uses (no BLAS, no axis reductions), so a lane's
+# rounding, and with it its cost, does not depend on the batch it is in.
 def _rms(x):
     """RMS over the 9 state rows of ``x``, summed in row order."""
     sq = x * x
@@ -439,35 +427,11 @@ def _rms(x):
     return np.sqrt(acc) / 3.0
 
 
-def _lane_dynamics(model: TwoMachineModel):
-    """``dfec_dynamics`` over lanes: ``rhs(y (9, n), dp_active (n,), p_motor (n,))``."""
-    g = model.gov
-    ws = model.omega_s
-    p_sync = model.p_sync
-    h1_2, h2_2 = 2.0 * model.h1, 2.0 * model.h2
-    t2_over_t1 = g.t2 / g.t1
-    blend2, blend3 = g.k2 * (1.0 - g.k3), g.k2 * g.k3
-    lag_t56 = np.array([[g.t5], [g.t6]])
-
-    def rhs(y, dp_active, p_motor):
-        g1, g2, a1, a2, a3 = y[4:]
-        dy = np.empty_like(y)
-        speed_dev = y[1:4:2] - 1.0            # w1 - 1, w2 - 1
-        dy[0:4:2] = ws * speed_dev
-        u = speed_dev[0]
-        pe = p_sync * np.sin(y[0] - y[2])
-        dy[4] = (u - g1) / g.t1
-        y1 = g1 + t2_over_t1 * (u - g1)
-        dy[5] = (g.k1 * y1 - g2) / g.t3
-        p_cmd = np.minimum(np.maximum(model.p_set - g2, g.p_min), g.p_max)
-        dy[6] = (p_cmd - a1) / g.t4
-        dy[7:9] = (y[6:8] - y[7:9]) / lag_t56   # (a1 - a2) / t5, (a2 - a3) / t6
-        pm1 = (1.0 - g.k2) * a1 + blend2 * a2 + blend3 * a3
-        dy[1] = (pm1 - (pe - dp_active) - model.d1 * u) / h1_2
-        dy[3] = (pe - p_motor - model.d2 * speed_dev[1]) / h2_2
-        return dy
-
-    return rhs
+def _stacked(rhs, y):
+    """``rhs(None, y)``'s 9 rows as one ``(9, lanes)`` array."""
+    dy = np.empty_like(y)
+    dy[:] = rhs(None, y)
+    return dy
 
 
 class _Lanes:
@@ -504,18 +468,10 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
     agrees with ``nadir_cost`` to rounding.
     """
     n = len(actions)
-    rhs = _lane_dynamics(model)
     t_grid = _output_grid(opts)
     in_tail = t_grid >= opts.horizon - opts.ss_window
-
-    # Piece table (lane, piece): bounds, power levels and end of its samples.
     plans = [_pieces(model, a, opts) for a in actions]
     n_pieces = np.array([len(p) for p in plans], dtype=int)
-    table = np.zeros((5, n, max(n_pieces, default=0)))
-    for i, plan in enumerate(plans):
-        for k, (lo, hi, dp_active, p_motor) in enumerate(plan):
-            k_end = _sample_range(t_grid, lo, hi, k == len(plan) - 1)[1]
-            table[:, i, k] = lo, hi, dp_active, p_motor, k_end
 
     run_min = np.full(n, np.inf)
     tail_sum = np.zeros(n)
@@ -523,28 +479,22 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
     L = _Lanes(model.equilibrium(), n)
 
     def start_piece(idx):
-        """Start lanes ``idx`` on their current piece as fresh solvers
-        (scipy's ``select_initial_step``)."""
-        lo, hi, dp_active, p_motor, k_end = table[:, L.lane[idx], L.piece[idx]]
-        L.lo[idx], L.hi[idx], L.dp_active[idx], L.p_motor[idx] = lo, hi, dp_active, p_motor
-        L.k_end[idx] = k_end
-        y0 = L.y[:, idx]
-        f0 = L.f[:, idx] = rhs(y0, dp_active, p_motor)
-        length = hi - lo
-        scale = opts.atol + np.abs(y0) * opts.rtol
-        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        h0 = np.minimum(h0, length)
-        if not np.all(h0 > 0.0):
-            raise StiffnessError(_NO_INITIAL_STEP)
-        d2 = _rms((rhs(y0 + h0 * f0, dp_active, p_motor) - f0) / scale) / h0
-        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** -_ERR_EXP)
-        L.h_abs[idx] = np.minimum(np.minimum(100.0 * h0, h1), length)
-        L.rejected[idx] = False
+        """Start lanes ``idx`` on their current piece as ``_dense_rows``
+        starts a piece."""
+        for i in idx:
+            plan = plans[L.lane[i]]
+            lo, hi, dp_active, p_motor = plan[L.piece[i]]
+            piece_rhs = dfec_dynamics(model, dp_active, p_motor)
+            y = L.y[:, i].tolist()
+            f = piece_rhs(lo, y)
+            L.f[:, i] = f
+            L.h_abs[i] = _initial_step(piece_rhs, lo, y, f, hi - lo, opts.rtol, opts.atol)
+            L.lo[i], L.hi[i], L.dp_active[i], L.p_motor[i] = lo, hi, dp_active, p_motor
+            L.k_end[i] = _sample_range(t_grid, lo, hi, L.piece[i] == len(plan) - 1)[1]
+            L.rejected[i] = False
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start_piece(slice(None))
+        start_piece(range(n))
         while len(L.lane):
             # One attempted step per lane (scipy's RungeKutta._step_impl).
             t, y, h_abs, rejected = L.t, L.y, L.h_abs, L.rejected
@@ -557,14 +507,19 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
                 h_abs = np.where(tiny, min_step, h_abs)
             t_new = np.minimum(t + h_abs, L.hi)
             h = t_new - t
-            K = np.empty((RK45.n_stages + 1,) + y.shape)
-            K[0] = L.f
-            for s, terms in enumerate(_A_TERMS, start=1):
-                K[s] = rhs(y + _combine(K, terms) * h, L.dp_active, L.p_motor)
-            y_new = y + h * _combine(K, _B_TERMS)
-            K[-1] = rhs(y_new, L.dp_active, L.p_motor)
+            rhs = dfec_dynamics(model, L.dp_active, L.p_motor, np.sin, np.maximum, np.minimum)
+            k1 = L.f
+            k2 = _stacked(rhs, y + (k1 * _A21) * h)
+            k3 = _stacked(rhs, y + (k1 * _A31 + k2 * _A32) * h)
+            k4 = _stacked(rhs, y + (k1 * _A41 + k2 * _A42 + k3 * _A43) * h)
+            k5 = _stacked(rhs, y + (k1 * _A51 + k2 * _A52 + k3 * _A53 + k4 * _A54) * h)
+            k6 = _stacked(rhs, y + (k1 * _A61 + k2 * _A62 + k3 * _A63 + k4 * _A64
+                                    + k5 * _A65) * h)
+            y_new = y + h * (k1 * _B1 + k3 * _B3 + k4 * _B4 + k5 * _B5 + k6 * _B6)
+            k7 = _stacked(rhs, y_new)
             scale = opts.atol + np.maximum(np.abs(y), np.abs(y_new)) * opts.rtol
-            err = _rms(_combine(K, _E_TERMS) * h / scale)
+            err = _rms((k1 * _E1 + k3 * _E3 + k4 * _E4 + k5 * _E5 + k6 * _E6 + k7 * _E7)
+                       * h / scale)
             grow = _SAFETY * err ** _ERR_EXP
             accept = err < 1.0
             factor = np.where(err == 0.0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, grow))
@@ -580,7 +535,10 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
             k_stop = np.where(done, L.k_end, np.minimum(
                 np.searchsorted(t_grid, t_new, "right"), L.k_end))
             count = np.where(accept, k_stop - L.k_next, 0)
-            Q = _combine(K, _P_TERMS)               # (power of x, state, lane)
+            Q = (k1,                                 # interpolant, x**1 .. x**4
+                 k1 * _P1x2 + k3 * _P3x2 + k4 * _P4x2 + k5 * _P5x2 + k6 * _P6x2 + k7 * _P7x2,
+                 k1 * _P1x3 + k3 * _P3x3 + k4 * _P4x3 + k5 * _P5x3 + k6 * _P6x3 + k7 * _P7x3,
+                 k1 * _P1x4 + k3 * _P3x4 + k4 * _P4x4 + k5 * _P5x4 + k6 * _P6x4 + k7 * _P7x4)
             if count.any():
                 src = np.repeat(np.arange(len(count)), count)
                 ks = np.arange(len(src)) + np.repeat(L.k_next - (np.cumsum(count) - count), count)
@@ -588,7 +546,7 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
                 x = (ts - t[src]) / h[src]
                 x2 = x * x
                 x3 = x2 * x
-                Qs = Q[:, :4, src]
+                Qs = [q[:4, src] for q in Q]
                 ys = h[src] * (Qs[0] * x + Qs[1] * x2 + Qs[2] * x3 + Qs[3] * (x3 * x)) \
                     + y[:4, src]
                 avg = 0.5 * (ys[1] + ys[3])
@@ -601,7 +559,7 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
 
             L.t = np.where(accept, t_new, t)
             L.y = np.where(accept, y_new, y)
-            L.f = np.where(accept, K[-1], L.f)
+            L.f = np.where(accept, k7, L.f)
             if done.any():
                 # The next piece starts from the interpolant at the break.
                 L.y[:, done] = h[done] * (((Q[0] + Q[1]) + Q[2]) + Q[3])[:, done] + y[:, done]
@@ -617,10 +575,6 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
     stable = ~unstable
     costs[stable] = tail_sum[stable] / int(in_tail.sum()) - run_min[stable]
     return costs
-
-
-def steady_state_speed(model: TwoMachineModel, opts: SimOptions) -> float:
-    return simulate(model, None, opts).summary(opts)[0]
 
 
 @dataclass(frozen=True)

@@ -179,8 +179,6 @@ def find_switch_on(
     t0: float,
     t_arm: float,
     t_max: float,
-    dt: float = SAMPLE_DT,
-    validate_roots: bool = True,
 ):
     """Earliest usable switching-function root along the uncontrolled orbit.
 
@@ -189,12 +187,13 @@ def find_switch_on(
     only up to the first accepted root. The switching function
     vanishes twice per revolution of the targeted mode, but only one of the
     crossings steers the trajectory toward ``x_e`` before the opposite orbit
-    extreme; with ``validate_roots`` each root is verified by riding the
-    shifted orbit to its first oscillation-energy minimum and checking that
-    the residual orbit amplitude around ``x_e`` actually shrinks. Roots that
-    fail the check are skipped.
+    extreme. Each root is therefore checked with the ride its stage would
+    take: ``find_switch_off`` over a stage window of ``t_max - t_arm`` from
+    the root. A root is accepted when that ride shrinks the orbit value
+    around ``x_e``; a rejected root's ride emits no ``MaxWindowWarning``.
+    Acceptance therefore depends on the stage window.
 
-    Returns ``(t_on, x_on, h_residual)``.
+    Returns ``(t_on, x_on, h_residual, (t_off, x_off, energy_off))``.
     """
     if not t_arm < t_max:
         raise DimensionError("t_arm must be < t_max")
@@ -204,16 +203,22 @@ def find_switch_on(
     def h_at(t):
         return switching_function(basis, x_e, x_c, propagate(basis, x_e, x0, t - t0))
 
-    ts = np.arange(max(t_arm, t0), t_max + 0.5 * dt, dt)
+    ts = np.arange(max(t_arm, t0), t_max + 0.5 * SAMPLE_DT, SAMPLE_DT)
     hs = np.empty(len(ts))
     roots_rejected = 0
     for k in _scan(h_at, ts, hs, _brackets, 1):
         t_on = _bisect(h_at, ts[k], ts[k + 1], hs[k], hs[k + 1], tol)
         x_on = propagate(basis, x_e, x0, t_on - t0)
-        if validate_roots and not _root_improves(basis, model, x_c, x_on, t_on, dt):
-            roots_rejected += 1
-            continue
-        return t_on, x_on, abs(h_at(t_on))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", MaxWindowWarning)
+            ride = find_switch_off(basis, model, x_c, x_on, t_on, t_on + (t_max - t_arm))
+        accepted = orbit_value(basis, x_e, ride[1]) < orbit_value(basis, x_e, x_on)
+        for w in caught:
+            if accepted or not issubclass(w.category, MaxWindowWarning):
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        if accepted:
+            return t_on, x_on, abs(h_at(t_on)), ride
+        roots_rejected += 1
 
     min_h = float(np.min(np.abs(hs)))
     raise NoSwitchOpportunityError(
@@ -221,19 +226,6 @@ def find_switch_on(
         f"(min |h| = {min_h:.3e}, {roots_rejected} roots rejected)",
         min_abs_h=min_h,
     )
-
-
-def _root_improves(basis, model, x_c, x_on, t_on, dt) -> bool:
-    """Does switching here, then off at the first energy minimum, shrink the
-    orbit around the equilibrium?"""
-    slowest = min(mode.frequency for mode in basis.modes)
-    window = 2.0 * np.pi / slowest * 1.5
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MaxWindowWarning)
-        _, x_off, _ = find_switch_off(basis, model, x_c, x_on, t_on, t_on + window, dt=dt)
-    before = orbit_value(basis, model.x_eq, x_on)
-    after = orbit_value(basis, model.x_eq, x_off)
-    return after < before
 
 
 def _scan(func, ts, values, flags, width):
@@ -287,7 +279,6 @@ def find_switch_off(
     x_on: np.ndarray,
     t_on: float,
     t_max: float,
-    dt: float = SAMPLE_DT,
 ):
     """First local minimum of the oscillation energy after switch-on.
 
@@ -298,7 +289,7 @@ def find_switch_off(
     def ek_at(t):
         return oscillation_energy(model, propagate(basis, x_c, x_on, t - t_on))
 
-    ts = np.arange(t_on, t_max + 0.5 * dt, dt)
+    ts = np.arange(t_on, t_max + 0.5 * SAMPLE_DT, SAMPLE_DT)
     ek = np.empty(len(ts))
     for k in _scan(ek_at, ts, ek, _minima, 2):
         res = minimize_scalar(
@@ -332,7 +323,6 @@ def build_schedule(
     dp_overrides=None,
     scale: float | None = None,
     stage_window: float = 10.0,
-    dt: float = SAMPLE_DT,
 ) -> DeocSchedule:
     """Sequential per-mode schedule: design the injection, find the switch-on
     root, ride the shifted orbit to the energy minimum, advance, repeat.
@@ -343,6 +333,12 @@ def build_schedule(
     targets = list(targets)
     if dp_overrides is not None and len(dp_overrides) != len(targets):
         raise DimensionError("dp_overrides must match targets in length")
+    n_pairs = len(basis.modes)
+    for target in targets:
+        for pair in (target,) if np.isscalar(target) else target:
+            if not 0 <= pair < n_pairs:
+                raise DimensionError(f"target pair {pair} is outside [0, {n_pairs}): "
+                                     f"the system has {n_pairs} mode pairs")
 
     x, t = np.asarray(x0, dtype=float), float(t0)
     stages: list[ControlStage] = []
@@ -363,16 +359,13 @@ def build_schedule(
             skipped.append((int(target), "zero equilibrium shift"))
             continue
         try:
-            t_on, x_on, h_res = find_switch_on(
-                basis, model, x_c, x, t, t, t + stage_window, dt=dt
+            t_on, x_on, h_res, (t_off, x_off, e_off) = find_switch_on(
+                basis, model, x_c, x, t, t, t + stage_window
             )
         except NoSwitchOpportunityError as exc:
             skipped.append((int(target), str(exc)))
             continue
         e_on = oscillation_energy(model, x_on)
-        t_off, x_off, e_off = find_switch_off(
-            basis, model, x_c, x_on, t_on, t_on + stage_window, dt=dt
-        )
         stages.append(
             ControlStage(
                 dp=dp,

@@ -9,6 +9,7 @@ two-machine model, simulation options, optimization bounds, and sweep grid.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -60,6 +61,19 @@ DEOC_SCENARIO_SCHEMA = {
     },
 }
 
+
+def _section(cls, skip=(), **number) -> dict:
+    """Schema of a section holding the fields of dataclass ``cls`` (less
+    ``skip``) as numbers; the fields without a default are required."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    section = {"type": "object", "additionalProperties": False}
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    if required:
+        section["required"] = required
+    section["properties"] = {f.name: {"type": "number", **number} for f in fields}
+    return section
+
+
 DFEC_SCENARIO_SCHEMA = {
     "type": "object",
     "required": ["kind", "model", "governor"],
@@ -67,48 +81,11 @@ DFEC_SCENARIO_SCHEMA = {
         "schema_version": {"type": "integer"},
         "kind": {"const": "dfec"},
         "name": {"type": "string"},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["h1", "h2", "e1", "e2", "x"],
-            "properties": {
-                k: {"type": "number"}
-                for k in ("h1", "h2", "e1", "e2", "x", "d1", "d2", "p_set", "omega_s")
-            },
-        },
-        "governor": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["k1", "t1", "t2", "t3", "k2", "k3", "t4", "t5", "t6"],
-            "properties": {
-                k: {"type": "number"}
-                for k in ("k1", "t1", "t2", "t3", "k2", "k3", "t4", "t5", "t6",
-                          "p_max", "p_min")
-            },
-        },
-        "sim": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                k: {"type": "number"}
-                for k in ("horizon", "dt_out", "rtol", "atol", "ss_window",
-                          "disturbance", "t_disturbance")
-            },
-        },
-        "bounds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                k: {"type": "number", "exclusiveMinimum": 0}
-                for k in ("dp_max", "t_on_max", "t_off_max")
-            },
-        },
-        "action": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["dp", "t_on", "t_off"],
-            "properties": {k: {"type": "number"} for k in ("dp", "t_on", "t_off")},
-        },
+        "model": _section(TwoMachineModel, skip=("gov",)),
+        "governor": _section(GovernorParams),
+        "sim": _section(SimOptions),
+        "bounds": _section(ActionBounds, exclusiveMinimum=0),
+        "action": _section(DfecAction),
         "optimize": {
             "type": "object",
             "additionalProperties": False,
@@ -224,18 +201,8 @@ def _axis(spec: dict) -> np.ndarray:
     return np.linspace(spec["start"], spec["stop"], spec["count"])
 
 
-def _require_finite(value, path: str) -> None:
-    """Reject NaN and infinities (which JSON readers accept) anywhere in ``value``."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise DimensionError(f"{path} must be finite, got {value}")
-
-
 def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
     validate(doc, DFEC_SCENARIO_SCHEMA)
-    _require_finite(doc, "")
     gov = GovernorParams(**doc["governor"])
     model = TwoMachineModel(gov=gov, **doc["model"])
     sim = SimOptions(**doc.get("sim", {}))

@@ -85,7 +85,7 @@ def bundled_deoc(request):
     kwargs = dict(dp_overrides=scn.dp_overrides_pu(model.base_mva), scale=scn.scale,
                   stage_window=scn.stage_window)
     schedule = build_schedule(basis, model, x0, t0, targets, **kwargs)
-    return SimpleNamespace(model=model, basis=basis, scn=scn, t0=t0, x0=x0,
+    return SimpleNamespace(name=name, model=model, basis=basis, scn=scn, t0=t0, x0=x0,
                            targets=targets, kwargs=kwargs, schedule=schedule)
 
 

@@ -130,7 +130,7 @@ def test_switch_time_matches_brute_force_oracle(smib_cc_model, smib_cc_basis):
     best = residuals.min()
     near_best = candidates[residuals <= best * 1.001 + 1e-15]
 
-    t_on, x_on, _ = find_switch_on(basis, model, x_c, x0, t0, t0,
+    t_on, x_on, _, _ = find_switch_on(basis, model, x_c, x0, t0, t0,
                                    t0 + period)
     assert np.abs(near_best - t_on).min() <= 2e-3
 

@@ -1,9 +1,15 @@
 """CLI behavior: commands, exit codes, output files."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridstep.cli import main
 from gridstep.network import GRID_SCHEMA
@@ -78,6 +84,94 @@ class TestValidate:
         for _ in range(2):   # the second load reuses the validator the first one built
             code, _, err = run(capsys, "validate", flag, str(path))
             assert (code, err) == (2, f"input error: {expected.value.message}\n")
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _edited(tmp_path, name, path, value):
+    """The bundled file ``name`` with the leaf at ``path`` set to ``value``."""
+    doc = json.loads((DATA / name).read_text())
+    *parents, key = path
+    section = doc
+    for step in parents:
+        section = section[step]
+    section[key] = value
+    return write_json(tmp_path / name, doc)
+
+
+def _number_paths(value, path=()):
+    """Paths of the numeric leaves of a JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _number_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _number_paths(item, path + (i,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+def _non_finite_error(value, message, positive):
+    if positive and value < 0.0:   # the schema's exclusiveMinimum rejects -inf first
+        return "input error: -inf is less than or equal to the minimum of 0\n"
+    return f"input error: {message} must be finite, got {value}\n"
+
+
+class TestNonFinite:
+    """NaN and infinities, which JSON readers accept, are input errors in
+    every input file."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("path,message,positive", [
+        (("branches", 0, "x"), "branches[0].x", True),
+        (("generators", 1, "inertia"), "generators[1].inertia", False),
+        (("loads", 0, "p"), "loads[0].p", False),
+    ])
+    def test_grid_numbers(self, capsys, tmp_path, value, path, message, positive):
+        grid = str(_edited(tmp_path, "wscc9.json", path, value))
+        for argv in (["deoc", "--system", grid, "--scenario", str(DATA / "scenario_wscc9.json"),
+                      "--out", str(tmp_path / "o")],
+                     ["modes", "--system", grid],
+                     ["validate", "--system", grid]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (2, _non_finite_error(value, message, positive))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("path,message,positive", [
+        (("disturbance", "magnitude"), "disturbance.magnitude", False),
+        (("scale",), "scale", False),
+        (("t_end",), "t_end", True),
+    ])
+    def test_deoc_scenario_numbers(self, capsys, tmp_path, value, path, message, positive):
+        scn = str(_edited(tmp_path, "scenario_wscc9.json", path, value))
+        for argv in (["deoc", "--system", str(DATA / "wscc9.json"), "--scenario", scn,
+                      "--out", str(tmp_path / "o")],
+                     ["validate", "--scenario", scn]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (2, _non_finite_error(value, message, positive))
+        assert not (tmp_path / "o").exists()
+
+    FILES = {"wscc9.json": "--system", "scenario_wscc9.json": "--scenario",
+             "scenario_wscc9_fixed_dp.json": "--scenario", "dfec_twomachine.json": "--scenario"}
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_fuzz_validate(self, data):
+        name = data.draw(st.sampled_from(sorted(self.FILES)))
+        path = data.draw(st.sampled_from(
+            list(_number_paths(json.loads((DATA / name).read_text())))))
+        text = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            file = _edited(Path(tmp), name, path, "@LEAF@")
+            file.write_text(file.read_text().replace('"@LEAF@"', text))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["validate", self.FILES[name], str(file)])
+        assert code == 2
+        assert err.getvalue().startswith("input error: ")
+        assert "Traceback" not in err.getvalue()
 
 
 class TestModes:
@@ -176,6 +270,18 @@ class TestDeoc:
         assert code == 2
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("targets", [[0, 2], [-1]])
+    def test_targets_outside_the_mode_pairs(self, capsys, tmp_path, targets):
+        scn = _edited(tmp_path, "scenario_wscc9.json", ("targets",), targets)
+        code, _, err = run(capsys, "deoc", "--system", str(DATA / "wscc9.json"),
+                           "--scenario", str(scn), "--out", str(tmp_path / "o"))
+        assert code == 2
+        if targets == [-1]:   # the schema's minimum
+            assert err == "input error: -1 is less than the minimum of 0\n"
+        else:
+            assert err == ("input error: target pair 2 is outside [0, 2): "
+                           "the system has 2 mode pairs\n")
 
     def test_wrong_scenario_kind_is_input_error(self, capsys, tmp_path):
         code, _, err = run(

@@ -100,7 +100,7 @@ class TestNadirCost:
         assert abs(w_u - w_c) < 1e-4
 
     def test_steady_state_matches_droop_relation(self, model, opts):
-        w_ss = fq.steady_state_speed(model, opts)
+        w_ss = fq.simulate(model, None, opts).summary(opts)[0]
         predicted = 1.0 - opts.disturbance / (model.gov.k1 + model.d1 + model.d2)
         assert abs(w_ss - predicted) / abs(1.0 - predicted) < 0.02
 

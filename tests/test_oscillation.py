@@ -104,7 +104,7 @@ class TestSwitchTimes:
         s = auto_scale(basis, model, x0, (0,))
         dp = design_dp(basis, model, x0, (0,), s)
         x_c = equilibrium_shifted(model, dp)
-        t_on, x_on, h_res = find_switch_on(basis, model, x_c, x0, t0, t0, t0 + 5.0)
+        t_on, x_on, h_res, _ = find_switch_on(basis, model, x_c, x0, t0, t0, t0 + 5.0)
         # Ride the shifted orbit; it must pass through x_e.
         from scipy.optimize import minimize_scalar
 
@@ -128,7 +128,7 @@ class TestSwitchTimes:
         s = auto_scale(basis, model, x0, (0,))
         dp = design_dp(basis, model, x0, (0,), s)
         x_c = equilibrium_shifted(model, dp)
-        t_on, x_on, _ = find_switch_on(basis, model, x_c, x0, t0, t0, t0 + 5.0)
+        t_on, x_on, _, _ = find_switch_on(basis, model, x_c, x0, t0, t0, t0 + 5.0)
         t_off, x_off, e_off = find_switch_off(basis, model, x_c, x_on, t_on, t_on + 5.0)
         assert t_off > t_on
         assert e_off < oscillation_energy(model, x_on)
@@ -167,27 +167,32 @@ class TestSearchBlocks:
     stop at the first accepted root or minimum; where a block ends must not
     change what they return."""
 
-    @pytest.mark.parametrize("validate_roots", [False, True])   # rejected / accepted root
-    @pytest.mark.parametrize("edge", [0, 1])                    # first / last sample of a block
+    @pytest.mark.parametrize("accepted", [False, True])   # edge at the rejected / accepted root
+    @pytest.mark.parametrize("edge", [0, 1])              # first / last sample of a block
     def test_root_at_block_edge(self, monkeypatch, smib_cc_basis, smib_cc_model,
-                                smib_cc_stage, validate_roots, edge):
+                                smib_cc_stage, accepted, edge):
         x_c, t0, x0 = smib_cc_stage
-        args = (smib_cc_basis, smib_cc_model, x_c, x0, t0, t0, t0 + 3.0)
+        basis, model = smib_cc_basis, smib_cc_model
+        args = (basis, model, x_c, x0, t0, t0, t0 + 3.0)
         monkeypatch.setattr(oscillation, "SEARCH_BLOCK", FULL_GRID)
-        unchecked = find_switch_on(*args, validate_roots=False)
-        ref = find_switch_on(*args, validate_roots=validate_roots)
-        # The first root fails the check, so the accepted one is a later root.
-        assert (ref[0] > unchecked[0]) == validate_roots
+        ref = find_switch_on(*args)
         ts = np.arange(t0, t0 + 3.0 + 0.5 * SAMPLE_DT, SAMPLE_DT)
-        k = int(np.searchsorted(ts, unchecked[0])) - 1    # its bracket [ts[k], ts[k + 1]]
+        h = switching_function(basis, model.x_eq, x_c, propagate(basis, model.x_eq, x0, ts - t0))
+        first = int(np.flatnonzero((h[:-1] == 0.0) | (h[:-1] * h[1:] < 0.0))[0])
+        # The first root fails the check, so the accepted one is a later root.
+        assert ts[first + 1] < ref[0]
+        # The bracket [ts[k], ts[k + 1]] of the root at the block edge.
+        k = int(np.searchsorted(ts, ref[0])) - 1 if accepted else first
         monkeypatch.setattr(oscillation, "SEARCH_BLOCK", k + edge)
-        _same(find_switch_on(*args, validate_roots=validate_roots), ref)
+        got = find_switch_on(*args)
+        _same(got, ref)
+        _same(got[3], ref[3])
 
     @pytest.mark.parametrize("shift", range(-2, 3))
     def test_minimum_near_block_edge(self, monkeypatch, smib_cc_basis, smib_cc_model,
                                      smib_cc_stage, shift):
         x_c, t0, x0 = smib_cc_stage
-        t_on, x_on, _ = find_switch_on(smib_cc_basis, smib_cc_model, x_c, x0, t0, t0, t0 + 3.0)
+        t_on, x_on, _, _ = find_switch_on(smib_cc_basis, smib_cc_model, x_c, x0, t0, t0, t0 + 3.0)
         args = (smib_cc_basis, smib_cc_model, x_c, x_on, t_on, t_on + 3.0)
         monkeypatch.setattr(oscillation, "SEARCH_BLOCK", FULL_GRID)
         ref = find_switch_off(*args)
@@ -215,7 +220,7 @@ class TestSearchBlocks:
     def test_window_end_without_minimum(self, monkeypatch, smib_cc_basis, smib_cc_model,
                                         smib_cc_stage):
         x_c, t0, x0 = smib_cc_stage
-        t_on, x_on, _ = find_switch_on(smib_cc_basis, smib_cc_model, x_c, x0, t0, t0, t0 + 3.0)
+        t_on, x_on, _, _ = find_switch_on(smib_cc_basis, smib_cc_model, x_c, x0, t0, t0, t0 + 3.0)
         args = (smib_cc_basis, smib_cc_model, x_c, x_on, t_on, t_on + 0.02)
         results = []
         for block in (FULL_GRID, 4):
@@ -236,6 +241,114 @@ class TestSearchBlocks:
             assert (got.t_on, got.t_off, got.h_residual, got.energy_on, got.energy_off) == (
                 want.t_on, want.t_off, want.h_residual, want.energy_on, want.energy_off)
         assert b.schedule.skipped == ref.skipped
+
+
+class TestStageRide:
+    """``find_switch_on`` checks each root with the ride its stage takes and
+    returns the accepted root's ride, so a stage searches for its switch-off
+    once."""
+
+    @pytest.mark.parametrize("window", [3.0, 10.0])
+    def test_ride_is_the_stage_switch_off(self, smib_cc_basis, smib_cc_model,
+                                          smib_cc_stage, window):
+        x_c, t0, x0 = smib_cc_stage
+        basis, model = smib_cc_basis, smib_cc_model
+        t_on, x_on, _, ride = find_switch_on(basis, model, x_c, x0, t0, t0, t0 + window)
+        _same(ride, find_switch_off(basis, model, x_c, x_on, t_on, t_on + window))
+
+    def test_window_end_warns_for_the_accepted_root_only(self, smib_cc_basis, smib_cc_model,
+                                                         smib_cc_stage):
+        x_c, t0, x0 = smib_cc_stage
+        basis, model = smib_cc_basis, smib_cc_model
+        t_on, _, _, (t_off, _, _) = find_switch_on(basis, model, x_c, x0, t0, t0, t0 + 3.0)
+        # A window around the accepted root that ends before its energy minimum.
+        half = 0.25 * (t_off - t_on)
+        with pytest.warns(MaxWindowWarning):
+            got = find_switch_on(basis, model, x_c, x0, t0, t_on - half, t_on + half)
+        assert got[3][0] < t_off
+        # A window around the first, rejected root whose ride also hits the end.
+        ts = np.arange(t0, t_on, SAMPLE_DT)
+        h = switching_function(basis, model.x_eq, x_c, propagate(basis, model.x_eq, x0, ts - t0))
+        t_rejected = ts[np.flatnonzero(h[:-1] * h[1:] < 0.0)[0]]
+        x_rejected = propagate(basis, model.x_eq, x0, t_rejected - t0)
+        with pytest.warns(MaxWindowWarning):
+            find_switch_off(basis, model, x_c, x_rejected, t_rejected, t_rejected + 2.0 * half)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NoSwitchOpportunityError, match="1 roots rejected"):
+                find_switch_on(basis, model, x_c, x0, t0, t_rejected - half,
+                               t_rejected + half)
+        assert not [w for w in caught if issubclass(w.category, MaxWindowWarning)]
+
+    def test_other_warnings_keep_their_origin(self, monkeypatch, smib_cc_basis, smib_cc_model,
+                                              smib_cc_stage):
+        """Only a rejected root's ``MaxWindowWarning`` is dropped: any other
+        warning of a ride reaches the caller with its category and origin."""
+        x_c, t0, x0 = smib_cc_stage
+        ride = oscillation.find_switch_off
+
+        def noisy(*args):
+            warnings.warn("from the ride", RuntimeWarning)
+            return ride(*args)
+
+        monkeypatch.setattr(oscillation, "find_switch_off", noisy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            find_switch_on(smib_cc_basis, smib_cc_model, x_c, x0, t0, t0, t0 + 3.0)
+        # The first root is rejected, the second accepted: one warning each.
+        assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)] * 2
+        assert len({w.lineno for w in caught}) == 1
+
+    # Stage windows shorter than 1.5 periods of the slowest mode (1.27 s on
+    # wscc9, 2.73 s on ieee39), so a root's check ride is cut by the stage
+    # window. The stages and skips are those a check over 1.5 slowest-mode
+    # periods gives.
+    SHORT_WINDOWS = {
+        "wscc9": [
+            (0.5, [((1,), 0.47937414320309996, 0.4833571916208799)], [(0, 1)]),
+            (1.0, [((0,), 0.8157650772680844, 0.9361280779377594),
+                   ((1,), 1.1956227413103957, 1.261721498404341)], []),
+        ],
+        "ieee39": [
+            (1.0, [((1,), 0.9667572704156246, 0.9755704026281412),
+                   ((2,), 1.8250319023191515, 1.8281717513986457),
+                   ((4,), 2.3532208103127723, 2.354061209703489)], [(0, 0), (8, 4)]),
+        ],
+    }
+
+    def test_short_stage_windows(self, bundled_deoc):
+        b = bundled_deoc
+        for window, stages, skipped in self.SHORT_WINDOWS[b.name]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", MaxWindowWarning)
+                sched = build_schedule(b.basis, b.model, b.x0, b.t0, b.targets,
+                                       **dict(b.kwargs, stage_window=window))
+            assert [(s.target_modes, s.t_on, s.t_off) for s in sched.stages] == [
+                (modes, pytest.approx(t_on, abs=1e-9), pytest.approx(t_off, abs=1e-9))
+                for modes, t_on, t_off in stages]
+            assert [target for target, _ in sched.skipped] == [target for target, _ in skipped]
+            for (_, reason), (_, rejected) in zip(sched.skipped, skipped):
+                assert reason.endswith(f", {rejected} roots rejected)")
+
+    def test_one_switch_off_search_per_root(self, monkeypatch, bundled_deoc):
+        b = bundled_deoc
+        calls = {"roots": 0, "switch_off": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(oscillation, "_bisect", counted("roots", oscillation._bisect))
+        monkeypatch.setattr(oscillation, "find_switch_off",
+                            counted("switch_off", oscillation.find_switch_off))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sched = build_schedule(b.basis, b.model, b.x0, b.t0, b.targets, **b.kwargs)
+        assert calls["switch_off"] == calls["roots"] > len(sched.stages) > 0
+        assert [(s.t_on, s.t_off, s.energy_off) for s in sched.stages] == [
+            (s.t_on, s.t_off, s.energy_off) for s in b.schedule.stages]
 
 
 class TestBuildSchedule:
