@@ -27,8 +27,9 @@ Procedure
    0.25 pu step; a binding limit was observed to cause a sustained
    limit-cycle ring in the recovery.
 
-4. Verification (this script): uncontrolled nadir in [3.5%, 4.5%];
-   steady-state deviation matches the droop relation within 2%; the
+4. Verification (this script): uncontrolled nadir in [3.5%, 4.5%]; a
+   250 s run settles within 1e-8 of the closed-form steady state (the
+   droop relation of step 1, which every cost is measured against); the
    optimized cost is at least 30% below the uncontrolled cost; the optimal
    window length strictly shrinks across dp = 0.08 / 0.12 / 0.16.
 
@@ -46,6 +47,7 @@ the achieved t_on* informatively instead of failing on it (see README,
 
 import pathlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,17 +64,17 @@ def main() -> int:
     model, opts, bounds = scn.model, scn.sim, scn.bounds
     failures = []
 
-    w_ss, _, c0 = fq.simulate(model, None, opts).summary(opts)
+    w_ss, _, c0 = fq.simulate(model, None, opts).summary()
     print(f"uncontrolled nadir cost: {c0:.5f} pu (target 0.040 +/- 0.005)")
     if not 0.035 <= c0 <= 0.045:
         failures.append("uncontrolled nadir outside 4% +/- 0.5%")
 
-    droop_pred = 1.0 - opts.disturbance / (model.gov.k1 + model.d1 + model.d2)
-    err = abs(w_ss - droop_pred) / abs(1.0 - droop_pred)
-    print(f"steady-state speed: {w_ss:.6f}, droop relation predicts "
-          f"{droop_pred:.6f} (relative error {err:.2%}, limit 2%)")
-    if err > 0.02:
-        failures.append("droop relation violated")
+    long_run = fq.simulate(model, None, replace(opts, horizon=250.0))
+    err = abs(long_run.avg_speed[-1] - w_ss)
+    print(f"steady-state speed: {w_ss:.9f} (closed form), 250 s run ends "
+          f"{err:.1e} away (limit 1e-8)")
+    if not err <= 1e-8:
+        failures.append("250 s run does not settle at the closed-form steady state")
 
     result = fq.optimize_action(model, bounds, opts)
     a = result.action

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,7 +34,7 @@ from .errors import (
     ScheduleError,
     StiffnessError,
 )
-from .fileio import write_csv
+from .fileio import field_name, write_csv
 from .modal import analyze, modal_report
 from .network import build_reduced_model, load_grid
 from .oscillation import DeocSchedule, build_schedule, default_targets
@@ -170,9 +171,12 @@ def cmd_dfec_simulate(args) -> int:
         print("loss of synchronism: machine angles separated beyond pi",
               file=sys.stderr)
         return EXIT_NUMERIC
+    if math.isnan(traj.w_ss):
+        print(f"error: {frequency.NO_STEADY_STATE}", file=sys.stderr)
+        return EXIT_NUMERIC
     if args.out is not None:
         _dfec_trajectory_csv(args.out, traj)
-    w_ss, nadir, cost = traj.summary(sim)
+    w_ss, nadir, cost = traj.summary()
     print(f"w_ss={w_ss:.6f} nadir={nadir:.6f} cost={cost:.6f}")
     return EXIT_OK
 
@@ -262,7 +266,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except jsonschema.ValidationError as exc:
-        print(f"input error: {exc.message}", file=sys.stderr)
+        where = field_name(exc.absolute_path)
+        print(f"input error: {where + ': ' if where else ''}{exc.message}", file=sys.stderr)
         return EXIT_INPUT
     except GridStepError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,18 +32,23 @@ def validate(doc, schema: dict) -> None:
     error = jsonschema.exceptions.best_match(entry[1].iter_errors(doc))
     if error is not None:
         raise error
-    _require_finite(doc, "")
+    _require_finite(doc, ())
 
 
-def _require_finite(value, path: str) -> None:
+def field_name(path) -> str:
+    """``a.b[0].c`` for the JSON path ``("a", "b", 0, "c")``."""
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path).removeprefix(".")
+
+
+def _require_finite(value, path: tuple) -> None:
     if isinstance(value, dict):
         for key, item in value.items():
-            _require_finite(item, f"{path}.{key}" if path else key)
+            _require_finite(item, path + (key,))
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            _require_finite(item, f"{path}[{i}]")
+            _require_finite(item, path + (i,))
     elif isinstance(value, float) and not math.isfinite(value):
-        raise DimensionError(f"{path} must be finite, got {value}")
+        raise DimensionError(f"{field_name(path)} must be finite, got {value}")
 
 
 def write_csv(path, names, formats, columns) -> None:

@@ -25,6 +25,7 @@ from scipy.optimize import minimize
 from .errors import DimensionError, OptimizationError, StiffnessError
 
 INSTABILITY_COST = float("inf")
+NO_STEADY_STATE = "the frequency does not settle: no speed balances the final load"
 _ANGLE_SLIP = math.pi  # |delta1 - delta2| beyond this flags loss of synchronism
 
 
@@ -75,6 +76,10 @@ class TwoMachineModel:
         for name in ("e1", "e2", "x", "h1", "h2", "omega_s"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DimensionError(f"model.{name} must be finite and > 0")
+        for name, value in (("governor.k1", self.gov.k1), ("model.d1", self.d1),
+                            ("model.d2", self.d2)):   # keep the balance monotone
+            if value < 0.0:
+                raise DimensionError(f"{name} must be >= 0")
         if abs(self.p_set * self.x / (self.e1 * self.e2)) >= 1.0:
             raise DimensionError("no equilibrium: |p_set x / (e1 e2)| >= 1")
 
@@ -110,20 +115,13 @@ class SimOptions:
     dt_out: float = 0.02
     rtol: float = 1e-8
     atol: float = 1e-10
-    ss_window: float = 2.0      # tail window used for the steady-state mean
     disturbance: float = 0.25   # motor mechanical power step, pu
     t_disturbance: float = 0.0
 
     def __post_init__(self):
-        for name in ("horizon", "dt_out", "rtol", "atol", "ss_window"):
+        for name in ("horizon", "dt_out", "rtol", "atol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DimensionError(f"sim.{name} must be finite and > 0")
-        if self.ss_window > self.horizon:
-            raise DimensionError("sim.ss_window must not exceed sim.horizon")
-        if self.dt_out > self.ss_window:
-            raise DimensionError(
-                "sim.dt_out must not exceed sim.ss_window (the steady-state "
-                "window needs an output sample)")
 
 
 @dataclass(frozen=True)
@@ -197,31 +195,52 @@ def dfec_dynamics(model: TwoMachineModel, dp_active, p_motor,
     return rhs
 
 
+def steady_speed(model: TwoMachineModel, dp_active: float, p_motor: float) -> float:
+    """Average speed ``1 + u*`` at which a piece with fixed injection and
+    motor load settles (NaN if none): at rest the turbine delivers the
+    governor's command, so the swing equations add up to the droop balance
+    ``clip(p_set - k1 u, p_min, p_max) + dp_active - p_motor - (d1 + d2) u = 0``
+    (Anderson & Mirheydar, IEEE Trans. Power Syst. 5(3), 1990), nonincreasing
+    and linear per branch. Its root is on the unclamped branch unless the
+    command there is beyond a limit; then only damping balances the load."""
+    g, damping = model.gov, model.d1 + model.d2
+    surplus = dp_active - p_motor
+    if g.k1 + damping == 0.0:
+        return math.nan
+    u = (model.p_set + surplus) / (g.k1 + damping)
+    command = model.p_set - g.k1 * u
+    if not g.p_min <= command <= g.p_max:
+        if damping == 0.0:
+            return math.nan
+        u = (min(max(command, g.p_min), g.p_max) + surplus) / damping
+    return 1.0 + u
+
+
+def _speed_summary(w_ss, low):
+    """``(w_ss, 1 - low, w_ss - low)`` from the steady and the lowest average
+    speed (numbers, or one per lane); the cost is ``INSTABILITY_COST`` where
+    there is no steady state (``w_ss`` NaN)."""
+    cost = np.where(np.isnan(w_ss), INSTABILITY_COST, w_ss - low)
+    return w_ss, 1.0 - low, cost[()]     # [()]: a number for number inputs
+
+
 @dataclass
 class DfecTrajectory:
     t: np.ndarray
     y: np.ndarray          # (n, 9); nadir_cost keeps the first 4 columns
     unstable: bool
+    w_ss: float            # ``steady_speed`` of the last piece
 
     @property
     def avg_speed(self) -> np.ndarray:
         return 0.5 * (self.y[:, 1] + self.y[:, 3])
 
-    def summary(self, opts: SimOptions) -> tuple[float, float, float]:
+    def summary(self) -> tuple[float, float, float]:
         """``(w_ss, nadir, cost)`` (see ``_speed_summary``); an unstable run
         gives ``(nan, nan, inf)``."""
         if self.unstable:
             return math.nan, math.nan, INSTABILITY_COST
-        return _speed_summary(self.t, self.avg_speed, opts)
-
-
-def _speed_summary(t: np.ndarray, avg: np.ndarray, opts: SimOptions) -> tuple[float, float, float]:
-    """``(w_ss, nadir, cost)`` of an average-speed series on the output grid
-    ``t``: ``w_ss`` is its mean over the last ``ss_window``,
-    ``nadir = 1 - min`` and ``cost = w_ss - min``."""
-    w_ss = float(avg[t >= opts.horizon - opts.ss_window].mean())
-    low = float(avg.min())
-    return w_ss, 1.0 - low, w_ss - low
+        return _speed_summary(self.w_ss, float(self.avg_speed.min()))
 
 
 def _pieces(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions):
@@ -398,9 +417,10 @@ def _dense_rows(model: TwoMachineModel, action: DfecAction | None, opts: SimOpti
 def _trajectory(model, action, opts, width) -> DfecTrajectory:
     t = _output_grid(opts)
     rows = _dense_rows(model, action, opts, width)
+    w_ss = steady_speed(model, *_pieces(model, action, opts)[-1][2:])   # where it settles
     if rows is None:
-        return DfecTrajectory(t=t, y=np.full((len(t), width), np.nan), unstable=True)
-    return DfecTrajectory(t=t, y=np.frombuffer(rows).reshape(-1, width), unstable=False)
+        return DfecTrajectory(t, np.full((len(t), width), np.nan), True, w_ss)
+    return DfecTrajectory(t, np.frombuffer(rows).reshape(-1, width), False, w_ss)
 
 
 def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> DfecTrajectory:
@@ -409,9 +429,9 @@ def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions
 
 
 def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> float:
-    """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism.
-    Only the angles and speeds are interpolated."""
-    return _trajectory(model, action, opts, 4).summary(opts)[2]
+    """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism or
+    has no steady state. Only the angles and speeds are interpolated."""
+    return _trajectory(model, action, opts, 4).summary()[2]
 
 
 # Lane-batched cost engine. Every lane follows the scalar step sequence and
@@ -463,18 +483,16 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
     The state is held as a ``(9, lanes)`` array. Each lane keeps its own time,
     step size and piece, and restarts at its own power steps. Dense output is
     sampled onto the ``dt_out`` grid, where the loss-of-synchronism check
-    runs; each lane keeps only the running minimum and tail sum of its
-    average speed. A lane's cost is bit-identical whatever batch it is in and
-    agrees with ``nadir_cost`` to rounding.
+    runs; each lane keeps only the running minimum of its average speed. A
+    lane's cost is bit-identical whatever batch it is in and agrees with
+    ``nadir_cost`` to rounding.
     """
     n = len(actions)
     t_grid = _output_grid(opts)
-    in_tail = t_grid >= opts.horizon - opts.ss_window
     plans = [_pieces(model, a, opts) for a in actions]
     n_pieces = np.array([len(p) for p in plans], dtype=int)
 
     run_min = np.full(n, np.inf)
-    tail_sum = np.zeros(n)
     unstable = np.zeros(n, dtype=bool)
     L = _Lanes(model.equilibrium(), n)
 
@@ -552,8 +570,6 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
                 avg = 0.5 * (ys[1] + ys[3])
                 lane = L.lane[src]
                 np.minimum.at(run_min, lane, avg)
-                tail = in_tail[ks]
-                np.add.at(tail_sum, lane[tail], avg[tail])
                 unstable[lane[np.abs(ys[0] - ys[2]) > _ANGLE_SLIP]] = True
                 L.k_next = L.k_next + count
 
@@ -571,10 +587,8 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
             if done.any():
                 start_piece(np.flatnonzero(done))
 
-    costs = np.full(n, INSTABILITY_COST)
-    stable = ~unstable
-    costs[stable] = tail_sum[stable] / int(in_tail.sum()) - run_min[stable]
-    return costs
+    w_ss = np.array([steady_speed(model, *plan[-1][2:]) for plan in plans])
+    return np.where(unstable, INSTABILITY_COST, _speed_summary(w_ss, run_min)[2])
 
 
 @dataclass(frozen=True)
@@ -598,6 +612,7 @@ class StepResponse:
     IEEE Trans. Power Syst. 5(3), 1990); elsewhere it is only a guide.
     """
 
+    model: TwoMachineModel
     t: np.ndarray           # output grid
     uncontrolled: np.ndarray
     s: np.ndarray
@@ -615,7 +630,7 @@ class StepResponse:
                 break
             dp_ref *= 0.5
         avg = uncontrolled.avg_speed
-        return cls(uncontrolled.t, avg, (step.avg_speed - avg) / dp_ref, dp_ref, opts)
+        return cls(model, uncontrolled.t, avg, (step.avg_speed - avg) / dp_ref, dp_ref, opts)
 
     def avg_speed(self, dp: float, t_on: float, t_off: float) -> np.ndarray:
         t, s = self.t, self.s
@@ -623,7 +638,9 @@ class StepResponse:
         return self.uncontrolled + dp * lift
 
     def cost(self, dp: float, t_on: float, t_off: float) -> float:
-        return _speed_summary(self.t, self.avg_speed(dp, t_on, t_off), self.opts)[2]
+        plan = _pieces(self.model, DfecAction(dp, t_on, t_off), self.opts)
+        w_ss = steady_speed(self.model, *plan[-1][2:])
+        return _speed_summary(w_ss, float(self.avg_speed(dp, t_on, t_off).min()))[2]
 
 
 _NELDER_MEAD = {"xatol": 1e-3, "fatol": 1e-9, "maxiter": 400}
@@ -653,10 +670,12 @@ def optimize_action(
     reported action.
     """
     uncontrolled_run = _trajectory(model, None, opts, 4)
-    _, nadir0, uncontrolled = uncontrolled_run.summary(opts)
+    _, nadir0, uncontrolled = uncontrolled_run.summary()
     if uncontrolled_run.unstable:
         raise OptimizationError("the uncontrolled run loses synchronism, so there "
                                 "is no step response to rank starts on")
+    if math.isnan(uncontrolled_run.w_ss):
+        raise OptimizationError(f"uncontrolled run: {NO_STEADY_STATE}")
     surrogate = StepResponse.measure(model, uncontrolled_run, 0.5 * bounds.dp_max, opts)
 
     def unpack(v):
@@ -720,7 +739,7 @@ def optimize_action(
 
     # Report the reported action's own cost, without the cube penalty.
     action = DfecAction(*unpack(best_v))
-    _, nadir_c, cost = _trajectory(model, action, opts, 4).summary(opts)
+    _, nadir_c, cost = _trajectory(model, action, opts, 4).summary()
     if not cost < uncontrolled:
         # dp = 0 is always feasible; an action no better than none is none.
         action, nadir_c, cost = DfecAction(0.0, 0.0, 1e-3), nadir0, uncontrolled

@@ -79,42 +79,12 @@ class Trajectory:
                   [self.t, *self.x.T, self.ek, self.orbit, self.h, self.stage])
 
     def to_json(self, path) -> None:
-        """Write what ``json.dump(doc, fh, indent=1, sort_keys=True)`` writes
-        for the columns, events and per-sample arrays (NaN ``h`` as ``null``)."""
-        events = [{"t": t, "label": label} for t, label in self.events]
-        members = {
-            "columns": _json_member(self.columns()),
-            "events": _json_member(events),
-            "t": _json_array(self.t.tolist()),
-            "x": _json_array(self.x.tolist()),
-            "ek": _json_array(self.ek.tolist()),
-            "orbit_value": _json_array(self.orbit.tolist()),
-            "h": _json_array([None if v != v else v for v in self.h.tolist()]),
-            "stage": _json_array(self.stage.tolist()),
-        }
-        body = ",\n".join(f" {json.dumps(key)}: {members[key]}" for key in sorted(members))
+        """The column names of ``to_csv`` and the event log; the samples are
+        in the CSV."""
+        doc = {"columns": self.columns(),
+               "events": [{"t": t, "label": label} for t, label in self.events]}
         with open(path, "w") as fh:
-            fh.write("{\n" + body + "\n}")
-
-
-def _json_member(value) -> str:
-    """``value`` as ``json.dump(..., indent=1)`` lays out a top-level member."""
-    return json.dumps(value, indent=1, sort_keys=True).replace("\n", "\n ")
-
-
-def _json_array(values: list) -> str:
-    """``_json_member`` for a list of numbers, or of nonempty rows of
-    numbers: the C encoder writes the values in one call, and only the line
-    breaks are put in here."""
-    if not values:
-        return "[]"
-    if not isinstance(values[0], list):
-        return "[\n  " + json.dumps(values, separators=(",\n  ", ":"))[1:-1] + "\n ]"
-    # "[[a,<sep>b],<sep>[c,<sep>d]]": numbers hold no brackets, so "],<sep>["
-    # is exactly where one row ends and the next begins.
-    sep = "\n   "
-    body = json.dumps(values, separators=("," + sep, ":"))[2:-2]
-    return "[\n  [" + sep + body.replace("]," + sep + "[", "\n  ],\n  [" + sep) + "\n  ]\n ]"
+            json.dump(doc, fh, indent=1, sort_keys=True)
 
 
 def apply_disturbance(model: ReducedModel, basis: ModalBasis, dist: Disturbance):

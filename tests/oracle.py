@@ -52,9 +52,12 @@ def deoc(model, schedule, x0, t0, t_end, dt_out):
 
 def simulate(model, action, opts) -> fq.DfecTrajectory:
     """``frequency.simulate`` on ``solve_ivp``'s RK45; stops at the first piece
-    whose samples show loss of synchronism."""
+    whose samples show loss of synchronism. The steady state is the package's
+    closed form at the last piece (tests check it against long runs)."""
+    plan = fq._pieces(model, action, opts)
+    w_ss = fq.steady_speed(model, *plan[-1][2:])
     pieces = [(lo, hi, fq.dfec_dynamics(model, dp_active, p_motor))
-              for lo, hi, dp_active, p_motor in fq._pieces(model, action, opts)]
+              for lo, hi, dp_active, p_motor in plan]
     t_grid = fq._output_grid(opts)
     y = np.empty((len(t_grid), 9))
     for start, stop, samples in piecewise(pieces, model.equilibrium(), t_grid, "RK45",
@@ -62,12 +65,12 @@ def simulate(model, action, opts) -> fq.DfecTrajectory:
         y[start:stop] = samples
         if np.abs(samples[:, 0] - samples[:, 2]).max(initial=0.0) > fq._ANGLE_SLIP:
             y[:] = np.nan
-            return fq.DfecTrajectory(t=t_grid, y=y, unstable=True)
-    return fq.DfecTrajectory(t=t_grid, y=y, unstable=False)
+            return fq.DfecTrajectory(t_grid, y, True, w_ss)
+    return fq.DfecTrajectory(t_grid, y, False, w_ss)
 
 
 def nadir_cost(model, action, opts) -> float:
-    return simulate(model, action, opts).summary(opts)[2]
+    return simulate(model, action, opts).summary()[2]
 
 
 # Reference writers: the package's writers must match them byte for byte.
@@ -89,12 +92,6 @@ def trajectory_json(traj, path) -> None:
     doc = {
         "columns": traj.columns(),
         "events": [{"t": t, "label": label} for t, label in traj.events],
-        "t": [float(v) for v in traj.t],
-        "x": [[float(v) for v in row] for row in traj.x],
-        "ek": [float(v) for v in traj.ek],
-        "orbit_value": [float(v) for v in traj.orbit],
-        "h": [None if np.isnan(v) else float(v) for v in traj.h],
-        "stage": [int(v) for v in traj.stage],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -80,10 +80,13 @@ class TestValidate:
         edit(doc)
         with pytest.raises(jsonschema.ValidationError) as expected:
             jsonschema.validate(doc, schema)
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
+                        for step in expected.value.absolute_path).lstrip(".")
+        assert where    # every edit above is inside the document
         path = write_json(tmp_path / name, doc)
         for _ in range(2):   # the second load reuses the validator the first one built
             code, _, err = run(capsys, "validate", flag, str(path))
-            assert (code, err) == (2, f"input error: {expected.value.message}\n")
+            assert (code, err) == (2, f"input error: {where}: {expected.value.message}\n")
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -114,7 +117,7 @@ def _number_paths(value, path=()):
 
 def _non_finite_error(value, message, positive):
     if positive and value < 0.0:   # the schema's exclusiveMinimum rejects -inf first
-        return "input error: -inf is less than or equal to the minimum of 0\n"
+        return f"input error: {message}: -inf is less than or equal to the minimum of 0\n"
     return f"input error: {message} must be finite, got {value}\n"
 
 
@@ -278,7 +281,7 @@ class TestDeoc:
                            "--scenario", str(scn), "--out", str(tmp_path / "o"))
         assert code == 2
         if targets == [-1]:   # the schema's minimum
-            assert err == "input error: -1 is less than the minimum of 0\n"
+            assert err == "input error: targets[0]: -1 is less than the minimum of 0\n"
         else:
             assert err == ("input error: target pair 2 is outside [0, 2): "
                            "the system has 2 mode pairs\n")
@@ -367,14 +370,11 @@ class TestDfec:
 
     @pytest.mark.parametrize("sim", [
         {"dt_out": 0},
-        {"ss_window": 150.0},
         {"horizon": 0},
         {"horizon": -10.0},
         {"rtol": 0},
         {"rtol": -1e-6},
         {"atol": 0},
-        {"ss_window": 0},
-        {"ss_window": -2.0},
     ])
     def test_bad_sim_options_are_input_errors(self, capsys, tmp_path, sim):
         doc = json.loads((DATA / "dfec_twomachine.json").read_text())
@@ -385,6 +385,31 @@ class TestDfec:
                                "--out", str(tmp_path / "out.csv"))
             assert code == 2
             assert "input error: sim." in err
+
+    def test_old_ss_window_setting_is_input_error(self, capsys, tmp_path):
+        # The steady state comes from the model now; the tail window is gone.
+        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+        doc["sim"]["ss_window"] = 2.0
+        scn = write_json(tmp_path / "old.json", doc)
+        for command in ("simulate", "sweep", "optimize"):
+            code, _, err = run(capsys, "dfec", command, "--scenario", str(scn),
+                               "--out", str(tmp_path / "out"))
+            assert (code, err) == (2, "input error: sim: Additional properties are not "
+                                      "allowed ('ss_window' was unexpected)\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_no_steady_state_is_numeric_failure(self, capsys, tmp_path, command):
+        # No damping and a governor limit below the load: the speed falls on.
+        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+        doc["model"]["d1"] = doc["model"]["d2"] = 0.0
+        doc["governor"]["p_max"] = 0.8
+        doc["sim"]["horizon"] = 20.0
+        scn = write_json(tmp_path / "unsettled.json", doc)
+        code, _, err = run(capsys, "dfec", command, "--scenario", str(scn),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "the frequency does not settle" in err and "synchronism" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section,content", [
         ("model", None),
@@ -414,6 +439,9 @@ class TestDfec:
         (("sim", "disturbance"), float("nan"), "sim.disturbance must be finite"),
         (("bounds", "dp_max"), float("nan"), "bounds.dp_max must be finite"),
         (("sweep", "t_on", "start"), float("nan"), "sweep.t_on.start must be finite"),
+        (("governor", "k1"), -1.0, "governor.k1 must be >= 0"),
+        (("model", "d1"), -0.5, "model.d1 must be >= 0"),
+        (("model", "d2"), -0.5, "model.d2 must be >= 0"),
     ])
     def test_bad_model_numbers_are_input_errors(self, capsys, tmp_path, path, value,
                                                 message):

@@ -1,16 +1,21 @@
 """Two-machine frequency excursion model: dynamics, cost, optimization,
 sweeps."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from gridstep import frequency as fq
-from gridstep.errors import DimensionError, StiffnessError
+from gridstep.errors import DimensionError, OptimizationError, StiffnessError
 
 FAST = fq.SimOptions(horizon=40.0, rtol=1e-6, atol=1e-8)
+# Long enough for the governors below to settle; one sample a second.
+LONG = fq.SimOptions(horizon=250.0, dt_out=1.0, rtol=1e-9, atol=1e-11)
 
 
 @pytest.fixture(scope="module")
@@ -91,18 +96,70 @@ class TestNadirCost:
         ]
         assert all(c2 <= c1 + 1e-9 for c1, c2 in zip(costs, costs[1:]))
 
-    def test_steady_state_agrees_controlled_uncontrolled(self, model, opts):
-        # The slow turbine lag needs ~2 minutes to settle completely, so the
-        # comparison horizon is extended past the scenario default.
-        opts = replace(opts, horizon=120.0)
-        w_u = fq.simulate(model, None, opts).summary(opts)[0]
-        w_c = fq.simulate(model, fq.DfecAction(0.12, 1.5, 28.0), opts).summary(opts)[0]
-        assert abs(w_u - w_c) < 1e-4
+    def test_steady_state_agrees_controlled_uncontrolled(self, model):
+        # An injection that has ended leaves the steady state where it was,
+        # and 250 s runs of the bundled model settle there.
+        for action in (None, fq.DfecAction(0.12, 1.5, 28.0)):
+            run = fq.simulate(model, action, LONG)
+            assert run.w_ss == fq.steady_speed(model, 0.0, model.p_set + LONG.disturbance)
+            assert abs(run.avg_speed[-1] - run.w_ss) <= 1e-8
 
     def test_steady_state_matches_droop_relation(self, model, opts):
-        w_ss = fq.simulate(model, None, opts).summary(opts)[0]
+        w_ss = fq.simulate(model, None, opts).summary()[0]
         predicted = 1.0 - opts.disturbance / (model.gov.k1 + model.d1 + model.d2)
-        assert abs(w_ss - predicted) / abs(1.0 - predicted) < 0.02
+        assert w_ss == pytest.approx(predicted, rel=0.0, abs=4e-16)
+
+
+GOVERNORS = st.fixed_dictionaries({
+    "k1": st.floats(5.0, 20.0), "t1": st.floats(0.05, 0.3), "t2": st.floats(0.0, 0.2),
+    "t3": st.floats(0.05, 0.3), "k2": st.floats(0.0, 1.0), "k3": st.floats(0.0, 1.0),
+    "t4": st.floats(0.2, 1.0), "t5": st.floats(0.5, 3.0), "t6": st.floats(2.0, 12.0),
+    "p_max": st.one_of(st.just(2.0), st.floats(0.85, 0.95)),
+})
+CLAMPED = dict(k1=18.0, t1=0.2, t2=0.1, t3=0.3, k2=1.0, k3=1.0, t4=1.0, t5=3.0, t6=10.0,
+               p_max=0.85)
+
+
+class TestSteadySpeed:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @example(gov=CLAMPED, d1=2.0, d2=2.0, dp=0.0)
+    @given(gov=GOVERNORS, d1=st.floats(1.0, 3.0), d2=st.floats(1.0, 3.0),
+           dp=st.floats(0.0, 0.2))
+    def test_closed_form_matches_long_run(self, model, gov, d1, d2, dp):
+        # The turbine lags stay short (a governor held at a limit settles at
+        # their pace) and a sustained injection moves the balance.
+        model = replace(model, gov=replace(model.gov, **gov), d1=d1, d2=d2)
+        run = fq.simulate(model, fq.DfecAction(dp, 1.0, math.inf) if dp else None, LONG)
+        last = run.avg_speed[-51:]                       # the last 50 s
+        # A governor loop with too little damping rings on and never settles.
+        assume(not run.unstable and np.ptp(last) <= 1e-8)
+        assert abs(last[-1] - run.w_ss) <= 1e-8
+
+    def test_clamped_example_is_clamped(self, model):
+        w_ss = fq.steady_speed(replace(model, gov=replace(model.gov, **CLAMPED)),
+                               0.0, model.p_set + 0.25)
+        assert model.p_set - CLAMPED["k1"] * (w_ss - 1.0) > CLAMPED["p_max"]
+        droop = (CLAMPED["p_max"] - model.p_set - 0.25) / (model.d1 + model.d2)
+        assert w_ss == pytest.approx(1.0 + droop, rel=0.0, abs=4e-16)
+
+    @pytest.mark.parametrize("gov", [
+        dict(p_max=0.8),    # the governor's limit is below the load
+        dict(k1=0.0),       # no governor action
+    ])
+    def test_no_steady_state_costs_instability(self, model, gov):
+        # Without damping nothing else can balance the load.
+        model = replace(model, gov=replace(model.gov, **gov), d1=0.0, d2=0.0)
+        assert math.isnan(fq.steady_speed(model, 0.0, model.p_set + FAST.disturbance))
+        window = (0.05, 1.0, 10.0)
+        action = fq.DfecAction(*window)
+        run = fq._trajectory(model, None, FAST, 4)
+        assert not run.unstable and run.summary()[2] == fq.INSTABILITY_COST
+        assert fq.nadir_cost(model, action, FAST) == fq.INSTABILITY_COST
+        assert list(fq.nadir_costs(model, [None, action], FAST)) == [fq.INSTABILITY_COST] * 2
+        surrogate = fq.StepResponse.measure(model, run, 0.05, FAST)
+        assert surrogate.cost(*window) == fq.INSTABILITY_COST
+        with pytest.raises(OptimizationError, match="does not settle"):
+            fq.optimize_action(model, fq.ActionBounds(), FAST)
 
 
 class TestScalarStepper:
@@ -136,7 +193,7 @@ class TestScalarStepper:
         cost = fq.nadir_cost(model, action, FAST)
         ref = oracle.nadir_cost(model, action, FAST)
         assert abs(cost - ref) <= 1e-10 * ref
-        assert cost == fq.simulate(model, action, FAST).summary(FAST)[2]
+        assert cost == fq.simulate(model, action, FAST).summary()[2]
 
     def test_loss_of_synchronism(self, model):
         action = fq.DfecAction(4.0, 1.0, 10.0)
@@ -195,19 +252,11 @@ def test_overflowing_action_is_stiffness_error(model, integrate):
 
 
 class TestSimOptions:
-    @pytest.mark.parametrize("field", ["horizon", "dt_out", "rtol", "atol", "ss_window"])
+    @pytest.mark.parametrize("field", ["horizon", "dt_out", "rtol", "atol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_rejected(self, field, value):
         with pytest.raises(DimensionError, match=field):
             replace(FAST, **{field: value})
-
-    def test_ss_window_longer_than_horizon_rejected(self):
-        with pytest.raises(DimensionError, match="ss_window"):
-            replace(FAST, ss_window=FAST.horizon + 1.0)
-
-    def test_dt_out_longer_than_ss_window_rejected(self):
-        with pytest.raises(DimensionError, match="dt_out"):
-            replace(FAST, dt_out=FAST.ss_window * 2.0)
 
 
 class TestStepResponse:
@@ -226,17 +275,16 @@ class TestStepResponse:
     def test_exact_on_symmetric_calibration(self, model):
         # Equal inertias and damping: the superposition is nearly exact (the
         # model's nonlinearity reaches the average speed only through the
-        # governor's input). Late switch-offs leave a cost of ~5e-4 at
-        # this horizon, so the cost error is measured against the
+        # governor's input). The cost error is measured against the
         # uncontrolled cost, the scale of every cost here.
         uncontrolled = fq._trajectory(model, None, FAST, 4)
-        c0 = uncontrolled.summary(FAST)[2]
+        c0 = uncontrolled.summary()[2]
         surrogate = fq.StepResponse.measure(model, uncontrolled, 0.1, FAST)
         assert surrogate.dp_ref == 0.1
         for action in self.ACTIONS:
             run = fq._trajectory(model, fq.DfecAction(*action), FAST, 4)
             assert np.abs(surrogate.avg_speed(*action) - run.avg_speed).max() <= 1e-7
-            assert abs(surrogate.cost(*action) - run.summary(FAST)[2]) <= 1e-6 * c0
+            assert abs(surrogate.cost(*action) - run.summary()[2]) <= 1e-6 * c0
 
 
 @pytest.fixture(scope="module")
@@ -273,11 +321,13 @@ class TestOptimize:
         assert np.isfinite(res.cost) and res.cost <= res.uncontrolled_cost
 
     def test_polish_absorbs_surrogate_error_on_asymmetric_machines(self, model):
-        asym = replace(model, h2=1.5, d2=0.5)
+        # A light, undamped motor: the machines swing against each other and
+        # the average speed is no longer linear in the injection.
+        asym = replace(model, h2=1.5, d2=0.0)
         bounds = fq.ActionBounds(dp_max=0.2, t_on_max=4.0, t_off_max=25.0)
         res = fq.optimize_action(asym, bounds, FAST)
         assert res.cost == fq.nadir_cost(asym, res.action, FAST)   # no cube penalty
-        # The surrogate is far off here: its optimum's cost reads ~40 % low.
+        # The surrogate is far off here: its optimum's cost reads ~14 % low.
         assert res.start_cost - res.start_surrogate_cost > 0.1 * res.start_cost
         actions = [fq.DfecAction(dp, t_on, t_off)
                    for dp in np.linspace(0.0, bounds.dp_max, 9)[1:]

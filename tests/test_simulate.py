@@ -169,8 +169,6 @@ class TestExport:
         assert header == traj.columns()
         doc = json.loads(json_path.read_text())
         assert doc["columns"] == traj.columns()
-        assert np.asarray(doc["t"]) == pytest.approx(traj.t)
-        assert np.asarray(doc["x"]) == pytest.approx(traj.x)
         assert len(doc["events"]) == len(traj.events)
 
 
@@ -229,7 +227,7 @@ def test_writers_match_reference_on_extreme_values(data):
         events=[(data.draw(_ANY_FLOAT), "switch-on")] * data.draw(st.integers(0, 2)),
     )
     dfec = fq.DfecTrajectory(t=traj.t, y=data.draw(arrays(np.float64, (n, 9), elements=_ANY_FLOAT)),
-                             unstable=False)
+                             unstable=False, w_ss=1.0)
     with tempfile.TemporaryDirectory() as tmp, np.errstate(invalid="ignore"):  # inf + -inf
         tmp = Path(tmp)
         _assert_writers_match(traj, tmp)
