@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     except _INPUT_GRIDSTEP_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except jsonschema.ValidationError as exc:

@@ -14,6 +14,10 @@ _VALIDATORS: dict[int, tuple[dict, object]] = {}
 # Rows formatted per write: bounds the Python floats alive at once.
 _ROWS_PER_WRITE = 1024
 
+# Most values an output grid (time samples, sweep cells) may hold: studies use
+# 5k-50k, and a grid this size (80 MB a column) can still be allocated.
+MAX_SAMPLES = 10**7
+
 
 def validate(doc, schema: dict) -> None:
     """Raise the error ``jsonschema.validate(doc, schema)`` raises, if any,
@@ -33,6 +37,15 @@ def validate(doc, schema: dict) -> None:
     if error is not None:
         raise error
     _require_finite(doc, ())
+
+
+def require_grid(span: float, step: float, span_name: str, step_name: str) -> None:
+    """Raise :class:`DimensionError` when ``span / step`` samples (plus the
+    first) are more than ``MAX_SAMPLES``, before any of them is allocated."""
+    samples = span / step + 1.0
+    if not samples <= MAX_SAMPLES:
+        raise DimensionError(f"{span_name} = {span:.6g} at {step_name} = {step:.6g} gives "
+                             f"{samples:.3g} samples, more than {MAX_SAMPLES}")
 
 
 def field_name(path) -> str:

@@ -14,6 +14,7 @@ the phenomenon of interest is governed by the swing and governor dynamics.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -23,10 +24,20 @@ from scipy.integrate import RK45
 from scipy.optimize import minimize
 
 from .errors import DimensionError, OptimizationError, StiffnessError
+from .fileio import require_grid
 
 INSTABILITY_COST = float("inf")
-NO_STEADY_STATE = "the frequency does not settle: no speed balances the final load"
+NO_STEADY_STATE = "the frequency does not settle: no stable speed balances the final load"
 _ANGLE_SLIP = math.pi  # |delta1 - delta2| beyond this flags loss of synchronism
+# A cost run stops once the linear bound on every later excursion from the
+# final equilibrium, times this margin, stays inside the room left (see
+# ``_settled``); the margin covers the model's nonlinearity.
+_SETTLE_MARGIN = 2.0
+_MAX_MODE_COND = 1e8   # an eigenvector basis worse conditioned than this bounds nothing
+# RK45 takes about ``horizon * max |lambda|`` steps on this model (1540 for a
+# bundled 100 s run, max |lambda| = 16.1 1/s); a run that would take more than
+# this many, a minute or more, is refused before it starts.
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -122,6 +133,7 @@ class SimOptions:
         for name in ("horizon", "dt_out", "rtol", "atol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DimensionError(f"sim.{name} must be finite and > 0")
+        require_grid(self.horizon, self.dt_out, "sim.horizon", "sim.dt_out")
 
 
 @dataclass(frozen=True)
@@ -202,18 +214,142 @@ def steady_speed(model: TwoMachineModel, dp_active: float, p_motor: float) -> fl
     ``clip(p_set - k1 u, p_min, p_max) + dp_active - p_motor - (d1 + d2) u = 0``
     (Anderson & Mirheydar, IEEE Trans. Power Syst. 5(3), 1990), nonincreasing
     and linear per branch. Its root is on the unclamped branch unless the
-    command there is beyond a limit; then only damping balances the load."""
+    command there is beyond a limit; then only damping balances the load.
+    There is no steady state either when no machine angle carries the motor
+    load at that speed, or when the equilibrium is unstable (an eigenvalue of
+    its Jacobian with ``Re >= 0``: the governor loop rings on around it)."""
+    return _settling(model, dp_active, p_motor).w_ss
+
+
+# The angles enter the dynamics only through their difference, so the
+# linearization lives in the reduced state z = (d1 - d2, w1, w2, g1, g2, a1,
+# a2, a3): the state's rows ``_REDUCED`` with d2 taken off the first.
+_REDUCED = [0, 1, 3, 4, 5, 6, 7, 8]
+# Rows c of the excursions ``_settled`` bounds: the average speed, the angle
+# difference and g2, the governor command's only input.
+_WATCHED = np.array([[0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+                     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+
+
+@dataclass(frozen=True)
+class _Settling:
+    """Where a piece with fixed injection and load comes to rest, and the
+    modal bound of its linearization there.
+
+    ``w_ss`` is ``steady_speed`` and ``fastest`` the largest ``|lambda|`` of
+    the Jacobian there (NaN if there is no equilibrium). Where the bound
+    applies (a stable equilibrium ``z_eq`` with the governor command strictly
+    inside its limits and a well-conditioned eigenvector basis ``V`` of the
+    Jacobian), ``inv_v`` holds ``V^-1`` and ``weights`` ``|C V|`` for the rows
+    ``_WATCHED``; the rooms are how far the angle difference may move before
+    it slips and the command before it meets a limit. Elsewhere ``inv_v`` is
+    None."""
+
+    w_ss: float
+    fastest: float = math.nan
+    z_eq: np.ndarray | None = None
+    inv_v: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    angle_room: float = 0.0
+    command_room: float = 0.0
+
+
+def _jacobian(model: TwoMachineModel, angle: float, slope: float) -> np.ndarray:
+    """Jacobian of ``dfec_dynamics`` in the reduced state at the angle
+    difference ``angle``, with the governor limiter's slope ``slope`` (1
+    inside the limits, 0 beyond one); the rest of it is constant."""
+    g = model.gov
+    ws, h1_2, h2_2 = model.omega_s, 2.0 * model.h1, 2.0 * model.h2
+    sync = model.p_sync * math.cos(angle)
+    t2_over_t1 = g.t2 / g.t1
+    blend = (1.0 - g.k2, g.k2 * (1.0 - g.k3), g.k2 * g.k3)
+    jac = np.zeros((8, 8))
+    jac[0, 1], jac[0, 2] = ws, -ws
+    jac[1, 0], jac[1, 1] = -sync / h1_2, -model.d1 / h1_2
+    jac[1, 5:] = [b / h1_2 for b in blend]
+    jac[2, 0], jac[2, 2] = sync / h2_2, -model.d2 / h2_2
+    jac[3, 1], jac[3, 3] = 1.0 / g.t1, -1.0 / g.t1
+    jac[4, 1], jac[4, 3] = g.k1 * t2_over_t1 / g.t3, g.k1 * (1.0 - t2_over_t1) / g.t3
+    jac[4, 4] = -1.0 / g.t3
+    jac[5, 4], jac[5, 5] = -slope / g.t4, -1.0 / g.t4
+    jac[6, 5], jac[6, 6] = 1.0 / g.t5, -1.0 / g.t5
+    jac[7, 6], jac[7, 7] = 1.0 / g.t6, -1.0 / g.t6
+    return jac
+
+
+@functools.lru_cache(maxsize=1024)
+def _settling(model: TwoMachineModel, dp_active: float, p_motor: float) -> _Settling:
+    """``_Settling`` of a piece; cached, as every run and surrogate cost with
+    the same final piece asks for the same one."""
     g, damping = model.gov, model.d1 + model.d2
     surplus = dp_active - p_motor
     if g.k1 + damping == 0.0:
-        return math.nan
+        return _Settling(math.nan)
     u = (model.p_set + surplus) / (g.k1 + damping)
     command = model.p_set - g.k1 * u
+    inside = g.p_min < command < g.p_max
     if not g.p_min <= command <= g.p_max:
         if damping == 0.0:
-            return math.nan
+            return _Settling(math.nan)
         u = (min(max(command, g.p_min), g.p_max) + surplus) / damping
-    return 1.0 + u
+    load = (p_motor + model.d2 * u) / model.p_sync   # sin of the angle difference
+    if not -1.0 < load < 1.0:
+        return _Settling(math.nan)
+    angle = math.asin(load)
+    jac = _jacobian(model, angle, 1.0 if inside else 0.0)
+    if not np.isfinite(jac).all():
+        return _Settling(math.nan)
+    try:
+        lam, v = np.linalg.eig(jac)
+    except np.linalg.LinAlgError:
+        return _Settling(math.nan)
+    fastest = float(np.abs(lam).max())
+    if not lam.real.max() < 0.0:
+        return _Settling(math.nan, fastest)
+    if not inside or not np.linalg.cond(v) <= _MAX_MODE_COND:
+        return _Settling(1.0 + u, fastest)
+    z_eq = np.array([angle, 1.0 + u, 1.0 + u, u, g.k1 * u, command, command, command])
+    return _Settling(1.0 + u, fastest, z_eq, np.linalg.inv(v), np.abs(_WATCHED @ v),
+                     _ANGLE_SLIP - abs(angle), min(command - g.p_min, g.p_max - command))
+
+
+def _require_steps(settling: _Settling, opts: SimOptions) -> None:
+    """Raise :class:`StiffnessError` for a run that would take more than
+    ``_MAX_STEPS`` steps."""
+    steps = settling.fastest * opts.horizon
+    if steps > _MAX_STEPS:
+        raise StiffnessError(f"DFEC integration would take about {steps:.2g} steps, more "
+                             f"than {_MAX_STEPS}: the model's fastest mode has |lambda| = "
+                             f"{settling.fastest:.3g} 1/s")
+
+
+def _settled(settling: _Settling, y, low):
+    """Whether a run of the piece ``settling`` describes, now at the state
+    ``y`` (9 numbers, or ``(9, lanes)`` with ``low`` one per lane) and whose
+    lowest average speed so far is ``low``, can neither set a new minimum
+    nor slip later.
+
+    With every ``Re lambda < 0``, ``|c (z(t) - z*)|`` stays below
+    ``B_c = sum_i |(c V)_i (V^-1 (z - z*))_i|`` for all later ``t`` on the
+    linearization (Khalil, Nonlinear Systems, 3rd ed., sec. 4.3). The run has
+    settled once ``_SETTLE_MARGIN`` times ``B_c`` fits in the room below
+    ``w_ss`` down to ``low``, before a slip, and inside the governor limits
+    (where the linearization holds)."""
+    if settling.inv_v is None:
+        return False
+    room = settling.w_ss - low
+    # B_c is at least the excursion now, |c (z - z*)|: a run whose average
+    # speed is still that far off has not settled (a cheap first test).
+    near = _SETTLE_MARGIN * abs(0.5 * (y[1] + y[3]) - settling.w_ss) < room
+    if near is False:
+        return False
+    y = np.asarray(y)
+    e = y[_REDUCED] - settling.z_eq.reshape((8,) + (1,) * (y.ndim - 1))
+    e[0] -= y[2]
+    speed, angle, command = _SETTLE_MARGIN * (settling.weights @ np.abs(settling.inv_v @ e))
+    return (near & (speed < room) & (angle < settling.angle_room)
+            & (command < settling.command_room))
 
 
 def _speed_summary(w_ss, low):
@@ -323,10 +459,13 @@ def _initial_step(rhs, t, y, f, length, rtol, atol):
     return min(100.0 * h0, h1, length)
 
 
-def _dense_rows(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions,
-                width: int) -> array | None:
-    """The first ``width`` state components at every output sample, row after
-    row; ``None`` as soon as a sample shows loss of synchronism.
+def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
+                settling: _Settling | None = None) -> array | None:
+    """The first ``width`` state components at every output sample of the
+    run through ``pieces``, row after row; ``None`` as soon as a sample shows
+    loss of synchronism. With ``settling`` (the last piece's), the rows end
+    after the first accepted step of the last piece from which the run has
+    ``_settled``.
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
@@ -335,12 +474,14 @@ def _dense_rows(model: TwoMachineModel, action: DfecAction | None, opts: SimOpti
     t_grid = _output_grid(opts)
     t_out = t_grid.tolist()
     rtol, atol = opts.rtol, opts.atol
-    pieces = _pieces(model, action, opts)
     y = model.equilibrium().tolist()
     rows = array("d")
+    low = math.inf          # lowest average speed sampled so far
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
+        last = n == len(pieces) - 1
+        watch = settling if last else None
         rhs = dfec_dynamics(model, dp_active, p_motor)
-        k_start, k_end = _sample_range(t_grid, lo, hi, n == len(pieces) - 1)
+        k_start, k_end = _sample_range(t_grid, lo, hi, last)
         t_samples = np.clip(t_grid[k_start:k_end], lo, hi).tolist()
         t = lo
         f = rhs(t, y)
@@ -388,50 +529,60 @@ def _dense_rows(model: TwoMachineModel, action: DfecAction | None, opts: SimOpti
             end = t_new >= hi
             k = len(rows) // width
             k_stop = k_end if end else bisect.bisect_right(t_out, t_new, k, k_end)
-            if k_stop == k and not end:
-                t, y, f = t_new, y_new, k7
-                continue
-            Q = [(a,
-                  a * _P1x2 + c * _P3x2 + d * _P4x2 + e * _P5x2 + g * _P6x2 + q * _P7x2,
-                  a * _P1x3 + c * _P3x3 + d * _P4x3 + e * _P5x3 + g * _P6x3 + q * _P7x3,
-                  a * _P1x4 + c * _P3x4 + d * _P4x4 + e * _P5x4 + g * _P6x4 + q * _P7x4)
-                 for a, c, d, e, g, q
-                 in zip(*(col[:9 if end else width] for col in (k1, k3, k4, k5, k6, k7)))]
-            for ts in t_samples[k - k_start:k_stop - k_start]:
-                x = (ts - t) / h
-                x2 = x * x
-                x3 = x2 * x
-                x4 = x3 * x
-                row = [h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + y_
-                       for (q0, q1, q2, q3), y_ in zip(Q[:width], y)]
-                if abs(row[0] - row[2]) > _ANGLE_SLIP:
-                    return None
-                rows.extend(row)
-            if end:
-                y = [h * (((q0 + q1) + q2) + q3) + y_ for (q0, q1, q2, q3), y_ in zip(Q, y)]
-                break
+            if k_stop > k or end:
+                Q = [(a,
+                      a * _P1x2 + c * _P3x2 + d * _P4x2 + e * _P5x2 + g * _P6x2 + q * _P7x2,
+                      a * _P1x3 + c * _P3x3 + d * _P4x3 + e * _P5x3 + g * _P6x3 + q * _P7x3,
+                      a * _P1x4 + c * _P3x4 + d * _P4x4 + e * _P5x4 + g * _P6x4 + q * _P7x4)
+                     for a, c, d, e, g, q
+                     in zip(*(col[:9 if end else width] for col in (k1, k3, k4, k5, k6, k7)))]
+                for ts in t_samples[k - k_start:k_stop - k_start]:
+                    x = (ts - t) / h
+                    x2 = x * x
+                    x3 = x2 * x
+                    x4 = x3 * x
+                    row = [h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + y_
+                           for (q0, q1, q2, q3), y_ in zip(Q[:width], y)]
+                    if abs(row[0] - row[2]) > _ANGLE_SLIP:
+                        return None
+                    avg = 0.5 * (row[1] + row[3])
+                    if avg < low:
+                        low = avg
+                    rows.extend(row)
+                if end:
+                    y = [h * (((q0 + q1) + q2) + q3) + y_ for (q0, q1, q2, q3), y_ in zip(Q, y)]
+                    break
+            if watch is not None and _settled(watch, y_new, low):
+                return rows
             t, y, f = t_new, y_new, k7
     return rows
 
 
-def _trajectory(model, action, opts, width) -> DfecTrajectory:
+def _trajectory(model, action, opts, width, settle=False) -> DfecTrajectory:
+    """The run of ``action``; with ``settle`` (a cost run) it ends where the
+    run has ``_settled``, so ``t`` and ``y`` may stop short of the horizon."""
+    pieces = _pieces(model, action, opts)
+    settling = _settling(model, *pieces[-1][2:])      # where it settles
+    _require_steps(settling, opts)
     t = _output_grid(opts)
-    rows = _dense_rows(model, action, opts, width)
-    w_ss = steady_speed(model, *_pieces(model, action, opts)[-1][2:])   # where it settles
+    rows = _dense_rows(model, pieces, opts, width, settling if settle else None)
     if rows is None:
-        return DfecTrajectory(t, np.full((len(t), width), np.nan), True, w_ss)
-    return DfecTrajectory(t, np.frombuffer(rows).reshape(-1, width), False, w_ss)
+        return DfecTrajectory(t, np.full((len(t), width), np.nan), True, settling.w_ss)
+    y = np.frombuffer(rows).reshape(-1, width)
+    return DfecTrajectory(t[:len(y)], y, False, settling.w_ss)
 
 
 def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> DfecTrajectory:
-    """Integrate the disturbance response, restarting at every power step."""
+    """Integrate the disturbance response over the whole horizon, restarting
+    at every power step."""
     return _trajectory(model, action, opts, 9)
 
 
 def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> float:
     """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism or
-    has no steady state. Only the angles and speeds are interpolated."""
-    return _trajectory(model, action, opts, 4).summary()[2]
+    has no steady state. Only the angles and speeds are interpolated, and
+    the run stops once it has ``_settled``."""
+    return _trajectory(model, action, opts, 4, settle=True).summary()[2]
 
 
 # Lane-batched cost engine. Every lane follows the scalar step sequence and
@@ -491,6 +642,13 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
     t_grid = _output_grid(opts)
     plans = [_pieces(model, a, opts) for a in actions]
     n_pieces = np.array([len(p) for p in plans], dtype=int)
+    kind = {}                                    # distinct last pieces, numbered
+    for plan in plans:
+        kind.setdefault(plan[-1][2:], len(kind))
+    settlings = [_settling(model, *final) for final in kind]
+    for settling in settlings:
+        _require_steps(settling, opts)
+    lane_kind = np.array([kind[plan[-1][2:]] for plan in plans], dtype=int)
 
     run_min = np.full(n, np.inf)
     unstable = np.zeros(n, dtype=bool)
@@ -573,6 +731,14 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
                 unstable[lane[np.abs(ys[0] - ys[2]) > _ANGLE_SLIP]] = True
                 L.k_next = L.k_next + count
 
+            # Lanes in their last piece stop once they have settled.
+            kinds = lane_kind[L.lane]
+            check = accept & ~done & (L.piece == n_pieces[L.lane] - 1)
+            settled = np.zeros_like(check)
+            for k in np.unique(kinds[check]):
+                sel = np.flatnonzero(check & (kinds == k))
+                settled[sel] = _settled(settlings[k], y_new[:, sel], run_min[L.lane[sel]])
+
             L.t = np.where(accept, t_new, t)
             L.y = np.where(accept, y_new, y)
             L.f = np.where(accept, k7, L.f)
@@ -580,14 +746,14 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
                 # The next piece starts from the interpolant at the break.
                 L.y[:, done] = h[done] * (((Q[0] + Q[1]) + Q[2]) + Q[3])[:, done] + y[:, done]
                 L.piece = L.piece + done
-            finished = (L.piece >= n_pieces[L.lane]) | unstable[L.lane]
+            finished = (L.piece >= n_pieces[L.lane]) | unstable[L.lane] | settled
             if finished.any():
                 L.keep(~finished)
                 done = done[~finished]
             if done.any():
                 start_piece(np.flatnonzero(done))
 
-    w_ss = np.array([steady_speed(model, *plan[-1][2:]) for plan in plans])
+    w_ss = np.array([settlings[k].w_ss for k in lane_kind])
     return np.where(unstable, INSTABILITY_COST, _speed_summary(w_ss, run_min)[2])
 
 
@@ -739,7 +905,7 @@ def optimize_action(
 
     # Report the reported action's own cost, without the cube penalty.
     action = DfecAction(*unpack(best_v))
-    _, nadir_c, cost = _trajectory(model, action, opts, 4).summary()
+    _, nadir_c, cost = _trajectory(model, action, opts, 4, settle=True).summary()
     if not cost < uncontrolled:
         # dp = 0 is always feasible; an action no better than none is none.
         action, nadir_c, cost = DfecAction(0.0, 0.0, 1e-3), nadir0, uncontrolled

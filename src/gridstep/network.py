@@ -407,6 +407,6 @@ def grid_from_dict(doc: dict) -> GridSystem:
 
 def load_grid(path) -> GridSystem:
     """Read a grid description JSON file (see docs/file-formats in README)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return grid_from_dict(doc)

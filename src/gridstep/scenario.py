@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelError
-from .fileio import validate
+from .fileio import MAX_SAMPLES, require_grid, validate
 from .frequency import ActionBounds, DfecAction, GovernorParams, SimOptions, TwoMachineModel
 from .simulate import Disturbance
 
@@ -135,6 +135,7 @@ class DeocScenario:
         for name in ("t_end", "dt_out"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DimensionError(f"{name} must be finite and > 0")
+        require_grid(self.t_end, self.dt_out, "t_end", "dt_out")
 
     def dp_overrides_pu(self, base_mva: float):
         if self.dp_overrides_mw is None:
@@ -159,7 +160,9 @@ class DfecScenario:
     name: str = ""
 
 
-def scenario_kind(doc: dict) -> str:
+def scenario_kind(doc) -> str:
+    if not isinstance(doc, dict):
+        raise ModelError(f"scenario file must hold a JSON object, got {json.dumps(doc)[:40]}")
     kind = doc.get("kind")
     if kind not in ("deoc", "dfec"):
         raise ModelError(f"scenario kind must be 'deoc' or 'dfec', got {kind!r}")
@@ -198,7 +201,7 @@ def deoc_scenario_from_dict(doc: dict) -> DeocScenario:
 
 
 def _axis(spec: dict) -> np.ndarray:
-    return np.linspace(spec["start"], spec["stop"], spec["count"])
+    return np.linspace(spec["start"], spec["stop"], int(spec["count"]))
 
 
 def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
@@ -210,6 +213,9 @@ def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
     action = DfecAction(**doc["action"]) if "action" in doc else None
     opt = doc.get("optimize", {})
     sweep = doc.get("sweep", {})
+    if sweep and sweep["t_on"]["count"] * sweep["t_off"]["count"] > MAX_SAMPLES:
+        raise DimensionError(f"sweep.t_on.count x sweep.t_off.count gives more than "
+                             f"{MAX_SAMPLES} cells")
     return DfecScenario(
         model=model,
         sim=sim,
@@ -226,7 +232,7 @@ def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
 
 def load_scenario(path):
     """Read a scenario JSON file and return the matching scenario object."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if scenario_kind(doc) == "deoc":
         return deoc_scenario_from_dict(doc)

@@ -89,6 +89,57 @@ class TestValidate:
             assert (code, err) == (2, f"input error: {where}: {expected.value.message}\n")
 
 
+    @pytest.mark.parametrize("content,message", [
+        (b"[]", "scenario file must hold a JSON object, got []"),
+        (b'"x"', 'scenario file must hold a JSON object, got "x"'),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ])
+    def test_file_that_is_not_an_object_is_input_error(self, capsys, tmp_path, content,
+                                                       message):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "validate", "--scenario", str(path))
+        assert (code, err) == (2, f"input error: {message}\n")
+        code, _, err = run(capsys, "validate", "--system", str(path))
+        assert code == 2 and err.startswith("input error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,path,value,message", [
+        ("dfec_twomachine.json", ("sim", "horizon"), 1e300,
+         "sim.horizon = 1e+300 at sim.dt_out = 0.02 gives 5e+301 samples, more than 10000000"),
+        ("dfec_twomachine.json", ("sim", "dt_out"), 1e-6,
+         "sim.horizon = 100 at sim.dt_out = 1e-06 gives 1e+08 samples, more than 10000000"),
+        ("dfec_twomachine.json", ("sweep", "t_on", "count"), 1e300,
+         "sweep.t_on.count x sweep.t_off.count gives more than 10000000 cells"),
+        ("scenario_wscc9.json", ("t_end",), 1e300,
+         "t_end = 1e+300 at dt_out = 0.005 gives 2e+302 samples, more than 10000000"),
+    ])
+    def test_grid_too_large_is_input_error(self, capsys, tmp_path, name, path, value, message):
+        scn = str(_edited(tmp_path, name, path, value))
+        out = tmp_path / "o"
+        commands = [["validate", "--scenario", scn]]
+        if name.startswith("dfec"):
+            commands += [["dfec", "simulate", "--scenario", scn, "--out", str(out)],
+                         ["dfec", "sweep", "--scenario", scn, "--out", str(out)]]
+        else:
+            commands += [["deoc", "--system", str(DATA / "wscc9.json"), "--scenario", scn,
+                          "--out", str(out)]]
+        for argv in commands:
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (2, f"input error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["dfec", "simulate", "--scenario", str(DATA / "dfec_twomachine.json")],
+        ["deoc", "--system", str(DATA / "wscc9.json"),
+         "--scenario", str(DATA / "scenario_wscc9.json")],
+    ])
+    def test_t_end_flag_too_large_is_input_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "o"
+        code, _, err = run(capsys, *argv, "--out", str(out), "--t-end", "1e300")
+        assert code == 2 and "more than 10000000" in err
+        assert not out.exists()
+
+
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
@@ -175,6 +226,62 @@ class TestNonFinite:
         assert code == 2
         assert err.getvalue().startswith("input error: ")
         assert "Traceback" not in err.getvalue()
+
+
+def _member_paths(value, path=()):
+    """Paths of every member and item of a JSON document, sections included."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,), item
+        yield from _member_paths(item, path + (key,))
+
+
+class TestFuzz:
+    """Mutated bundled documents through ``validate`` and a 2 s ``dfec
+    simulate``: the exit code is 0, 1 or 2, and no traceback reaches stderr."""
+
+    WRONG_TYPES = ["x", None, True, [], {}, [1.0]]
+    HUGE = [1e300, -1e300, 1e9, 10**12]
+    NOT_OBJECTS = [[], "x", 0, None, True]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_documents(self, data):
+        name = data.draw(st.sampled_from(sorted(TestNonFinite.FILES)))
+        doc = json.loads((DATA / name).read_text())
+        if "sim" in doc:
+            doc["sim"]["horizon"] = 2.0
+        mutation = data.draw(st.sampled_from(["wrong type", "delete", "huge", "not an object"]))
+        if mutation == "not an object":
+            doc = data.draw(st.sampled_from(self.NOT_OBJECTS))
+        else:
+            members = list(_member_paths(doc))
+            if mutation == "wrong type":
+                members = [m for m in members if not isinstance(m[1], (dict, list))]
+            elif mutation == "huge":
+                members = [m for m in members if type(m[1]) in (int, float)]
+            *parents, key = data.draw(st.sampled_from(members))[0]
+            section = doc
+            for step in parents:
+                section = section[step]
+            if mutation == "delete":
+                del section[key]
+            else:
+                pool = self.WRONG_TYPES if mutation == "wrong type" else self.HUGE
+                section[key] = data.draw(st.sampled_from(pool))
+        flag = TestNonFinite.FILES[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            file = write_json(Path(tmp) / name, doc)
+            commands = [["validate", flag, str(file)]]
+            if flag == "--scenario":
+                commands.append(["dfec", "simulate", "--scenario", str(file)])
+            for argv in commands:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 1, 2)
+                assert "Traceback" not in err.getvalue()
 
 
 class TestModes:
@@ -400,16 +507,20 @@ class TestDfec:
     @pytest.mark.parametrize("command", ["simulate", "optimize"])
     def test_no_steady_state_is_numeric_failure(self, capsys, tmp_path, command):
         # No damping and a governor limit below the load: the speed falls on.
-        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
-        doc["model"]["d1"] = doc["model"]["d2"] = 0.0
-        doc["governor"]["p_max"] = 0.8
-        doc["sim"]["horizon"] = 20.0
-        scn = write_json(tmp_path / "unsettled.json", doc)
-        code, _, err = run(capsys, "dfec", command, "--scenario", str(scn),
-                           "--out", str(tmp_path / "out"))
-        assert code == 1
-        assert "the frequency does not settle" in err and "synchronism" not in err
-        assert not (tmp_path / "out").exists()
+        # A governor loop that rings on around its equilibrium never settles.
+        ringing = dict(k1=20.0, t1=0.5, t2=0.0, t3=0.5, k2=1.0, k3=1.0, t4=1.5, t5=4.0,
+                       t6=30.0)
+        for damping, governor in ((0.0, {"p_max": 0.8}), (1.0, ringing)):
+            doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+            doc["model"]["d1"] = doc["model"]["d2"] = damping
+            doc["governor"].update(governor)
+            doc["sim"]["horizon"] = 20.0
+            scn = write_json(tmp_path / "unsettled.json", doc)
+            code, _, err = run(capsys, "dfec", command, "--scenario", str(scn),
+                               "--out", str(tmp_path / "out"))
+            assert code == 1
+            assert "the frequency does not settle" in err and "synchronism" not in err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section,content", [
         ("model", None),

@@ -118,6 +118,9 @@ GOVERNORS = st.fixed_dictionaries({
 })
 CLAMPED = dict(k1=18.0, t1=0.2, t2=0.1, t3=0.3, k2=1.0, k3=1.0, t4=1.0, t5=3.0, t6=10.0,
                p_max=0.85)
+# A governor loop that rings on around its equilibrium with d1 = d2 = 1: the
+# Jacobian's slowest pair is +0.0058 +- 0.160j.
+RINGING = dict(k1=20.0, t1=0.5, t2=0.0, t3=0.5, k2=1.0, k3=1.0, t4=1.5, t5=4.0, t6=30.0)
 
 
 class TestSteadySpeed:
@@ -142,13 +145,15 @@ class TestSteadySpeed:
         droop = (CLAMPED["p_max"] - model.p_set - 0.25) / (model.d1 + model.d2)
         assert w_ss == pytest.approx(1.0 + droop, rel=0.0, abs=4e-16)
 
-    @pytest.mark.parametrize("gov", [
-        dict(p_max=0.8),    # the governor's limit is below the load
-        dict(k1=0.0),       # no governor action
-    ])
-    def test_no_steady_state_costs_instability(self, model, gov):
-        # Without damping nothing else can balance the load.
-        model = replace(model, gov=replace(model.gov, **gov), d1=0.0, d2=0.0)
+    @pytest.mark.parametrize("gov,damping", [
+        (dict(p_max=0.8), 0.0),    # the governor's limit is below the load
+        (dict(k1=0.0), 0.0),       # no governor action
+        (RINGING, 1.0),            # an unstable equilibrium
+    ], ids=["gov0", "gov1", "ringing"])
+    def test_no_steady_state_costs_instability(self, model, gov, damping):
+        # Without damping nothing else can balance the load; the ringing
+        # governor's balance is an unstable equilibrium.
+        model = replace(model, gov=replace(model.gov, **gov), d1=damping, d2=damping)
         assert math.isnan(fq.steady_speed(model, 0.0, model.p_set + FAST.disturbance))
         window = (0.05, 1.0, 10.0)
         action = fq.DfecAction(*window)
@@ -160,6 +165,86 @@ class TestSteadySpeed:
         assert surrogate.cost(*window) == fq.INSTABILITY_COST
         with pytest.raises(OptimizationError, match="does not settle"):
             fq.optimize_action(model, fq.ActionBounds(), FAST)
+
+
+def _reduced_rate(model, dp_active, p_motor, z):
+    """``dfec_dynamics`` in the reduced state z (with d2 = 0)."""
+    dy = fq.dfec_dynamics(model, dp_active, p_motor)(0.0, np.insert(z, 2, 0.0).tolist())
+    return np.array([dy[0] - dy[2], dy[1], *dy[3:]])
+
+
+def _spy_settled(monkeypatch):
+    """Count the runs and lanes ``_settled`` stops from here on."""
+    stops, real = [], fq._settled
+
+    def spy(settling, y, low):
+        out = real(settling, y, low)
+        stops.append(int(np.sum(out)))
+        return out
+
+    monkeypatch.setattr(fq, "_settled", spy)
+    return stops
+
+
+class TestSettling:
+    """Cost runs stop once the final equilibrium's modal bound shows that no
+    later sample can set a new minimum or slip."""
+
+    def test_jacobian_matches_central_differences(self, model):
+        p_motor = model.p_set + FAST.disturbance
+        for dp_active in (0.0, 0.1):
+            settling = fq._settling(model, dp_active, p_motor)
+            z = settling.z_eq
+            assert np.abs(_reduced_rate(model, dp_active, p_motor, z)).max() < 1e-12
+            step = 1e-6
+            numeric = np.column_stack([
+                (_reduced_rate(model, dp_active, p_motor, z + step * unit)
+                 - _reduced_rate(model, dp_active, p_motor, z - step * unit)) / (2.0 * step)
+                for unit in np.eye(8)])
+            jac = fq._jacobian(model, z[0], 1.0)
+            assert np.abs(numeric - jac).max() <= 1e-6 * np.abs(jac).max()
+
+    def test_bundled_and_ringing_spectra(self, model):
+        p_motor = model.p_set + FAST.disturbance
+        lam = np.linalg.eigvals(fq._jacobian(model, fq._settling(model, 0.0, p_motor).z_eq[0],
+                                             1.0))
+        assert lam.real.max() == pytest.approx(-0.0763, abs=1e-4)
+        ringing = replace(model, gov=replace(model.gov, **RINGING), d1=1.0, d2=1.0)
+        u = -FAST.disturbance / (RINGING["k1"] + 2.0)
+        angle = math.asin((p_motor + u) / ringing.p_sync)
+        lam = np.linalg.eigvals(fq._jacobian(ringing, angle, 1.0))
+        assert lam.real.max() == pytest.approx(0.0058, abs=1e-4)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(gov=GOVERNORS, h1=st.floats(1.0, 6.0), h2=st.floats(1.0, 6.0),
+           d1=st.floats(0.0, 3.0), d2=st.floats(0.0, 3.0), dp=st.floats(0.0, 0.25),
+           t_on=st.floats(0.0, 5.0), length=st.floats(0.1, 40.0))
+    def test_stopped_cost_is_full_cost(self, model, gov, h1, h2, d1, d2, dp, t_on, length):
+        model = replace(model, gov=replace(model.gov, **gov), h1=h1, h2=h2, d1=d1, d2=d2)
+        action = fq.DfecAction(dp, t_on, t_on + length) if dp else None
+        assert fq.nadir_cost(model, action, FAST) == fq.simulate(model, action, FAST).summary()[2]
+
+    def test_bundled_sweep_is_unchanged_by_the_stop(self, dfec_scenario, monkeypatch):
+        scn = dfec_scenario
+        actions = [fq.DfecAction(scn.sweep_dp, t_on, t_off)
+                   for t_on in scn.sweep_t_on for t_off in scn.sweep_t_off if t_on < t_off]
+        stops = _spy_settled(monkeypatch)
+        stopped = fq.nadir_costs(scn.model, actions, scn.sim)
+        assert sum(stops) == len(actions)      # every lane retires before the horizon
+        monkeypatch.setattr(fq, "_settled", lambda settling, y, low: False)
+        assert stopped.tobytes() == fq.nadir_costs(scn.model, actions, scn.sim).tobytes()
+
+    def test_clamped_governor_runs_to_the_horizon(self, model, monkeypatch):
+        # The command sits on p_max at rest: the linearization there does not
+        # see the limiter, so no bound is given.
+        clamped = replace(model, gov=replace(model.gov, **CLAMPED))
+        assert fq._settling(clamped, 0.0, model.p_set + FAST.disturbance).inv_v is None
+        stops = _spy_settled(monkeypatch)
+        action = fq.DfecAction(0.1, 1.0, 12.0)
+        run = fq._trajectory(clamped, action, FAST, 4, settle=True)
+        assert len(run.t) == len(run.y) == len(fq._output_grid(FAST))
+        fq.nadir_costs(clamped, [None, action], FAST)
+        assert sum(stops) == 0
 
 
 class TestScalarStepper:
