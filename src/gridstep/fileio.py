@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -11,8 +14,9 @@ from .errors import DimensionError
 # One validator per schema, built (and the schema checked) on first use.
 _VALIDATORS: dict[int, tuple[dict, object]] = {}
 
-# Rows formatted per write: bounds the Python floats alive at once.
-_ROWS_PER_WRITE = 1024
+# Rows formatted per write. The kernels hold a few dozen bytes per value at
+# once: 384 rows of 25 columns peak near 1.2 MB (tests/test_fileio.py).
+_ROWS_PER_WRITE = 384
 
 # Most values an output grid (time samples, sweep cells) may hold: studies use
 # 5k-50k, and a grid this size (80 MB a column) can still be allocated.
@@ -66,15 +70,233 @@ def _require_finite(value, path: tuple) -> None:
 
 def write_csv(path, names, formats, columns) -> None:
     """Write equal-length ``columns`` under the header ``names``, each value
-    through its column's ``%`` format.
+    through its column's format: ``%.12e``, ``%.9f`` or ``%d``.
 
     The bytes are those ``csv.writer`` writes for the same strings (comma
-    separated, ``\\r\\n`` line ends): names and formatted numbers need no
-    quoting."""
-    template = ",".join(formats) + "\r\n"
+    separated, ``\\r\\n`` line ends; names and formatted numbers need no
+    quoting), and each formatted value is the string Python's ``%`` gives.
+    The numbers are formatted in numpy: each chunk of rows becomes one
+    NUL-padded ``uint8`` matrix, a fixed-width field per value that starts
+    with its comma, and dropping its NUL bytes leaves the chunk's text."""
     columns = [np.asarray(c) for c in columns]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\r\n")
+    runs = [(fmt, [c for _, c in run]) for fmt, run in
+            itertools.groupby(zip(formats, columns), key=lambda fc: fc[0])]
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\r\n").encode())
         for lo in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            rows = zip(*(c[lo:lo + _ROWS_PER_WRITE].tolist() for c in columns))
-            fh.writelines(map(template.__mod__, rows))
+            rows = min(_ROWS_PER_WRITE, len(columns[0]) - lo)
+            # One kernel call per run of same-format columns, row by row.
+            blocks = [_KERNELS[fmt](np.stack([c[lo:lo + rows] for c in run], axis=1).ravel())
+                      .reshape(rows, -1) for fmt, run in runs]
+            line = np.hstack(blocks + [np.tile(np.frombuffer(b"\r\n", np.uint8), (rows, 1))])
+            line[:, 0] = 0                        # the first field's comma
+            fh.write(line[line != 0].tobytes())
+
+
+def _e12_fields(v: np.ndarray) -> np.ndarray:
+    """``f",{x:.12e}"`` for each double ``x`` of ``v``, one NUL-padded row of
+    ``uint8`` each.
+
+    Each ``|x|`` in ``[1e-10, 1e13)`` is scaled by an exact ``10^k``
+    (``0 <= k <= 22``) to ``p + err``, the product and its rounding error, so
+    rounding to 13 significant digits sees the exact value. NaN is written
+    here; zero, subnormals, infinities, values outside that range and exact
+    decimal ties go through Python's ``%`` one at a time."""
+    t = _tables()
+    v = v.astype(float, copy=False)
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    fast = (e >= -10.0) & (e <= 12.0)     # False on 0, inf, NaN and out of range
+    a[~fast], e[~fast] = 1.0, 0.0
+    p, err = _two_product(a, 12.0 - e)
+
+    # log10 can land one decade off next to a power of ten: move those one
+    # decade, and leave any the move cannot settle to Python.
+    off = np.flatnonzero(_below(p, err, 1e12) | ~_below(p, err, 1e13))
+    if off.size:
+        e[off] -= np.where(_below(p[off], err[off], 1e12), 1.0, -1.0)
+        ok = (e[off] >= -10.0) & (e[off] <= 12.0)
+        e[off[~ok]] = 0.0
+        p[off], err[off] = _two_product(a[off], 12.0 - e[off])
+        ok &= ~_below(p[off], err[off], 1e12) & _below(p[off], err[off], 1e13)
+        fast[off[~ok]] = False
+
+    d, tie = _round(p, err)
+    fast &= ~tie
+    carry = d == 1e13
+    d[carry] = 1e12
+    e += carry
+    lead = np.floor(d / 1e12)             # d < 2^53: the quotients floor exactly
+    nan = np.isnan(v)
+    words = np.empty((5, len(v)), dtype="<u4")
+    head = np.where(nan, 20.0, lead + 10.0 * (v < 0.0))
+    _take(t.heads, head, words[0])                   # ",\0d." / ",-d." / ",nan"
+    _put_digits(d - lead * 1e12, words[1:4], t)
+    _take(t.exponents, e + 10.0, words[4])           # "e+dd"
+    if nan.any():
+        words[1:, nan] = 0
+    return _by_python(_fields(words), v, np.flatnonzero(~fast & ~nan), "%.12e")
+
+
+def _f9_fields(v: np.ndarray) -> np.ndarray:
+    """``",%.9f" % x`` for each double ``x`` of ``v``, as :func:`_e12_fields`
+    does it: ``|x| < 4e6`` in numpy (``round(|x| 10^9) < 2^52``), the rest
+    and exact ties through Python."""
+    t = _tables()
+    v = v.astype(float, copy=False)
+    a = np.abs(v)
+    fast = a < 4e6                        # False on inf and NaN
+    a[~fast] = 0.0
+    d, tie = _round(*_two_product(a, np.full(len(a), 9.0)))
+    fast &= ~tie
+    units = np.floor(d / 1e9)
+    d -= units * 1e9
+    tenths = np.floor(d / 1e8)
+    words = np.empty((6, len(v)), dtype="<u4")
+    words[0] = np.where(np.signbit(v), ord(",") | ord("-") << 24, ord(","))
+    _put_int(units, words[1:3], t)
+    _take(t.points, tenths, words[3])                # "\0\0.d"
+    _put_digits(d - tenths * 1e8, words[4:6], t)
+    return _by_python(_fields(words), v, np.flatnonzero(~fast), "%.9f")
+
+
+def _d_fields(v: np.ndarray) -> np.ndarray:
+    """``",%d" % x`` for each number ``x`` of ``v`` (truncated toward zero);
+    ``|x| >= 10^8`` and NaN go through Python. The arithmetic is float64's,
+    as in the other kernels."""
+    x = v.astype(float)
+    fast = (x > -1e8) & (x < 1e8)
+    words = np.empty((3, len(v)), dtype="<u4")
+    words[0] = np.where(x <= -1.0, ord(",") | ord("-") << 24, ord(","))
+    _put_int(np.where(fast, np.floor(np.abs(x)), 0.0), words[1:3], _tables())
+    return _by_python(_fields(words), v, np.flatnonzero(~fast), "%d")
+
+
+_KERNELS = {"%.12e": _e12_fields, "%.9f": _f9_fields, "%d": _d_fields}
+
+
+def _two_product(a, k):
+    """``a * 10^k`` as ``(p, err)``: the rounded product and its exact
+    rounding error (Dekker's TwoProduct, Numer. Math. 18, 1971), for integer
+    ``0 <= k <= 22``, where ``10^k`` is an exact double."""
+    t = _tables()
+    k = k.astype(np.intp)
+    b, b_hi, b_lo = t.pow10[k], t.pow10_hi[k], t.pow10_lo[k]
+    p = a * b
+    a_hi, a_lo = _split(a)
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, err
+
+
+def _split(a):
+    """Veltkamp's split of doubles into two 26-bit halves, ``a = hi + lo``."""
+    c = 134217729.0 * a                   # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _below(p, err, bound):
+    """``p + err < bound`` exactly, for a representable ``bound``."""
+    return (p < bound) | ((p == bound) & (err < 0.0))
+
+
+def _round(p, err):
+    """``(d, tie)``: ``p + err`` (``|err|`` at most half an ulp of ``p``)
+    rounded to the nearest integer, and where it lies exactly halfway.
+
+    ``rint(p)`` is off only when ``p`` is itself a half, where ``err``'s
+    sign decides."""
+    d = np.rint(p)
+    frac = p - d
+    half = np.abs(frac) == 0.5
+    d += half & (frac > 0.0) & (err > 0.0)
+    d -= half & (frac < 0.0) & (err < 0.0)
+    return d, half & (err == 0.0)
+
+
+def _put_digits(n, words, t):
+    """Write the decimal digits of the integers ``n`` (floats below
+    ``min(2^53, 10^(4 w))``), zero-padded, into the ``w`` rows of 4-byte
+    ``words``. The float quotients floor exactly below 2^53."""
+    for i in range(len(words) - 1, -1, -1):
+        q = np.floor(n / 1e4)
+        _take(t.digits, n - q * 1e4, words[i])
+        n = q
+
+
+def _put_int(n, words, t):
+    """Write ``"%d"`` of the integers ``0 <= n < 10^8`` (floats) into the two
+    rows of 4-byte ``words``, with NUL for the leading zeros."""
+    q = np.floor(n / 1e4)
+    _take(t.highs, q, words[0])
+    _take(t.lows, n - q * 1e4 + 1e4 * (q > 0.0), words[1])
+
+
+def _take(table, index, out):
+    """``out[:] = table[index]`` for float indices known to be in range."""
+    np.take(table, index.astype(np.intp), out=out, mode="clip")
+
+
+def _fields(words):
+    """The ``(w, n)`` 4-byte words as ``n`` rows of ``4 w`` bytes."""
+    return np.ascontiguousarray(words.T).view(np.uint8)
+
+
+def _by_python(out, v, slow, fmt):
+    """``out`` with the fields at ``slow`` (after their comma) replaced by
+    Python's ``fmt``, widened with NUL columns when one of them needs it."""
+    texts = [(fmt % v[i]).encode() for i in slow.tolist()]
+    width = max(map(len, texts), default=0) + 1
+    if width > out.shape[1]:
+        out = np.hstack([out, np.zeros((len(out), width - out.shape[1]), dtype=np.uint8)])
+    for i, text in zip(slow.tolist(), texts):
+        out[i, 1:] = 0
+        out[i, 1:len(text) + 1] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """Exact doubles ``10^0 .. 10^22`` and their Veltkamp halves, then the
+    little-endian 4-byte words the kernels assemble fields from:
+    ``digits[n]`` spells ``0 <= n < 10^4`` in four digits; ``highs[n]`` the
+    same with NUL for leading zeros (all NUL for 0); ``lows[n]`` is
+    ``highs[n]`` but ``"\\0\\0\\00"`` for 0, and ``lows[10^4 + n]`` is
+    ``digits[n]``. ``heads`` holds ``",\\0d."``, ``",-d."`` and ``",nan"``
+    (index ``d``, ``10 + d`` and 20), ``exponents`` ``"e-10" .. "e+13"`` and
+    ``points`` ``"\\0\\0.d"``.
+
+    Words are built from two-digit pairs with the float64 operations the
+    kernels run anyway: integer arithmetic on the full range pages in about
+    0.6 MB more memory."""
+    pow10 = np.array([float(10**k) for k in range(23)])
+    k = np.arange(100.0)
+    tens = np.floor(k / 10.0)
+    pair = tens + ord("0") + 256.0 * (k - 10.0 * tens + ord("0"))  # "dd" as a 2-byte value
+    short = np.where(k >= 10.0, pair, 256.0 * (k + ord("0")))      # "\0d" below 10
+    digits = (pair[:, None] + 65536.0 * pair).astype("<u4").ravel()   # at 100 * high + low
+    highs = (np.where(k > 0.0, short, 0.0)[:, None] + 65536.0 * pair).astype("<u4").ravel()
+    highs[:100] = 65536.0 * short                                      # below 100: "\0\0" first
+    lows = np.concatenate([highs, digits])                             # lows[0] is "\0\0\00"
+    highs[0] = 0
+    exp = np.arange(-10.0, 14.0)
+    e_tens = np.floor(np.abs(exp) / 10.0)
+    tables = SimpleNamespace(
+        pow10=pow10, pow10_hi=_split(pow10)[0], pow10_lo=_split(pow10)[1],
+        digits=digits, highs=highs, lows=lows,
+        heads=np.append(_words(ord(","), np.repeat([0.0, ord("-")], 10),
+                               np.tile(np.arange(10.0), 2) + ord("0"), ord(".")),
+                        _words(*b",nan")),
+        exponents=_words(ord("e"), np.where(exp < 0.0, ord("-"), ord("+")), e_tens + ord("0"),
+                         np.abs(exp) - 10.0 * e_tens + ord("0")),
+        points=_words(0.0, 0.0, ord("."), np.arange(10.0) + ord("0")))
+    for table in vars(tables).values():
+        table.flags.writeable = False     # one set, shared by every call
+    return tables
+
+
+def _words(b0, b1, b2, b3) -> np.ndarray:
+    """Little-endian 4-byte words of the byte values ``b0 .. b3`` (floats or
+    arrays of them, broadcast)."""
+    return np.asarray(b0 + 256.0 * (b1 + 256.0 * (b2 + 256.0 * b3))).astype("<u4")

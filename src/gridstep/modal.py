@@ -34,8 +34,10 @@ class ModalBasis:
     m: np.ndarray             # 2m x 2m complex eigenvector matrix
     m_inv: np.ndarray
     eigenvalues: np.ndarray   # 2m complex, conjugate pairs adjacent (+j first)
+    omega: np.ndarray         # m modal frequencies, rad/s (eigenvalues[0::2].imag)
     d: np.ndarray             # real positive definite
     e: np.ndarray             # real positive definite
+    g: np.ndarray             # D + A^T E A, the switching function's quadratic form
     modes: tuple[Mode, ...]
 
     @property
@@ -119,8 +121,10 @@ def analyze(model: ReducedModel) -> ModalBasis:
         m=big_m,
         m_inv=m_inv,
         eigenvalues=eigvals,
+        omega=freqs,
         d=d,
         e=e,
+        g=d + model.a.T @ e @ model.a,
         modes=tuple(modes),
     )
 
@@ -138,10 +142,16 @@ def _project_real(mat: np.ndarray) -> np.ndarray:
 def propagate(basis: ModalBasis, center: np.ndarray, x_start: np.ndarray,
               dt: float | np.ndarray) -> np.ndarray:
     """Exact state ``dt`` seconds ahead for dynamics centered at ``center``.
-    Takes one offset (a ``(2m,)`` state) or an array of offsets (one state each)."""
-    z = basis.m_inv @ (np.asarray(x_start, dtype=float) - center)
-    phases = np.exp(np.multiply.outer(dt, basis.eigenvalues)) * z
-    return (phases @ basis.m.T).real + center
+    Takes one offset (a ``(2m,)`` state) or an array of offsets (one state each).
+
+    The real form of ``c + M e^(Λ dt) M^-1 (x_start - c)``: the modal
+    coordinates come in conjugate pairs, so with ``W = M[:, 0::2] ·
+    (M^-1[0::2] (x_start - c))`` the state is
+    ``c + cos(dt ω) (2 Re W)^T - sin(dt ω) (2 Im W)^T``. As in the complex
+    form, the deviation is summed before ``c`` is added."""
+    w = basis.m[:, 0::2] * (basis.m_inv[0::2] @ (np.asarray(x_start, dtype=float) - center))
+    phase = np.multiply.outer(dt, basis.omega)
+    return center + (np.cos(phase) @ (2.0 * w.real.T) - np.sin(phase) @ (2.0 * w.imag.T))
 
 
 def orbit_value(basis: ModalBasis, center: np.ndarray, x: np.ndarray) -> float | np.ndarray:

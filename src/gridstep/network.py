@@ -382,11 +382,11 @@ def grid_from_dict(doc: dict) -> GridSystem:
     base = float(doc["base_mva"])
     to_pu = (1.0 / base) if doc["units"] == "MW" else 1.0
     return GridSystem(
-        buses=tuple(Bus(b["id"], b["type"]) for b in doc["buses"]),
-        branches=tuple(Branch(br["from"], br["to"], br["x"]) for br in doc["branches"]),
+        buses=tuple(Bus(int(b["id"]), b["type"]) for b in doc["buses"]),
+        branches=tuple(Branch(int(br["from"]), int(br["to"]), br["x"]) for br in doc["branches"]),
         generators=tuple(
             Generator(
-                bus=g["bus"],
+                bus=int(g["bus"]),
                 inertia=g["inertia"],
                 pm=g["pm"] * to_pu,
                 infinite=g.get("infinite", False),
@@ -394,9 +394,9 @@ def grid_from_dict(doc: dict) -> GridSystem:
             )
             for g in doc["generators"]
         ),
-        loads=tuple(Load(l["bus"], l["p"] * to_pu) for l in doc.get("loads", [])),
+        loads=tuple(Load(int(l["bus"]), l["p"] * to_pu) for l in doc.get("loads", [])),
         ccs=tuple(
-            ControllableComponent(c["bus"], c.get("p0", 0.0) * to_pu)
+            ControllableComponent(int(c["bus"]), c.get("p0", 0.0) * to_pu)
             for c in doc.get("ccs", [])
         ),
         base_mva=base,

@@ -84,10 +84,9 @@ def switching_function(
 ) -> float | np.ndarray:
     """Closed-form switch-on indicator; its zero marks the switching instant.
     Takes one ``(2m,)`` state or a ``(k, 2m)`` stack (one value per state)."""
-    g = basis.d + basis.a.T @ basis.e @ basis.a
     shift = x_e - x_c
     dx = np.asarray(x, dtype=float) - x_c
-    return 2.0 * shift @ basis.d @ shift - np.einsum("...j,jk,...k->...", dx, g, dx)
+    return 2.0 * shift @ basis.d @ shift - np.einsum("...j,jk,...k->...", dx, basis.g, dx)
 
 
 def oscillation_energy(model: ReducedModel, x: np.ndarray) -> float | np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DimensionError, ModelError
 from .fileio import MAX_SAMPLES, require_grid, validate
 from .frequency import ActionBounds, DfecAction, GovernorParams, SimOptions, TwoMachineModel
+from .oscillation import SAMPLE_DT
 from .simulate import Disturbance
 
 _DISTURBANCE_SCHEMA = {
@@ -136,6 +137,7 @@ class DeocScenario:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DimensionError(f"{name} must be finite and > 0")
         require_grid(self.t_end, self.dt_out, "t_end", "dt_out")
+        require_grid(self.stage_window, SAMPLE_DT, "stage_window", "the switch-time search step")
 
     def dp_overrides_pu(self, base_mva: float):
         if self.dp_overrides_mw is None:
@@ -169,6 +171,11 @@ def scenario_kind(doc) -> str:
     return kind
 
 
+def _int(value):
+    """An ``integer`` field as ``int``: JSON Schema also admits ``1.0``."""
+    return None if value is None else int(value)
+
+
 def deoc_scenario_from_dict(doc: dict) -> DeocScenario:
     validate(doc, DEOC_SCENARIO_SCHEMA)
     d = doc["disturbance"]
@@ -176,7 +183,7 @@ def deoc_scenario_from_dict(doc: dict) -> DeocScenario:
         kind=d["kind"],
         x0=np.asarray(d["x0"], dtype=float) if d.get("x0") is not None else None,
         t0=d.get("t0", 0.0),
-        bus=d.get("bus"),
+        bus=_int(d.get("bus")),
         magnitude=d.get("magnitude", 0.0),
         start=d.get("start", 0.0),
         duration=d.get("duration", 0.0),
@@ -190,8 +197,8 @@ def deoc_scenario_from_dict(doc: dict) -> DeocScenario:
         t_end=doc["t_end"],
         dt_out=doc.get("dt_out", 0.005),
         stage_window=doc.get("stage_window", 10.0),
-        targets=tuple(targets) if targets is not None else None,
-        n_targets=doc.get("n_targets", 2),
+        targets=tuple(map(_int, targets)) if targets is not None else None,
+        n_targets=_int(doc.get("n_targets", 2)),
         scale=doc.get("scale"),
         dp_overrides_mw=tuple(tuple(v) if v is not None else None for v in overrides)
         if overrides is not None
@@ -212,6 +219,10 @@ def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
     bounds = ActionBounds(**doc.get("bounds", {}))
     action = DfecAction(**doc["action"]) if "action" in doc else None
     opt = doc.get("optimize", {})
+    grid_starts = _int(opt.get("grid_starts", 5))
+    if grid_starts**3 > MAX_SAMPLES:
+        raise DimensionError(f"optimize.grid_starts = {grid_starts} gives {grid_starts}^3 "
+                             f"starts, more than {MAX_SAMPLES}")
     sweep = doc.get("sweep", {})
     if sweep and sweep["t_on"]["count"] * sweep["t_off"]["count"] > MAX_SAMPLES:
         raise DimensionError(f"sweep.t_on.count x sweep.t_off.count gives more than "
@@ -221,8 +232,8 @@ def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
         sim=sim,
         bounds=bounds,
         action=action,
-        grid_starts=opt.get("grid_starts", 5),
-        refine_starts=opt.get("refine_starts", 3),
+        grid_starts=grid_starts,
+        refine_starts=_int(opt.get("refine_starts", 3)),
         sweep_dp=sweep.get("dp", 0.1),
         sweep_t_on=_axis(sweep["t_on"]) if sweep else None,
         sweep_t_off=_axis(sweep["t_off"]) if sweep else None,

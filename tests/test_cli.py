@@ -112,6 +112,9 @@ class TestValidate:
          "sweep.t_on.count x sweep.t_off.count gives more than 10000000 cells"),
         ("scenario_wscc9.json", ("t_end",), 1e300,
          "t_end = 1e+300 at dt_out = 0.005 gives 2e+302 samples, more than 10000000"),
+        ("scenario_wscc9.json", ("stage_window",), 1e9,
+         "stage_window = 1e+09 at the switch-time search step = 0.001 gives 1e+12 samples, "
+         "more than 10000000"),
     ])
     def test_grid_too_large_is_input_error(self, capsys, tmp_path, name, path, value, message):
         scn = str(_edited(tmp_path, name, path, value))
@@ -238,12 +241,31 @@ def _member_paths(value, path=()):
 
 
 class TestFuzz:
-    """Mutated bundled documents through ``validate`` and a 2 s ``dfec
-    simulate``: the exit code is 0, 1 or 2, and no traceback reaches stderr."""
+    """Mutated bundled documents through every subcommand that reads them
+    (``validate``, ``modes``, ``deoc`` and the three ``dfec`` commands on a
+    2 s horizon, a 2 x 2 sweep and a one-start optimizer): the exit code is 0,
+    1 or 2, and no traceback reaches stderr."""
 
     WRONG_TYPES = ["x", None, True, [], {}, [1.0]]
     HUGE = [1e300, -1e300, 1e9, 10**12]
     NOT_OBJECTS = [[], "x", 0, None, True]
+
+    @staticmethod
+    def _commands(name, file, tmp):
+        flag = TestNonFinite.FILES[name]
+        commands = [["validate", flag, str(file)]]
+        if name == "wscc9.json":
+            commands += [["modes", "--system", str(file)],
+                         ["deoc", "--system", str(file), "--scenario",
+                          str(DATA / "scenario_wscc9.json"), "--out", f"{tmp}/deoc"]]
+        elif name.startswith("scenario_"):
+            commands.append(["deoc", "--system", str(DATA / "wscc9.json"), "--scenario",
+                             str(file), "--out", f"{tmp}/deoc"])
+        else:
+            commands += [["dfec", "simulate", "--scenario", str(file)],
+                         ["dfec", "sweep", "--scenario", str(file), "--out", f"{tmp}/s.csv"],
+                         ["dfec", "optimize", "--scenario", str(file), "--out", f"{tmp}/r.json"]]
+        return commands
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -252,6 +274,8 @@ class TestFuzz:
         doc = json.loads((DATA / name).read_text())
         if "sim" in doc:
             doc["sim"]["horizon"] = 2.0
+            doc["sweep"]["t_on"]["count"] = doc["sweep"]["t_off"]["count"] = 2
+            doc["optimize"] = {"grid_starts": 1, "refine_starts": 1}
         mutation = data.draw(st.sampled_from(["wrong type", "delete", "huge", "not an object"]))
         if mutation == "not an object":
             doc = data.draw(st.sampled_from(self.NOT_OBJECTS))
@@ -270,13 +294,9 @@ class TestFuzz:
             else:
                 pool = self.WRONG_TYPES if mutation == "wrong type" else self.HUGE
                 section[key] = data.draw(st.sampled_from(pool))
-        flag = TestNonFinite.FILES[name]
         with tempfile.TemporaryDirectory() as tmp:
             file = write_json(Path(tmp) / name, doc)
-            commands = [["validate", flag, str(file)]]
-            if flag == "--scenario":
-                commands.append(["dfec", "simulate", "--scenario", str(file)])
-            for argv in commands:
+            for argv in self._commands(name, file, tmp):
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                     code = main(argv)
@@ -393,6 +413,19 @@ class TestDeoc:
             assert err == ("input error: target pair 2 is outside [0, 2): "
                            "the system has 2 mode pairs\n")
 
+    def test_integer_valued_float_targets(self, capsys, tmp_path):
+        """JSON Schema's ``integer`` admits ``0.0``: ``targets: [0.0, 1.0]``
+        runs as ``[0, 1]``, byte for byte."""
+        outputs = []
+        for k, targets in enumerate([[0, 1], [0.0, 1.0]]):
+            scn = _edited(tmp_path, "scenario_wscc9.json", ("targets",), targets)
+            out = tmp_path / f"o{k}"
+            code, stdout, err = run(capsys, "deoc", "--system", str(DATA / "wscc9.json"),
+                                    "--scenario", str(scn), "--out", str(out))
+            assert (code, err) == (0, "")
+            outputs.append([stdout] + [p.read_bytes() for p in sorted(out.iterdir())])
+        assert outputs[0] == outputs[1]
+
     def test_wrong_scenario_kind_is_input_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "deoc", "--system", str(DATA / "wscc9.json"),
@@ -457,6 +490,27 @@ class TestDfec:
         # Symmetric machines: the surrogate is exact to the integrator's tolerance.
         assert abs(surrogate["gap"]) <= 1e-6 * doc["uncontrolled_cost"]
         assert doc["nonlinear_evals"] > len(doc["history"])
+
+    def test_integer_valued_float_starts(self, capsys, tmp_path):
+        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+        doc["sim"]["horizon"] = 5.0
+        doc["bounds"] = {"dp_max": 0.1, "t_on_max": 1.0, "t_off_max": 4.0}
+        doc["optimize"] = {"grid_starts": 1.0, "refine_starts": 1.0}
+        scn = write_json(tmp_path / "starts.json", doc)
+        out = tmp_path / "result.json"
+        code, _, err = run(capsys, "dfec", "optimize", "--scenario", str(scn), "--out", str(out))
+        assert (code, err) == (0, "")
+        assert len(json.loads(out.read_text())["history"]) == 1
+
+    def test_oversized_start_grid_is_input_error(self, capsys, tmp_path):
+        """``grid_starts^3`` starts are bounded like an output grid."""
+        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+        doc["optimize"] = {"grid_starts": 216}
+        scn = str(write_json(tmp_path / "starts.json", doc))
+        for argv in (["validate", "--scenario", scn], ["dfec", "optimize", "--scenario", scn]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (2, "input error: optimize.grid_starts = 216 gives 216^3 "
+                                      "starts, more than 10000000\n")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "optimize"])
     def test_overflowing_action_is_numeric_failure(self, capsys, tmp_path, command):

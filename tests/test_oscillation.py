@@ -18,10 +18,12 @@ from gridstep import (
     oscillation_energy,
     switching_function,
 )
-from gridstep import oscillation
+from gridstep import oscillation, simulate
 from gridstep.modal import propagate
 from gridstep.oscillation import SAMPLE_DT, auto_scale, default_targets
 from gridstep.simulate import Disturbance, apply_disturbance
+
+import oracle
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +243,25 @@ class TestSearchBlocks:
             assert (got.t_on, got.t_off, got.h_residual, got.energy_on, got.energy_off) == (
                 want.t_on, want.t_off, want.h_residual, want.energy_on, want.energy_off)
         assert b.schedule.skipped == ref.skipped
+
+
+def test_bundled_schedules_match_complex_propagation(monkeypatch, bundled_deoc):
+    """The real-form ``propagate`` leaves each bundled study's stages and
+    skips as the complex modal form gives them. Switch-on roots agree to
+    1e-9 s, switch-off times to 1e-7 s: ``minimize_scalar``'s bounded search
+    resolves a flat energy minimum to about ``sqrt(eps) |t|``, and a
+    rounding-level change of the energy moves its result that far."""
+    b = bundled_deoc
+    monkeypatch.setattr(oscillation, "propagate", oracle.propagate)
+    monkeypatch.setattr(simulate, "propagate", oracle.propagate)
+    t0, x0 = apply_disturbance(b.model, b.basis, b.scn.disturbance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = build_schedule(b.basis, b.model, x0, t0, b.targets, **b.kwargs)
+    assert b.schedule.skipped == ref.skipped
+    assert [(s.target_modes, s.t_on, s.t_off) for s in b.schedule.stages] == [
+        (s.target_modes, pytest.approx(s.t_on, abs=1e-9), pytest.approx(s.t_off, abs=1e-7))
+        for s in ref.stages]
 
 
 class TestStageRide:
