@@ -177,12 +177,13 @@ class DfecResult:
 def dfec_dynamics(model: TwoMachineModel, dp_active, p_motor,
                   sin=math.sin, maximum=max, minimum=min):
     """Right-hand side for one continuous piece (fixed injection and load):
-    ``rhs(t, y)`` returns the 9 derivatives as a list.
+    ``rhs(d1, w1, d2, w2, g1, g2, a1, a2, a3)`` returns the 9 derivatives
+    as a tuple, in state order.
 
     With numpy's ``sin``, ``maximum`` and ``minimum`` the same rule steps
-    numpy lanes: ``y`` is then ``(9, lanes)`` and ``dp_active``/``p_motor``
-    are ``(lanes,)``; every lane sees the float rule's operations in its
-    order."""
+    numpy lanes, called as ``rhs(*y)`` with ``y`` of shape ``(9, lanes)``
+    and ``dp_active``/``p_motor`` of shape ``(lanes,)``; every lane sees the
+    float rule's operations in its order."""
     g = model.gov
     ws, p_sync, p_set = model.omega_s, model.p_sync, model.p_set
     damp1, damp2 = model.d1, model.d2
@@ -192,17 +193,16 @@ def dfec_dynamics(model: TwoMachineModel, dp_active, p_motor,
     p_min, p_max = g.p_min, g.p_max
     blend1, blend2, blend3 = 1.0 - g.k2, g.k2 * (1.0 - g.k3), g.k2 * g.k3
 
-    def rhs(t, y):
-        d1, w1, d2, w2, g1, g2, a1, a2, a3 = y
+    def rhs(d1, w1, d2, w2, g1, g2, a1, a2, a3):
         pe = p_sync * sin(d1 - d2)
         u = w1 - 1.0
         y1 = g1 + t2_over_t1 * (u - g1)
         p_cmd = minimum(maximum(p_set - g2, p_min), p_max)
         pm1 = blend1 * a1 + blend2 * a2 + blend3 * a3
-        return [ws * u, (pm1 - (pe - dp_active) - damp1 * u) / h1_2,
+        return (ws * u, (pm1 - (pe - dp_active) - damp1 * u) / h1_2,
                 ws * (w2 - 1.0), (pe - p_motor - damp2 * (w2 - 1.0)) / h2_2,
                 (u - g1) / t1, (k1 * y1 - g2) / t3,
-                (p_cmd - a1) / t4, (a1 - a2) / t5, (a2 - a3) / t6]
+                (p_cmd - a1) / t4, (a1 - a2) / t5, (a2 - a3) / t6)
 
     return rhs
 
@@ -413,10 +413,11 @@ def _sample_range(t_grid: np.ndarray, lo: float, hi: float, last: bool) -> tuple
 # Dormand-Prince 5(4) tableau of ``scipy.integrate.RK45``, the RMS error norm,
 # scipy's step controller and ``select_initial_step`` at every piece, so
 # rtol/atol keep their meaning. ``_dense_rows`` steps one action on
-# plain floats; ``nadir_costs`` steps a batch as numpy lanes. Each loop is the
-# only fast one for its work (one action, or a sweep's many), so both stay;
-# they share ``dfec_dynamics``, the tableau below, ``_initial_step`` and the
-# piece start.
+# plain floats, straight-line over nine scalars; ``nadir_costs`` steps a batch
+# as numpy lanes. Each loop is the only fast one for its work (one action, or
+# a sweep's many: 38 bench sweep cells take ~3x as long on the float loop as
+# on lanes, ``BENCH_12.json``), so both stay; they share ``dfec_dynamics``,
+# the tableau below, ``_initial_step`` and the piece start.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's RungeKutta
 _ERR_EXP = -1.0 / (RK45.error_estimator_order + 1)
 # A first step guess ``h0`` of zero or NaN means the state derivative overflowed;
@@ -437,11 +438,15 @@ _E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
 
 
 def _norm(values) -> float:
-    """RMS over the 9 states, summed in state order."""
-    return math.sqrt(sum([v * v for v in values])) / 3.0
+    """RMS over the 9 states, summed left to right in state order, as the
+    step and the lanes sum it (``sum`` compensates from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total) / 3.0
 
 
-def _initial_step(rhs, t, y, f, length, rtol, atol):
+def _initial_step(rhs, y, f, length, rtol, atol):
     """scipy's ``select_initial_step`` on floats."""
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _norm([v / s for v, s in zip(y, scale)])
@@ -450,7 +455,7 @@ def _initial_step(rhs, t, y, f, length, rtol, atol):
     h0 = min(h0, length)
     if not h0 > 0.0:
         raise StiffnessError(_NO_INITIAL_STEP)
-    f1 = rhs(t + h0, [v + h0 * fv for v, fv in zip(y, f)])
+    f1 = rhs(*[v + h0 * fv for v, fv in zip(y, f)])
     d2 = _norm([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -461,20 +466,28 @@ def _initial_step(rhs, t, y, f, length, rtol, atol):
 
 def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                 settling: _Settling | None = None) -> array | None:
-    """The first ``width`` state components at every output sample of the
-    run through ``pieces``, row after row; ``None`` as soon as a sample shows
-    loss of synchronism. With ``settling`` (the last piece's), the rows end
-    after the first accepted step of the last piece from which the run has
-    ``_settled``.
+    """The first ``width`` (4 or 9) state components at every output sample
+    of the run through ``pieces``, row after row; ``None`` as soon as a
+    sample shows loss of synchronism. With ``settling`` (the last piece's),
+    the rows end after the first accepted step of the last piece from which
+    the run has ``_settled``.
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
     accepted step's dense output.
+
+    The step is written out over nine float locals per vector: the state
+    ``y0..y8``, the stages ``a, b, c, d, e, g, q`` (``k1 .. k7``, one letter
+    each, ``a`` the derivative at the step's start), the solution ``z``, the
+    scaled error ``r`` and the interpolant's ``x**2 .. x**4`` columns ``p2,
+    p3, p4``. Every sum keeps the tableau's term order, so the run is bit for
+    bit that of the step written over 9-element lists.
     """
     t_grid = _output_grid(opts)
     t_out = t_grid.tolist()
     rtol, atol = opts.rtol, opts.atol
-    y = model.equilibrium().tolist()
+    full = width == 9
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = model.equilibrium().tolist()
     rows = array("d")
     low = math.inf          # lowest average speed sampled so far
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
@@ -484,8 +497,10 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
         k_start, k_end = _sample_range(t_grid, lo, hi, last)
         t_samples = np.clip(t_grid[k_start:k_end], lo, hi).tolist()
         t = lo
-        f = rhs(t, y)
-        h_abs = _initial_step(rhs, t, y, f, hi - lo, rtol, atol)
+        f = rhs(y0, y1, y2, y3, y4, y5, y6, y7, y8)
+        h_abs = _initial_step(rhs, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, hi - lo,
+                              rtol, atol)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = f
         while True:
             # One step (scipy's RungeKutta._step_impl).
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -497,25 +512,96 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                                          "size is less than spacing between numbers.")
                 t_new = min(t + h_abs, hi)
                 h = t_new - t
-                k1 = f
-                k2 = rhs(t, [y_ + (a * _A21) * h for y_, a in zip(y, k1)])
-                k3 = rhs(t, [y_ + (a * _A31 + b * _A32) * h
-                             for y_, a, b in zip(y, k1, k2)])
-                k4 = rhs(t, [y_ + (a * _A41 + b * _A42 + c * _A43) * h
-                             for y_, a, b, c in zip(y, k1, k2, k3)])
-                k5 = rhs(t, [y_ + (a * _A51 + b * _A52 + c * _A53 + d * _A54) * h
-                             for y_, a, b, c, d in zip(y, k1, k2, k3, k4)])
-                k6 = rhs(t, [y_ + (a * _A61 + b * _A62 + c * _A63 + d * _A64
-                                   + e * _A65) * h
-                             for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-                y_new = [y_ + h * (a * _B1 + c * _B3 + d * _B4 + e * _B5 + g * _B6)
-                         for y_, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-                k7 = rhs(t_new, y_new)
-                err = _norm([
-                    (a * _E1 + c * _E3 + d * _E4 + e * _E5 + g * _E6 + q * _E7) * h
-                    / (atol + (m0 if m0 > m1 else m1) * rtol)
-                    for m0, m1, a, c, d, e, g, q
-                    in zip(map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7)])
+                b0, b1, b2, b3, b4, b5, b6, b7, b8 = rhs(
+                    y0 + (a0 * _A21) * h,
+                    y1 + (a1 * _A21) * h,
+                    y2 + (a2 * _A21) * h,
+                    y3 + (a3 * _A21) * h,
+                    y4 + (a4 * _A21) * h,
+                    y5 + (a5 * _A21) * h,
+                    y6 + (a6 * _A21) * h,
+                    y7 + (a7 * _A21) * h,
+                    y8 + (a8 * _A21) * h)
+                c0, c1, c2, c3, c4, c5, c6, c7, c8 = rhs(
+                    y0 + (a0 * _A31 + b0 * _A32) * h,
+                    y1 + (a1 * _A31 + b1 * _A32) * h,
+                    y2 + (a2 * _A31 + b2 * _A32) * h,
+                    y3 + (a3 * _A31 + b3 * _A32) * h,
+                    y4 + (a4 * _A31 + b4 * _A32) * h,
+                    y5 + (a5 * _A31 + b5 * _A32) * h,
+                    y6 + (a6 * _A31 + b6 * _A32) * h,
+                    y7 + (a7 * _A31 + b7 * _A32) * h,
+                    y8 + (a8 * _A31 + b8 * _A32) * h)
+                d0, d1, d2, d3, d4, d5, d6, d7, d8 = rhs(
+                    y0 + (a0 * _A41 + b0 * _A42 + c0 * _A43) * h,
+                    y1 + (a1 * _A41 + b1 * _A42 + c1 * _A43) * h,
+                    y2 + (a2 * _A41 + b2 * _A42 + c2 * _A43) * h,
+                    y3 + (a3 * _A41 + b3 * _A42 + c3 * _A43) * h,
+                    y4 + (a4 * _A41 + b4 * _A42 + c4 * _A43) * h,
+                    y5 + (a5 * _A41 + b5 * _A42 + c5 * _A43) * h,
+                    y6 + (a6 * _A41 + b6 * _A42 + c6 * _A43) * h,
+                    y7 + (a7 * _A41 + b7 * _A42 + c7 * _A43) * h,
+                    y8 + (a8 * _A41 + b8 * _A42 + c8 * _A43) * h)
+                e0, e1, e2, e3, e4, e5, e6, e7, e8 = rhs(
+                    y0 + (a0 * _A51 + b0 * _A52 + c0 * _A53 + d0 * _A54) * h,
+                    y1 + (a1 * _A51 + b1 * _A52 + c1 * _A53 + d1 * _A54) * h,
+                    y2 + (a2 * _A51 + b2 * _A52 + c2 * _A53 + d2 * _A54) * h,
+                    y3 + (a3 * _A51 + b3 * _A52 + c3 * _A53 + d3 * _A54) * h,
+                    y4 + (a4 * _A51 + b4 * _A52 + c4 * _A53 + d4 * _A54) * h,
+                    y5 + (a5 * _A51 + b5 * _A52 + c5 * _A53 + d5 * _A54) * h,
+                    y6 + (a6 * _A51 + b6 * _A52 + c6 * _A53 + d6 * _A54) * h,
+                    y7 + (a7 * _A51 + b7 * _A52 + c7 * _A53 + d7 * _A54) * h,
+                    y8 + (a8 * _A51 + b8 * _A52 + c8 * _A53 + d8 * _A54) * h)
+                g0, g1, g2, g3, g4, g5, g6, g7, g8 = rhs(
+                    y0 + (a0 * _A61 + b0 * _A62 + c0 * _A63 + d0 * _A64 + e0 * _A65) * h,
+                    y1 + (a1 * _A61 + b1 * _A62 + c1 * _A63 + d1 * _A64 + e1 * _A65) * h,
+                    y2 + (a2 * _A61 + b2 * _A62 + c2 * _A63 + d2 * _A64 + e2 * _A65) * h,
+                    y3 + (a3 * _A61 + b3 * _A62 + c3 * _A63 + d3 * _A64 + e3 * _A65) * h,
+                    y4 + (a4 * _A61 + b4 * _A62 + c4 * _A63 + d4 * _A64 + e4 * _A65) * h,
+                    y5 + (a5 * _A61 + b5 * _A62 + c5 * _A63 + d5 * _A64 + e5 * _A65) * h,
+                    y6 + (a6 * _A61 + b6 * _A62 + c6 * _A63 + d6 * _A64 + e6 * _A65) * h,
+                    y7 + (a7 * _A61 + b7 * _A62 + c7 * _A63 + d7 * _A64 + e7 * _A65) * h,
+                    y8 + (a8 * _A61 + b8 * _A62 + c8 * _A63 + d8 * _A64 + e8 * _A65) * h)
+                z0 = y0 + h * (a0 * _B1 + c0 * _B3 + d0 * _B4 + e0 * _B5 + g0 * _B6)
+                z1 = y1 + h * (a1 * _B1 + c1 * _B3 + d1 * _B4 + e1 * _B5 + g1 * _B6)
+                z2 = y2 + h * (a2 * _B1 + c2 * _B3 + d2 * _B4 + e2 * _B5 + g2 * _B6)
+                z3 = y3 + h * (a3 * _B1 + c3 * _B3 + d3 * _B4 + e3 * _B5 + g3 * _B6)
+                z4 = y4 + h * (a4 * _B1 + c4 * _B3 + d4 * _B4 + e4 * _B5 + g4 * _B6)
+                z5 = y5 + h * (a5 * _B1 + c5 * _B3 + d5 * _B4 + e5 * _B5 + g5 * _B6)
+                z6 = y6 + h * (a6 * _B1 + c6 * _B3 + d6 * _B4 + e6 * _B5 + g6 * _B6)
+                z7 = y7 + h * (a7 * _B1 + c7 * _B3 + d7 * _B4 + e7 * _B5 + g7 * _B6)
+                z8 = y8 + h * (a8 * _B1 + c8 * _B3 + d8 * _B4 + e8 * _B5 + g8 * _B6)
+                k7 = rhs(z0, z1, z2, z3, z4, z5, z6, z7, z8)
+                q0, q1, q2, q3, q4, q5, q6, q7, q8 = k7
+                m0, m1 = abs(y0), abs(z0)
+                r0 = ((a0 * _E1 + c0 * _E3 + d0 * _E4 + e0 * _E5 + g0 * _E6 + q0 * _E7) * h
+                      / (atol + (m0 if m0 > m1 else m1) * rtol))
+                m0, m1 = abs(y1), abs(z1)
+                r1 = ((a1 * _E1 + c1 * _E3 + d1 * _E4 + e1 * _E5 + g1 * _E6 + q1 * _E7) * h
+                      / (atol + (m0 if m0 > m1 else m1) * rtol))
+                m0, m1 = abs(y2), abs(z2)
+                r2 = ((a2 * _E1 + c2 * _E3 + d2 * _E4 + e2 * _E5 + g2 * _E6 + q2 * _E7) * h
+                      / (atol + (m0 if m0 > m1 else m1) * rtol))
+                m0, m1 = abs(y3), abs(z3)
+                r3 = ((a3 * _E1 + c3 * _E3 + d3 * _E4 + e3 * _E5 + g3 * _E6 + q3 * _E7) * h
+                      / (atol + (m0 if m0 > m1 else m1) * rtol))
+                m0, m1 = abs(y4), abs(z4)
+                r4 = ((a4 * _E1 + c4 * _E3 + d4 * _E4 + e4 * _E5 + g4 * _E6 + q4 * _E7) * h
+                      / (atol + (m0 if m0 > m1 else m1) * rtol))
+                m0, m1 = abs(y5), abs(z5)
+                r5 = ((a5 * _E1 + c5 * _E3 + d5 * _E4 + e5 * _E5 + g5 * _E6 + q5 * _E7) * h
+                      / (atol + (m0 if m0 > m1 else m1) * rtol))
+                m0, m1 = abs(y6), abs(z6)
+                r6 = ((a6 * _E1 + c6 * _E3 + d6 * _E4 + e6 * _E5 + g6 * _E6 + q6 * _E7) * h
+                      / (atol + (m0 if m0 > m1 else m1) * rtol))
+                m0, m1 = abs(y7), abs(z7)
+                r7 = ((a7 * _E1 + c7 * _E3 + d7 * _E4 + e7 * _E5 + g7 * _E6 + q7 * _E7) * h
+                      / (atol + (m0 if m0 > m1 else m1) * rtol))
+                m0, m1 = abs(y8), abs(z8)
+                r8 = ((a8 * _E1 + c8 * _E3 + d8 * _E4 + e8 * _E5 + g8 * _E6 + q8 * _E7) * h
+                      / (atol + (m0 if m0 > m1 else m1) * rtol))
+                err = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4 + r5 * r5
+                                + r6 * r6 + r7 * r7 + r8 * r8) / 3.0
                 if err < 1.0:
                     factor = _MAX_FACTOR if err == 0.0 else min(
                         _MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
@@ -530,33 +616,89 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
             k = len(rows) // width
             k_stop = k_end if end else bisect.bisect_right(t_out, t_new, k, k_end)
             if k_stop > k or end:
-                Q = [(a,
-                      a * _P1x2 + c * _P3x2 + d * _P4x2 + e * _P5x2 + g * _P6x2 + q * _P7x2,
-                      a * _P1x3 + c * _P3x3 + d * _P4x3 + e * _P5x3 + g * _P6x3 + q * _P7x3,
-                      a * _P1x4 + c * _P3x4 + d * _P4x4 + e * _P5x4 + g * _P6x4 + q * _P7x4)
-                     for a, c, d, e, g, q
-                     in zip(*(col[:9 if end else width] for col in (k1, k3, k4, k5, k6, k7)))]
+                p2_0 = a0 * _P1x2 + c0 * _P3x2 + d0 * _P4x2 + e0 * _P5x2 + g0 * _P6x2 + q0 * _P7x2
+                p3_0 = a0 * _P1x3 + c0 * _P3x3 + d0 * _P4x3 + e0 * _P5x3 + g0 * _P6x3 + q0 * _P7x3
+                p4_0 = a0 * _P1x4 + c0 * _P3x4 + d0 * _P4x4 + e0 * _P5x4 + g0 * _P6x4 + q0 * _P7x4
+                p2_1 = a1 * _P1x2 + c1 * _P3x2 + d1 * _P4x2 + e1 * _P5x2 + g1 * _P6x2 + q1 * _P7x2
+                p3_1 = a1 * _P1x3 + c1 * _P3x3 + d1 * _P4x3 + e1 * _P5x3 + g1 * _P6x3 + q1 * _P7x3
+                p4_1 = a1 * _P1x4 + c1 * _P3x4 + d1 * _P4x4 + e1 * _P5x4 + g1 * _P6x4 + q1 * _P7x4
+                p2_2 = a2 * _P1x2 + c2 * _P3x2 + d2 * _P4x2 + e2 * _P5x2 + g2 * _P6x2 + q2 * _P7x2
+                p3_2 = a2 * _P1x3 + c2 * _P3x3 + d2 * _P4x3 + e2 * _P5x3 + g2 * _P6x3 + q2 * _P7x3
+                p4_2 = a2 * _P1x4 + c2 * _P3x4 + d2 * _P4x4 + e2 * _P5x4 + g2 * _P6x4 + q2 * _P7x4
+                p2_3 = a3 * _P1x2 + c3 * _P3x2 + d3 * _P4x2 + e3 * _P5x2 + g3 * _P6x2 + q3 * _P7x2
+                p3_3 = a3 * _P1x3 + c3 * _P3x3 + d3 * _P4x3 + e3 * _P5x3 + g3 * _P6x3 + q3 * _P7x3
+                p4_3 = a3 * _P1x4 + c3 * _P3x4 + d3 * _P4x4 + e3 * _P5x4 + g3 * _P6x4 + q3 * _P7x4
+                if full or end:
+                    p2_4 = (a4 * _P1x2 + c4 * _P3x2 + d4 * _P4x2 + e4 * _P5x2 + g4 * _P6x2
+                            + q4 * _P7x2)
+                    p3_4 = (a4 * _P1x3 + c4 * _P3x3 + d4 * _P4x3 + e4 * _P5x3 + g4 * _P6x3
+                            + q4 * _P7x3)
+                    p4_4 = (a4 * _P1x4 + c4 * _P3x4 + d4 * _P4x4 + e4 * _P5x4 + g4 * _P6x4
+                            + q4 * _P7x4)
+                    p2_5 = (a5 * _P1x2 + c5 * _P3x2 + d5 * _P4x2 + e5 * _P5x2 + g5 * _P6x2
+                            + q5 * _P7x2)
+                    p3_5 = (a5 * _P1x3 + c5 * _P3x3 + d5 * _P4x3 + e5 * _P5x3 + g5 * _P6x3
+                            + q5 * _P7x3)
+                    p4_5 = (a5 * _P1x4 + c5 * _P3x4 + d5 * _P4x4 + e5 * _P5x4 + g5 * _P6x4
+                            + q5 * _P7x4)
+                    p2_6 = (a6 * _P1x2 + c6 * _P3x2 + d6 * _P4x2 + e6 * _P5x2 + g6 * _P6x2
+                            + q6 * _P7x2)
+                    p3_6 = (a6 * _P1x3 + c6 * _P3x3 + d6 * _P4x3 + e6 * _P5x3 + g6 * _P6x3
+                            + q6 * _P7x3)
+                    p4_6 = (a6 * _P1x4 + c6 * _P3x4 + d6 * _P4x4 + e6 * _P5x4 + g6 * _P6x4
+                            + q6 * _P7x4)
+                    p2_7 = (a7 * _P1x2 + c7 * _P3x2 + d7 * _P4x2 + e7 * _P5x2 + g7 * _P6x2
+                            + q7 * _P7x2)
+                    p3_7 = (a7 * _P1x3 + c7 * _P3x3 + d7 * _P4x3 + e7 * _P5x3 + g7 * _P6x3
+                            + q7 * _P7x3)
+                    p4_7 = (a7 * _P1x4 + c7 * _P3x4 + d7 * _P4x4 + e7 * _P5x4 + g7 * _P6x4
+                            + q7 * _P7x4)
+                    p2_8 = (a8 * _P1x2 + c8 * _P3x2 + d8 * _P4x2 + e8 * _P5x2 + g8 * _P6x2
+                            + q8 * _P7x2)
+                    p3_8 = (a8 * _P1x3 + c8 * _P3x3 + d8 * _P4x3 + e8 * _P5x3 + g8 * _P6x3
+                            + q8 * _P7x3)
+                    p4_8 = (a8 * _P1x4 + c8 * _P3x4 + d8 * _P4x4 + e8 * _P5x4 + g8 * _P6x4
+                            + q8 * _P7x4)
                 for ts in t_samples[k - k_start:k_stop - k_start]:
                     x = (ts - t) / h
                     x2 = x * x
                     x3 = x2 * x
                     x4 = x3 * x
-                    row = [h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + y_
-                           for (q0, q1, q2, q3), y_ in zip(Q[:width], y)]
-                    if abs(row[0] - row[2]) > _ANGLE_SLIP:
+                    v0 = h * (a0 * x + p2_0 * x2 + p3_0 * x3 + p4_0 * x4) + y0
+                    v1 = h * (a1 * x + p2_1 * x2 + p3_1 * x3 + p4_1 * x4) + y1
+                    v2 = h * (a2 * x + p2_2 * x2 + p3_2 * x3 + p4_2 * x4) + y2
+                    v3 = h * (a3 * x + p2_3 * x2 + p3_3 * x3 + p4_3 * x4) + y3
+                    if abs(v0 - v2) > _ANGLE_SLIP:
                         return None
-                    avg = 0.5 * (row[1] + row[3])
+                    avg = 0.5 * (v1 + v3)
                     if avg < low:
                         low = avg
-                    rows.extend(row)
+                    if not full:
+                        rows.extend((v0, v1, v2, v3))
+                        continue
+                    v4 = h * (a4 * x + p2_4 * x2 + p3_4 * x3 + p4_4 * x4) + y4
+                    v5 = h * (a5 * x + p2_5 * x2 + p3_5 * x3 + p4_5 * x4) + y5
+                    v6 = h * (a6 * x + p2_6 * x2 + p3_6 * x3 + p4_6 * x4) + y6
+                    v7 = h * (a7 * x + p2_7 * x2 + p3_7 * x3 + p4_7 * x4) + y7
+                    v8 = h * (a8 * x + p2_8 * x2 + p3_8 * x3 + p4_8 * x4) + y8
+                    rows.extend((v0, v1, v2, v3, v4, v5, v6, v7, v8))
                 if end:
-                    y = [h * (((q0 + q1) + q2) + q3) + y_ for (q0, q1, q2, q3), y_ in zip(Q, y)]
+                    y0 = h * (((a0 + p2_0) + p3_0) + p4_0) + y0
+                    y1 = h * (((a1 + p2_1) + p3_1) + p4_1) + y1
+                    y2 = h * (((a2 + p2_2) + p3_2) + p4_2) + y2
+                    y3 = h * (((a3 + p2_3) + p3_3) + p4_3) + y3
+                    y4 = h * (((a4 + p2_4) + p3_4) + p4_4) + y4
+                    y5 = h * (((a5 + p2_5) + p3_5) + p4_5) + y5
+                    y6 = h * (((a6 + p2_6) + p3_6) + p4_6) + y6
+                    y7 = h * (((a7 + p2_7) + p3_7) + p4_7) + y7
+                    y8 = h * (((a8 + p2_8) + p3_8) + p4_8) + y8
                     break
-            if watch is not None and _settled(watch, y_new, low):
+            if watch is not None and _settled(watch, (z0, z1, z2, z3, z4, z5, z6, z7, z8), low):
                 return rows
-            t, y, f = t_new, y_new, k7
+            t = t_new
+            y0, y1, y2, y3, y4, y5, y6, y7, y8 = z0, z1, z2, z3, z4, z5, z6, z7, z8
+            a0, a1, a2, a3, a4, a5, a6, a7, a8 = k7
     return rows
-
 
 def _trajectory(model, action, opts, width, settle=False) -> DfecTrajectory:
     """The run of ``action``; with ``settle`` (a cost run) it ends where the
@@ -599,9 +741,9 @@ def _rms(x):
 
 
 def _stacked(rhs, y):
-    """``rhs(None, y)``'s 9 rows as one ``(9, lanes)`` array."""
+    """``rhs(*y)``'s 9 rows as one ``(9, lanes)`` array."""
     dy = np.empty_like(y)
-    dy[:] = rhs(None, y)
+    dy[:] = rhs(*y)
     return dy
 
 
@@ -662,9 +804,9 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
             lo, hi, dp_active, p_motor = plan[L.piece[i]]
             piece_rhs = dfec_dynamics(model, dp_active, p_motor)
             y = L.y[:, i].tolist()
-            f = piece_rhs(lo, y)
+            f = piece_rhs(*y)
             L.f[:, i] = f
-            L.h_abs[i] = _initial_step(piece_rhs, lo, y, f, hi - lo, opts.rtol, opts.atol)
+            L.h_abs[i] = _initial_step(piece_rhs, y, f, hi - lo, opts.rtol, opts.atol)
             L.lo[i], L.hi[i], L.dp_active[i], L.p_motor[i] = lo, hi, dp_active, p_motor
             L.k_end[i] = _sample_range(t_grid, lo, hi, L.piece[i] == len(plan) - 1)[1]
             L.rejected[i] = False

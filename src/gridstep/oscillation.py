@@ -347,13 +347,19 @@ def build_schedule(
         pair_targets = (target,) if np.isscalar(target) else tuple(target)
         if dp_overrides is not None and dp_overrides[k] is not None:
             dp = np.asarray(dp_overrides[k], dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_c = equilibrium_shifted(model, dp)
+                ride = orbit_value(basis, x_c, x)     # the orbit this stage would take
+            if not np.isfinite(ride):
+                raise DimensionError(f"dp_overrides[{k}] shifts the equilibrium so far that "
+                                     f"the stage's orbit value is beyond the float range")
         else:
             s = scale if scale is not None else auto_scale(basis, model, x, pair_targets)
             if s == 0.0:
                 skipped.append((int(target), "target mode not excited"))
                 continue
             dp = design_dp(basis, model, x, pair_targets, s)
-        x_c = equilibrium_shifted(model, dp)
+            x_c = equilibrium_shifted(model, dp)
         if np.linalg.norm(x_c - model.x_eq) < 1e-14:
             skipped.append((int(target), "zero equilibrium shift"))
             continue

@@ -138,6 +138,12 @@ class DeocScenario:
                 raise DimensionError(f"{name} must be finite and > 0")
         require_grid(self.t_end, self.dt_out, "t_end", "dt_out")
         require_grid(self.stage_window, SAMPLE_DT, "stage_window", "the switch-time search step")
+        d = self.disturbance
+        end = d.start + d.duration
+        if d.kind == "power-pulse" and not end < self.t_end:
+            raise DimensionError(f"t_end = {self.t_end:g} s is "
+                                 f"{'before' if self.t_end < end else 'when'} the disturbance "
+                                 f"ends at {end:g} s (disturbance.start + disturbance.duration)")
 
     def dp_overrides_pu(self, base_mva: float):
         if self.dp_overrides_mw is None:

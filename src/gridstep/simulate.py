@@ -96,9 +96,14 @@ def apply_disturbance(model: ReducedModel, basis: ModalBasis, dist: Disturbance)
         return dist.t0, x0
 
     col = _injection_column(model, dist.bus)
-    delta_pulse = model.delta_eq - np.linalg.solve(model.b_red, col * dist.magnitude)
-    center = np.concatenate([delta_pulse, np.ones(model.n_machines)])
-    x0 = propagate(basis, center, model.x_eq, dist.duration)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_pulse = model.delta_eq - np.linalg.solve(model.b_red, col * dist.magnitude)
+        center = np.concatenate([delta_pulse, np.ones(model.n_machines)])
+        x0 = propagate(basis, center, model.x_eq, dist.duration)
+        energy = oscillation_energy(model, x0)
+    if not (np.isfinite(x0).all() and np.isfinite(energy)):
+        raise DimensionError(f"disturbance.magnitude = {dist.magnitude:g} pu leaves an "
+                             f"oscillation energy beyond the float range")
     return dist.start + dist.duration, x0
 
 

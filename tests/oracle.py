@@ -4,17 +4,28 @@ The numerical oracle is ``scipy.integrate.solve_ivp`` run piece by piece, a
 fresh solver for each continuous piece that restarts from the previous
 solver's state at the break. Tests check the closed-form DEOC propagation and
 both DFEC steppers against it, and the real-form ``modal.propagate`` against
-the complex modal form it replaced. The reference writers are the ``csv.writer``
-and ``json.dump`` code of the output files."""
+the complex modal form it replaced. ``list_rows`` is the DFEC float stepper
+written over 9-element lists, the bit-for-bit reference of the package's
+straight-line ``frequency._dense_rows``. The reference writers are the
+``csv.writer`` and ``json.dump`` code of the output files."""
 
+import bisect
 import csv
 import json
+import math
+from array import array
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from gridstep import frequency as fq
 from gridstep.errors import StiffnessError
+from gridstep.frequency import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+    _ANGLE_SLIP, _B1, _B3, _B4, _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7, _ERR_EXP, _MAX_FACTOR,
+    _MIN_FACTOR, _P1x2, _P1x3, _P1x4, _P3x2, _P3x3, _P3x4, _P4x2, _P4x3, _P4x4, _P5x2, _P5x3,
+    _P5x4, _P6x2, _P6x3, _P6x4, _P7x2, _P7x3, _P7x4, _SAFETY, _initial_step, _norm,
+    _output_grid, _sample_range, _settled, dfec_dynamics)
 
 
 def propagate(basis, center, x_start, dt):
@@ -65,7 +76,7 @@ def simulate(model, action, opts) -> fq.DfecTrajectory:
     closed form at the last piece (tests check it against long runs)."""
     plan = fq._pieces(model, action, opts)
     w_ss = fq.steady_speed(model, *plan[-1][2:])
-    pieces = [(lo, hi, fq.dfec_dynamics(model, dp_active, p_motor))
+    pieces = [(lo, hi, lambda t, y, rhs=fq.dfec_dynamics(model, dp_active, p_motor): rhs(*y))
               for lo, hi, dp_active, p_motor in plan]
     t_grid = fq._output_grid(opts)
     y = np.empty((len(t_grid), 9))
@@ -80,6 +91,105 @@ def simulate(model, action, opts) -> fq.DfecTrajectory:
 
 def nadir_cost(model, action, opts) -> float:
     return simulate(model, action, opts).summary()[2]
+
+
+def list_rows(model, pieces, opts, width, settling=None):
+    """``frequency._dense_rows`` with its step written over 9-element lists,
+    list comprehensions and ``zip``: the first ``width`` state components at
+    every output sample of the run through ``pieces``, row after row; ``None``
+    as soon as a sample shows loss of synchronism. With ``settling`` (the
+    last piece's), the rows end after the first accepted step of the last
+    piece from which the run has ``_settled``.
+
+    Each piece between power steps is a fresh solver that starts from the
+    previous piece's interpolant at the break. Samples are read off each
+    accepted step's dense output.
+    """
+    t_grid = _output_grid(opts)
+    t_out = t_grid.tolist()
+    rtol, atol = opts.rtol, opts.atol
+    y = model.equilibrium().tolist()
+    rows = array("d")
+    low = math.inf          # lowest average speed sampled so far
+    for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
+        last = n == len(pieces) - 1
+        watch = settling if last else None
+        rhs = dfec_dynamics(model, dp_active, p_motor)
+        k_start, k_end = _sample_range(t_grid, lo, hi, last)
+        t_samples = np.clip(t_grid[k_start:k_end], lo, hi).tolist()
+        t = lo
+        f = rhs(*y)
+        h_abs = _initial_step(rhs, y, f, hi - lo, rtol, atol)
+        while True:
+            # One step (scipy's RungeKutta._step_impl).
+            min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StiffnessError("DFEC integration failed: required step "
+                                         "size is less than spacing between numbers.")
+                t_new = min(t + h_abs, hi)
+                h = t_new - t
+                k1 = f
+                k2 = rhs(*[y_ + (a * _A21) * h for y_, a in zip(y, k1)])
+                k3 = rhs(*[y_ + (a * _A31 + b * _A32) * h
+                           for y_, a, b in zip(y, k1, k2)])
+                k4 = rhs(*[y_ + (a * _A41 + b * _A42 + c * _A43) * h
+                           for y_, a, b, c in zip(y, k1, k2, k3)])
+                k5 = rhs(*[y_ + (a * _A51 + b * _A52 + c * _A53 + d * _A54) * h
+                           for y_, a, b, c, d in zip(y, k1, k2, k3, k4)])
+                k6 = rhs(*[y_ + (a * _A61 + b * _A62 + c * _A63 + d * _A64
+                                 + e * _A65) * h
+                           for y_, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+                y_new = [y_ + h * (a * _B1 + c * _B3 + d * _B4 + e * _B5 + g * _B6)
+                         for y_, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+                k7 = rhs(*y_new)
+                err = _norm([
+                    (a * _E1 + c * _E3 + d * _E4 + e * _E5 + g * _E6 + q * _E7) * h
+                    / (atol + (m0 if m0 > m1 else m1) * rtol)
+                    for m0, m1, a, c, d, e, g, q
+                    in zip(map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7)])
+                if err < 1.0:
+                    factor = _MAX_FACTOR if err == 0.0 else min(
+                        _MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
+                    h_abs = h * (min(1.0, factor) if rejected else factor)
+                    break
+                h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+                rejected = True
+
+            # Dense output of the step, sampled onto the grid; at a break all
+            # 9 components are needed to start the next piece.
+            end = t_new >= hi
+            k = len(rows) // width
+            k_stop = k_end if end else bisect.bisect_right(t_out, t_new, k, k_end)
+            if k_stop > k or end:
+                Q = [(a,
+                      a * _P1x2 + c * _P3x2 + d * _P4x2 + e * _P5x2 + g * _P6x2 + q * _P7x2,
+                      a * _P1x3 + c * _P3x3 + d * _P4x3 + e * _P5x3 + g * _P6x3 + q * _P7x3,
+                      a * _P1x4 + c * _P3x4 + d * _P4x4 + e * _P5x4 + g * _P6x4 + q * _P7x4)
+                     for a, c, d, e, g, q
+                     in zip(*(col[:9 if end else width] for col in (k1, k3, k4, k5, k6, k7)))]
+                for ts in t_samples[k - k_start:k_stop - k_start]:
+                    x = (ts - t) / h
+                    x2 = x * x
+                    x3 = x2 * x
+                    x4 = x3 * x
+                    row = [h * (q0 * x + q1 * x2 + q2 * x3 + q3 * x4) + y_
+                           for (q0, q1, q2, q3), y_ in zip(Q[:width], y)]
+                    if abs(row[0] - row[2]) > _ANGLE_SLIP:
+                        return None
+                    avg = 0.5 * (row[1] + row[3])
+                    if avg < low:
+                        low = avg
+                    rows.extend(row)
+                if end:
+                    y = [h * (((q0 + q1) + q2) + q3) + y_ for (q0, q1, q2, q3), y_ in zip(Q, y)]
+                    break
+            if watch is not None and _settled(watch, y_new, low):
+                return rows
+            t, y, f = t_new, y_new, k7
+    return rows
 
 
 # Reference writers: the package's writers must match them byte for byte.

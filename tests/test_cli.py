@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -244,7 +245,8 @@ class TestFuzz:
     """Mutated bundled documents through every subcommand that reads them
     (``validate``, ``modes``, ``deoc`` and the three ``dfec`` commands on a
     2 s horizon, a 2 x 2 sweep and a one-start optimizer): the exit code is 0,
-    1 or 2, and no traceback reaches stderr."""
+    1 or 2, and neither a traceback nor a ``RuntimeWarning`` reaches stderr
+    (warnings are recorded, each one, as the command would print them)."""
 
     WRONG_TYPES = ["x", None, True, [], {}, [1.0]]
     HUGE = [1e300, -1e300, 1e9, 10**12]
@@ -298,10 +300,14 @@ class TestFuzz:
             file = write_json(Path(tmp) / name, doc)
             for argv in self._commands(name, file, tmp):
                 err = io.StringIO()
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
                     code = main(argv)
                 assert code in (0, 1, 2)
                 assert "Traceback" not in err.getvalue()
+                stray = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+                assert not stray
 
 
 class TestModes:
@@ -400,6 +406,47 @@ class TestDeoc:
         assert code == 2
         assert message in err
         assert not out.exists()
+
+    def _run_edited(self, capsys, tmp_path, path, value):
+        """``deoc`` on bundled wscc9 with one scenario leaf edited, recording
+        every warning as the command would print it."""
+        scn = _edited(tmp_path, "scenario_wscc9.json", path, value)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "deoc", "--system", str(DATA / "wscc9.json"),
+                               "--scenario", str(scn), "--out", str(out))
+        assert not caught and not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize("magnitude", [1e300, 1e200, -1e300])
+    def test_overflowing_pulse_is_input_error(self, capsys, tmp_path, magnitude):
+        # The post-pulse state's oscillation energy overflows: nothing the
+        # schedule or the trajectories could hold is finite.
+        code, err = self._run_edited(capsys, tmp_path, ("disturbance", "magnitude"), magnitude)
+        assert code == 2
+        assert err == (f"input error: disturbance.magnitude = {magnitude:g} pu leaves an "
+                       f"oscillation energy beyond the float range\n")
+
+    @pytest.mark.parametrize("field", ["duration", "start"])
+    def test_pulse_past_t_end_is_input_error(self, capsys, tmp_path, field):
+        code, err = self._run_edited(capsys, tmp_path, ("disturbance", field), 1e300)
+        assert code == 2
+        assert err == ("input error: t_end = 10 s is before the disturbance ends at 1e+300 s "
+                       "(disturbance.start + disturbance.duration)\n")
+
+    def test_pulse_ending_at_t_end_is_input_error(self, capsys, tmp_path):
+        code, err = self._run_edited(capsys, tmp_path, ("disturbance", "duration"), 10.0)
+        assert code == 2
+        assert err == ("input error: t_end = 10 s is when the disturbance ends at 10 s "
+                       "(disturbance.start + disturbance.duration)\n")
+
+    def test_overflowing_injection_override_is_input_error(self, capsys, tmp_path):
+        code, err = self._run_edited(capsys, tmp_path, ("dp_overrides_mw",),
+                                     [[1e300] + [0.0] * 5, None])
+        assert code == 2
+        assert err == ("input error: dp_overrides[0] shifts the equilibrium so far that the "
+                       "stage's orbit value is beyond the float range\n")
 
     @pytest.mark.parametrize("targets", [[0, 2], [-1]])
     def test_targets_outside_the_mode_pairs(self, capsys, tmp_path, targets):

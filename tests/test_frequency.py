@@ -31,30 +31,30 @@ def opts(dfec_scenario):
 class TestDynamics:
     def test_equilibrium_is_fixed_point(self, model):
         rhs = fq.dfec_dynamics(model, 0.0, model.p_set)
-        dy = np.asarray(rhs(0.0, model.equilibrium()))
+        dy = np.asarray(rhs(*model.equilibrium()))
         assert np.abs(dy).max() < 1e-12
 
     def test_load_step_initial_deceleration(self, model):
         # At the disturbance instant only the motor sees the extra load:
         # dw2/dt = -step / (2 h2), dw1/dt = 0.
         rhs = fq.dfec_dynamics(model, 0.0, model.p_set + 0.25)
-        dy = np.asarray(rhs(0.0, model.equilibrium()))
+        dy = np.asarray(rhs(*model.equilibrium()))
         assert dy[3] == pytest.approx(-0.25 / (2.0 * model.h2))
         assert dy[1] == pytest.approx(0.0)
 
     def test_doubled_inertia_halves_initial_rocof(self, model):
         heavy = replace(model, h1=2.0 * model.h1, h2=2.0 * model.h2)
         d_light = np.asarray(
-            fq.dfec_dynamics(model, 0.0, model.p_set + 0.25)(0.0, model.equilibrium())
+            fq.dfec_dynamics(model, 0.0, model.p_set + 0.25)(*model.equilibrium())
         )
         d_heavy = np.asarray(
-            fq.dfec_dynamics(heavy, 0.0, heavy.p_set + 0.25)(0.0, heavy.equilibrium())
+            fq.dfec_dynamics(heavy, 0.0, heavy.p_set + 0.25)(*heavy.equilibrium())
         )
         assert d_heavy[3] == pytest.approx(0.5 * d_light[3])
 
     def test_injection_accelerates_generator(self, model):
         rhs = fq.dfec_dynamics(model, 0.1, model.p_set)
-        dy = np.asarray(rhs(0.0, model.equilibrium()))
+        dy = np.asarray(rhs(*model.equilibrium()))
         assert dy[1] == pytest.approx(0.1 / (2.0 * model.h1))
 
     def test_invalid_governor_limits_rejected(self):
@@ -169,7 +169,7 @@ class TestSteadySpeed:
 
 def _reduced_rate(model, dp_active, p_motor, z):
     """``dfec_dynamics`` in the reduced state z (with d2 = 0)."""
-    dy = fq.dfec_dynamics(model, dp_active, p_motor)(0.0, np.insert(z, 2, 0.0).tolist())
+    dy = fq.dfec_dynamics(model, dp_active, p_motor)(*np.insert(z, 2, 0.0).tolist())
     return np.array([dy[0] - dy[2], dy[1], *dy[3:]])
 
 
@@ -293,6 +293,33 @@ class TestScalarStepper:
         first, second = fq.simulate(model, a, FAST), fq.simulate(model, a, FAST)
         assert first.y.tobytes() == second.y.tobytes()
         assert fq.nadir_cost(model, a, FAST) == fq.nadir_cost(model, a, FAST)
+
+    # The bundled machines, for the examples.
+    BUNDLED = dict(h1=3.75, h2=3.75, d1=2.0, d2=2.0)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)    # and 5 examples
+    @example(gov={}, **BUNDLED, dp=0.05, t_on=0.0, length=12.0)     # t_on = 0
+    @example(gov={}, **BUNDLED, dp=0.2, t_on=3.0, length=42.0)      # t_off past the horizon
+    @example(gov={}, **BUNDLED, dp=0.1, t_on=1.0, length=11.0)      # breaks on samples
+    @example(gov={}, **BUNDLED, dp=4.0, t_on=1.0, length=9.0)       # loses synchronism
+    @example(gov=CLAMPED, **BUNDLED, dp=0.1, t_on=1.0, length=11.0)
+    @given(gov=GOVERNORS, h1=st.floats(1.0, 6.0), h2=st.floats(1.0, 6.0),
+           d1=st.floats(0.0, 3.0), d2=st.floats(0.0, 3.0), dp=st.floats(0.0, 0.25),
+           t_on=st.floats(0.0, 5.0), length=st.floats(0.1, 40.0))
+    def test_bit_identical_to_list_loop(self, model, gov, h1, h2, d1, d2, dp, t_on, length):
+        # The straight-line step against the same step over 9-element lists.
+        model = replace(model, gov=replace(model.gov, **gov), h1=h1, h2=h2, d1=d1, d2=d2)
+        action = fq.DfecAction(dp, t_on, t_on + length) if dp else None
+        runs = []
+        with pytest.MonkeyPatch.context() as patch:
+            for rows in (fq._dense_rows, oracle.list_rows):
+                patch.setattr(fq, "_dense_rows", rows)
+                runs.append((fq.simulate(model, action, FAST), fq.nadir_cost(model, action, FAST)))
+        (run, cost), (ref, ref_cost) = runs
+        assert run.unstable == ref.unstable and run.t.tobytes() == ref.t.tobytes()
+        assert run.y.tobytes() == ref.y.tobytes()
+        assert cost == ref_cost
+        assert not ref.unstable or cost == fq.INSTABILITY_COST
 
 
 class TestBatchedCosts:
