@@ -1,0 +1,187 @@
+#!/usr/bin/env python3
+"""Compare the DEOC schedules and outputs of the working tree with a parent commit.
+
+Run from the root of the repository:
+
+    python3 scripts/compare_deoc.py --parent <commit> [--out report.json]
+
+The inputs are the `deoc-mixed` commands of bench seeds 1-10 and 4242 (the
+first pair of each seed runs the bundled wscc9 and ieee39 studies), written
+once by the workload generator of ``bench/run.py`` (imported, not run). Each
+side runs every command in-process through ``gridstep.cli.main`` in one
+worker process: the parent side in a ``git archive`` checkout of
+``--parent``, the change side in the working tree, twice, in two processes.
+A worker keeps each command's exit code, stdout, stderr, stages, skips and
+the SHA-256 of each output file, and deletes the files.
+
+The report gives per side pair the commands whose stages (target modes) or
+skips (target and reason, its ``min |h|`` aside) differ, the commands whose
+skip reasons differ only in ``min |h|``, the largest ``|t_on|`` and ``|t_off|``
+differences with where they occur, and the commands whose stdout or stderr
+differ; it also lists the commands whose two change-side runs are not
+byte-identical. The exit code is 1 when stages, skips or the repeated runs
+differ, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import random
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = [*range(1, 11), 4242]
+WORKLOAD = "deoc-mixed"
+# A skip reason's "min |h| = ..." is the smallest sampled |h|; near a
+# cancellation its digits follow rounding, so skips compare without it.
+MIN_H = re.compile(r"min \|h\| = [^,]*")
+
+
+def bench_module():
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_inputs(work: Path, seeds) -> list[dict]:
+    """Every seed's commands, with their input files written under ``work``."""
+    bench = bench_module()
+    commands = []
+    for seed in seeds:
+        seed_dir = work / f"seed{seed}"
+        seed_dir.mkdir()
+        rng = random.Random(f"{WORKLOAD}/{seed}")
+        _, argvs, _, _ = bench.deoc_mixed(rng, bench.SPEC["run_seconds"], seed_dir)
+        for k, argv in enumerate(argvs):
+            argv = [str(a) for a in argv]
+            commands.append({"id": f"seed {seed} #{k} {argv[0]} {Path(argv[2]).stem}",
+                             "argv": argv[:-1], "out_is_dir": argv[0] == "deoc"})
+    return commands
+
+
+def worker(src: Path, commands_path: Path, out_dir: Path) -> None:
+    """Run the commands with the gridstep of ``src``; print one JSON record each."""
+    sys.path.insert(0, str(src))
+    import gridstep.cli as cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"imported gridstep from {cli.__file__}, not {src}")
+    for cmd in json.loads(commands_path.read_text()):
+        out = out_dir / "o" if cmd["out_is_dir"] else out_dir / "o.json"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(cmd["argv"] + [str(out)])
+        files = sorted(out.iterdir()) if out.is_dir() else [out] if out.exists() else []
+        record = {"id": cmd["id"], "code": code, "stdout": stdout.getvalue(),
+                  "stderr": stderr.getvalue(),
+                  "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
+        if (out / "schedule.json").is_file():
+            doc = json.loads((out / "schedule.json").read_text())
+            record["stages"] = [(s["target_modes"], s["t_on"], s["t_off"]) for s in doc["stages"]]
+            record["skipped"] = [(s["target"], s["reason"]) for s in doc["skipped"]]
+        print(json.dumps(record), flush=True)
+        if out.is_dir():
+            shutil.rmtree(out)
+        else:
+            out.unlink(missing_ok=True)
+
+
+def run_side(tree: Path, commands_path: Path, scratch: Path) -> dict:
+    scratch.mkdir()
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker",
+                           str(tree / "src"), str(commands_path), str(scratch)],
+                          capture_output=True, text=True, check=True)
+    return {r["id"]: r for r in map(json.loads, proc.stdout.splitlines())}
+
+
+def compare(parent: dict, change: dict) -> dict:
+    stage_diff, skip_diff, min_h_diff, stdout_diff, stderr_diff = [], [], [], [], []
+    worst = {"t_on": (0.0, None), "t_off": (0.0, None)}
+    for cid, old in parent.items():
+        new = change[cid]
+        if old["stdout"] != new["stdout"]:
+            stdout_diff.append({"id": cid, "parent": old["stdout"], "change": new["stdout"]})
+        if old["stderr"] != new["stderr"]:
+            stderr_diff.append({"id": cid, "parent": old["stderr"], "change": new["stderr"]})
+        if "stages" not in old and "stages" not in new:
+            continue
+        old_stages, new_stages = old.get("stages", []), new.get("stages", [])
+        if [s[0] for s in old_stages] != [s[0] for s in new_stages]:
+            stage_diff.append(cid)
+            continue
+        if old.get("skipped") != new.get("skipped"):
+            masked = [[(t, MIN_H.sub("min |h| = ?", r)) for t, r in rec.get("skipped", [])]
+                      for rec in (old, new)]
+            (skip_diff if masked[0] != masked[1] else min_h_diff).append(
+                {"id": cid, "parent": old.get("skipped"), "change": new.get("skipped")})
+        for (_, on_a, off_a), (_, on_b, off_b) in zip(old_stages, new_stages):
+            for key, delta in (("t_on", abs(on_a - on_b)), ("t_off", abs(off_a - off_b))):
+                if delta > worst[key][0]:
+                    worst[key] = (delta, cid)
+    return {"commands": len(parent), "stages_differ": stage_diff, "skips_differ": skip_diff,
+            "skips_differ_in_min_h_only": min_h_diff,
+            "max_abs_dt_on_s": {"value": worst["t_on"][0], "at": worst["t_on"][1]},
+            "max_abs_dt_off_s": {"value": worst["t_off"][0], "at": worst["t_off"][1]},
+            "stdout_differs": len(stdout_diff), "stderr_differs": len(stderr_diff),
+            "stdout_examples": stdout_diff[:5], "stderr_examples": stderr_diff[:5]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="commit to compare against")
+    parser.add_argument("--out", default=None, help="also write the report to this file")
+    parser.add_argument("--worker", nargs=3, metavar=("SRC", "COMMANDS", "SCRATCH"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(*map(Path, args.worker))
+        return 0
+    if not args.parent:
+        parser.error("--parent is required")
+
+    commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    tmp = Path(tempfile.mkdtemp(prefix="compare_deoc_"))
+    try:
+        parent_tree = tmp / "parent"
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        (tmp / "inputs").mkdir()
+        commands_path = tmp / "commands.json"
+        commands_path.write_text(json.dumps(write_inputs(tmp / "inputs", SEEDS)))
+
+        parent = run_side(parent_tree, commands_path, tmp / "run_parent")
+        change = run_side(ROOT, commands_path, tmp / "run_change")
+        repeat = run_side(ROOT, commands_path, tmp / "run_repeat")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    not_repeated = [cid for cid, rec in change.items()
+                    if {k: rec.get(k) for k in ("code", "stdout", "stderr", "sha256")}
+                    != {k: repeat[cid].get(k) for k in ("code", "stdout", "stderr", "sha256")}]
+    report = {"parent_commit": commit, "seeds": SEEDS,
+              "parent_vs_change": compare(parent, change),
+              "change_repeat_not_identical": not_repeated}
+    text = json.dumps(report, indent=1)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    diff = report["parent_vs_change"]
+    return 1 if diff["stages_differ"] or diff["skips_differ"] or not_repeated else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,7 @@ depend on the grid it belongs to.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .fileio import field_name, write_csv
 from .modal import analyze, modal_report
-from .network import build_reduced_model, load_grid
+from .network import build_reduced_model, grid_from_dict, load_grid
 from .oscillation import DeocSchedule, build_schedule, default_targets
 from .scenario import DeocScenario, DfecScenario, load_scenario
 from .simulate import apply_disturbance, simulate_deoc
@@ -62,10 +63,24 @@ def _write_json(doc: dict, path: str | None) -> None:
         Path(path).write_text(text + "\n")
 
 
-def cmd_modes(args) -> int:
-    grid = load_grid(args.system)
+def _system(path):
+    """``(grid, model, basis)`` of a system file, built once per file content.
+
+    Commands run in one process (a program calling :func:`main` repeatedly)
+    share the result while the file's bytes stay the same; the model's and
+    the basis' arrays are read-only, so no command can change them."""
+    return _built_system(Path(path).read_bytes().decode("utf-8"))
+
+
+@functools.lru_cache(maxsize=8)
+def _built_system(text: str):
+    grid = grid_from_dict(json.loads(text))
     model = build_reduced_model(grid)
-    basis = analyze(model)
+    return grid, model, analyze(model)
+
+
+def cmd_modes(args) -> int:
+    grid, model, basis = _system(args.system)
     report = {"schema_version": 1, "system": grid.name}
     report.update(modal_report(model, basis))
     _write_json(report, args.out)
@@ -85,7 +100,7 @@ def _require_dfec(scn) -> DfecScenario:
 
 
 def cmd_deoc(args) -> int:
-    grid = load_grid(args.system)
+    grid, model, basis = _system(args.system)
     scn = _require_deoc(load_scenario(args.scenario))
     if args.t_end is not None or args.dt_out is not None:
         scn = replace(
@@ -94,8 +109,6 @@ def cmd_deoc(args) -> int:
             dt_out=args.dt_out if args.dt_out is not None else scn.dt_out,
         )
 
-    model = build_reduced_model(grid)
-    basis = analyze(model)
     t0, x0 = apply_disturbance(model, basis, scn.disturbance)
 
     targets = scn.targets

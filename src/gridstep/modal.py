@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateSpectrumError, DimensionError
-from .network import ReducedModel
+from .network import ReducedModel, read_only
 
 # Pairs closer than this (rad/s) count as repeated.
 FREQ_SEPARATION_TOL = 1e-6
@@ -26,6 +26,9 @@ class Mode:
     pair: int                 # conjugate-pair index
     frequency: float          # rad/s (positive member of the pair)
     participation: np.ndarray  # per-machine participation magnitude, sums to 1
+
+    def __post_init__(self):
+        read_only(self)
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,9 @@ class ModalBasis:
     e: np.ndarray             # real positive definite
     g: np.ndarray             # D + A^T E A, the switching function's quadratic form
     modes: tuple[Mode, ...]
+
+    def __post_init__(self):
+        read_only(self)
 
     @property
     def n_states(self) -> int:
@@ -167,9 +173,7 @@ def orbit_value(basis: ModalBasis, center: np.ndarray, x: np.ndarray) -> float |
         raise DimensionError(f"state has shape {x.shape}, expected (..., {basis.n_states})")
     dx = x - center
     xdot = dx @ basis.a.T
-    return np.einsum("...j,jk,...k->...", dx, basis.d, dx) + np.einsum(
-        "...j,jk,...k->...", xdot, basis.e, xdot
-    )
+    return ((dx @ basis.d) * dx).sum(-1) + ((xdot @ basis.e) * xdot).sum(-1)
 
 
 def modal_report(model: ReducedModel, basis: ModalBasis) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -144,6 +144,9 @@ class ReducedModel:
     base_mva: float
     omega_s: float = OMEGA_S_DEFAULT
 
+    def __post_init__(self):
+        read_only(self)
+
     @property
     def n_machines(self) -> int:
         return len(self.machine_buses)
@@ -155,6 +158,15 @@ class ReducedModel:
     @property
     def delta_eq(self) -> np.ndarray:
         return self.x_eq[: self.n_machines]
+
+
+def read_only(instance) -> None:
+    """Make every array field of a frozen dataclass read-only, so that an
+    instance shared between callers cannot be changed through its arrays."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
 
 
 def _assemble_nodes(sys: GridSystem):

@@ -5,7 +5,8 @@ The controller damps swing oscillations by stepping CC injections so the
 equilibrium temporarily shifts from ``x_e`` to ``x_c``. The switch-on instant
 is the root of a closed-form switching function (the orbit around ``x_c``
 through the current state then contains ``x_e``); the switch-off instant is
-the first minimum of the kinetic oscillation energy afterwards.
+the first minimum of the kinetic oscillation energy afterwards. Both are
+bracketed on a 1 ms sample grid and refined by one rule, ``_refine``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     DimensionError,
@@ -28,6 +28,8 @@ from .network import ReducedModel, equilibrium_shifted
 SAMPLE_DT = 1e-3          # root/minimum bracketing step, s
 H_ROOT_RTOL = 1e-10       # |h| tolerance relative to the h(x_c) term
 SEARCH_BLOCK = 512        # samples evaluated at a time by the switch-time searches
+REFINE_POINTS = 64        # points evaluated inside a bracket per refinement pass
+T_RESOLUTION = 1e-14      # bracket width at which a refinement stops, s
 
 
 @dataclass(frozen=True)
@@ -86,14 +88,25 @@ def switching_function(
     Takes one ``(2m,)`` state or a ``(k, 2m)`` stack (one value per state)."""
     shift = x_e - x_c
     dx = np.asarray(x, dtype=float) - x_c
-    return 2.0 * shift @ basis.d @ shift - np.einsum("...j,jk,...k->...", dx, basis.g, dx)
+    return 2.0 * shift @ basis.d @ shift - ((dx @ basis.g) * dx).sum(-1)
 
 
 def oscillation_energy(model: ReducedModel, x: np.ndarray) -> float | np.ndarray:
     """Kinetic oscillation energy ``w_s (w-1)^T H (w-1)`` in pu. Takes one
     ``(2m,)`` state or a ``(k, 2m)`` stack (one value per state)."""
     dw = np.asarray(x, dtype=float)[..., model.n_machines:] - 1.0
-    return model.omega_s * np.einsum("...j,j,...j->...", dw, model.h, dw)
+    return model.omega_s * ((dw * model.h) * dw).sum(-1)
+
+
+def energy_rate(model: ReducedModel, x_c: np.ndarray, x: np.ndarray) -> float | np.ndarray:
+    """Time derivative of :func:`oscillation_energy` along the orbit around
+    ``x_c``: ``2 w_s sum_j h_j (w_j - 1) (A (x - x_c))_{m+j}``. The speed rows
+    of ``A`` are ``-1/2 H^-1 B``, so this is ``-w_s (w - 1)^T B (delta -
+    delta_c)``. Takes one ``(2m,)`` state or a ``(k, 2m)`` stack."""
+    m = model.n_machines
+    x = np.asarray(x, dtype=float)
+    dw = x[..., m:] - 1.0
+    return -model.omega_s * (((x[..., :m] - x_c[:m]) @ model.b_red) * dw).sum(-1)
 
 
 def design_dp(
@@ -182,7 +195,7 @@ def find_switch_on(
     """Earliest usable switching-function root along the uncontrolled orbit.
 
     ``x0`` is the state at time ``t0``; the search covers ``[t_arm, t_max]``
-    with fixed-step bracketing followed by bisection, and samples the window
+    with fixed-step bracketing followed by ``_refine``, and samples the window
     only up to the first accepted root. The switching function
     vanishes twice per revolution of the targeted mode, but only one of the
     crossings steers the trajectory toward ``x_e`` before the opposite orbit
@@ -205,8 +218,8 @@ def find_switch_on(
     ts = np.arange(max(t_arm, t0), t_max + 0.5 * SAMPLE_DT, SAMPLE_DT)
     hs = np.empty(len(ts))
     roots_rejected = 0
-    for k in _scan(h_at, ts, hs, _brackets, 1):
-        t_on = _bisect(h_at, ts[k], ts[k + 1], hs[k], hs[k + 1], tol)
+    for k in _scan(h_at, ts, hs, _changes, 1):
+        t_on = _refine(h_at, ts[k:k + 2], hs[k:k + 2], tol)
         x_on = propagate(basis, x_e, x0, t_on - t0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", MaxWindowWarning)
@@ -245,9 +258,13 @@ def _scan(func, ts, values, flags, width):
             marked = done - width
 
 
-def _brackets(v):
-    """``v[k]`` is zero, or ``v[k]`` and ``v[k + 1]`` differ in sign."""
-    return (v[:-1] == 0.0) | (v[:-1] * v[1:] < 0.0)
+def _changes(v, rising=False):
+    """``v[k]`` is zero, or ``v[k]`` and a nonzero ``v[k + 1]`` differ in sign
+    (``v[k] < 0 < v[k + 1]`` if ``rising``). Signs are read with
+    ``np.signbit``, so no product of two values can overflow."""
+    neg = np.signbit(v)
+    flip = neg[:-1] & ~neg[1:] if rising else neg[:-1] != neg[1:]
+    return (v[:-1] == 0.0) | (flip & (v[1:] != 0.0))
 
 
 def _minima(v):
@@ -256,19 +273,28 @@ def _minima(v):
     return (mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))
 
 
-def _bisect(func, lo, hi, f_lo, f_hi, tol, max_iter=200):
-    if f_lo == 0.0:
-        return lo
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
-        if abs(f_mid) < tol or (hi - lo) < 1e-14:
-            return mid
-        if f_lo * f_mid <= 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+def _refine(func, ts, values, tol, rising=False):
+    """First root of ``func`` that ``_changes(values, rising)`` brackets on the
+    samples ``values = func(ts)``, or ``None`` if it brackets none.
+
+    Each pass evaluates ``func`` once, on ``REFINE_POINTS`` evenly spaced
+    points inside the first bracket ``[a, b]``, and keeps the first bracket
+    among them. It stops at the end of ``[a, b]`` with the smaller ``|func|``
+    once that is zero or below ``tol``, or once ``[a, b]`` is narrower than
+    ``T_RESOLUTION`` or no longer shrinks."""
+    width = np.inf
+    while True:
+        marked = np.flatnonzero(_changes(values, rising))
+        if not marked.size:
+            return None
+        k = int(marked[0])
+        (a, b), (f_a, f_b) = ts[k:k + 2], values[k:k + 2]
+        end, f_end = (a, f_a) if abs(f_a) <= abs(f_b) else (b, f_b)
+        if f_end == 0.0 or abs(f_end) < tol or not T_RESOLUTION <= b - a < width:
+            return float(end)
+        width = b - a
+        ts = np.linspace(a, b, REFINE_POINTS + 2)
+        values = np.concatenate(([f_a], func(ts[1:-1]), [f_b]))
 
 
 def find_switch_off(
@@ -281,21 +307,26 @@ def find_switch_off(
 ):
     """First local minimum of the oscillation energy after switch-on.
 
-    The system orbits ``x_c`` while the control is active. Returns
+    The system orbits ``x_c`` while the control is active. The minimum is
+    bracketed by three energy samples 1 ms apart and placed at the root of
+    :func:`energy_rate` inside them that ``_refine`` finds; if the rate does
+    not rise through zero there, the middle sample is taken. Returns
     ``(t_off, x_off, energy_off)``; if no interior minimum appears before
     ``t_max``, returns the window end and emits :class:`MaxWindowWarning`.
     """
     def ek_at(t):
         return oscillation_energy(model, propagate(basis, x_c, x_on, t - t_on))
 
+    def rate_at(t):
+        return energy_rate(model, x_c, propagate(basis, x_c, x_on, t - t_on))
+
     ts = np.arange(t_on, t_max + 0.5 * SAMPLE_DT, SAMPLE_DT)
     ek = np.empty(len(ts))
     for k in _scan(ek_at, ts, ek, _minima, 2):
-        res = minimize_scalar(
-            ek_at, bounds=(ts[k], ts[k + 2]), method="bounded",
-            options={"xatol": 1e-9},
-        )
-        t_off = float(res.x)
+        bracket = ts[k:k + 3]
+        t_off = _refine(rate_at, bracket, rate_at(bracket), 0.0, rising=True)
+        if t_off is None:
+            t_off = float(ts[k + 1])
         x_off = propagate(basis, x_c, x_on, t_off - t_on)
         return t_off, x_off, oscillation_energy(model, x_off)
 

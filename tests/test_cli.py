@@ -8,10 +8,12 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridstep import cli
 from gridstep.cli import main
 from gridstep.network import GRID_SCHEMA
 from gridstep.scenario import DEOC_SCENARIO_SCHEMA, DFEC_SCENARIO_SCHEMA
@@ -428,6 +430,22 @@ class TestDeoc:
         assert err == (f"input error: disturbance.magnitude = {magnitude:g} pu leaves an "
                        f"oscillation energy beyond the float range\n")
 
+    def test_huge_pulse_runs_silently(self, capsys, tmp_path):
+        """A -1e150 pu pulse drives ``|h|`` to ~1e300: the searches read signs
+        without multiplying values, so the run keeps the bundled -5 pu
+        pulse's stages and prints no overflow warning."""
+        lines = []
+        for magnitude in (-5.0, -1e150):
+            scn = _edited(tmp_path, "scenario_wscc9.json", ("disturbance", "magnitude"),
+                          magnitude)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, "deoc", "--system", str(DATA / "wscc9.json"),
+                                     "--scenario", str(scn), "--out", str(tmp_path / "o"))
+            assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
+            lines.append(out.split()[:2])
+        assert lines[0] == lines[1] == ["stages=2", "skipped=0"]
+
     @pytest.mark.parametrize("field", ["duration", "start"])
     def test_pulse_past_t_end_is_input_error(self, capsys, tmp_path, field):
         code, err = self._run_edited(capsys, tmp_path, ("disturbance", field), 1e300)
@@ -480,6 +498,56 @@ class TestDeoc:
             "--out", str(tmp_path / "o"),
         )
         assert code == 2
+
+
+class TestSystemCache:
+    """``deoc`` and ``modes`` build a system once per file content and
+    process, and share it read-only."""
+
+    def _deoc(self, capsys, out):
+        code, stdout, err = run(capsys, "deoc", "--system", str(DATA / "wscc9.json"),
+                                "--scenario", str(DATA / "scenario_wscc9.json"),
+                                "--out", str(out))
+        assert (code, err) == (0, "")
+        return [stdout] + [p.read_bytes() for p in sorted(out.iterdir())]
+
+    def test_cached_runs_match_a_fresh_build(self, capsys, tmp_path):
+        cli._built_system.cache_clear()
+        first = self._deoc(capsys, tmp_path / "a")
+        second = self._deoc(capsys, tmp_path / "b")
+        assert cli._built_system.cache_info().hits == 1
+        cli._built_system.cache_clear()
+        assert first == second == self._deoc(capsys, tmp_path / "c")
+
+    def test_edited_system_file_is_built_again(self, capsys, tmp_path):
+        reports = []
+        for inertia in (6.4, 12.8):
+            path = _edited(tmp_path, "wscc9.json", ("generators", 1, "inertia"), inertia)
+            code, out, _ = run(capsys, "modes", "--system", str(path))
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0]["modes"] != reports[1]["modes"]
+
+    @pytest.mark.parametrize("command", ["modes", "deoc"])
+    def test_non_utf8_system_file_is_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "odd.json"
+        path.write_bytes(b"\xff{}")
+        argv = ["--scenario", str(DATA / "scenario_wscc9.json"),
+                "--out", str(tmp_path / "o")] if command == "deoc" else []
+        code, _, err = run(capsys, command, "--system", str(path), *argv)
+        assert (code, err) == (2, "input error: 'utf-8' codec can't decode byte 0xff in "
+                                  "position 0: invalid start byte\n")
+
+    def test_cached_arrays_are_read_only(self):
+        grid, model, basis = cli._system(DATA / "wscc9.json")
+        assert cli._system(DATA / "wscc9.json")[2] is basis
+        arrays = [value for obj in (model, basis, *basis.modes)
+                  for value in vars(obj).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 9 + 8 + len(basis.modes)   # model, basis, one per mode
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
 
 
 class TestDfec:

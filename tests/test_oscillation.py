@@ -247,10 +247,10 @@ class TestSearchBlocks:
 
 def test_bundled_schedules_match_complex_propagation(monkeypatch, bundled_deoc):
     """The real-form ``propagate`` leaves each bundled study's stages and
-    skips as the complex modal form gives them. Switch-on roots agree to
-    1e-9 s, switch-off times to 1e-7 s: ``minimize_scalar``'s bounded search
-    resolves a flat energy minimum to about ``sqrt(eps) |t|``, and a
-    rounding-level change of the energy moves its result that far."""
+    skips as the complex modal form gives them, with switch-on roots and
+    switch-off times within 1e-9 s: the switch-off is the root of the energy
+    rate, which a rounding-level change of the state moves far less than it
+    moves the flat energy minimum."""
     b = bundled_deoc
     monkeypatch.setattr(oscillation, "propagate", oracle.propagate)
     monkeypatch.setattr(simulate, "propagate", oracle.propagate)
@@ -260,8 +260,25 @@ def test_bundled_schedules_match_complex_propagation(monkeypatch, bundled_deoc):
         ref = build_schedule(b.basis, b.model, x0, t0, b.targets, **b.kwargs)
     assert b.schedule.skipped == ref.skipped
     assert [(s.target_modes, s.t_on, s.t_off) for s in b.schedule.stages] == [
-        (s.target_modes, pytest.approx(s.t_on, abs=1e-9), pytest.approx(s.t_off, abs=1e-7))
+        (s.target_modes, pytest.approx(s.t_on, abs=1e-9), pytest.approx(s.t_off, abs=1e-9))
         for s in ref.stages]
+
+
+def test_bundled_switch_offs_are_energy_rate_roots(bundled_deoc):
+    """At each bundled stage's ``t_off`` the oscillation energy's rate of
+    change, ``2 w_s sum_j h_j (w_j - 1) (A (x - x_c))_{m+j}`` written out here
+    from the state matrix, rises through zero within 1e-12 s."""
+    b = bundled_deoc
+    m, x, t = b.model.n_machines, b.x0, b.t0
+    for stage in b.schedule.stages:
+        x_on = propagate(b.basis, b.model.x_eq, x, stage.t_on - t)
+        xs = propagate(b.basis, stage.x_c, x_on,
+                       stage.t_off - stage.t_on + np.array([-1e-12, 1e-12]))
+        dx = xs - stage.x_c
+        rate = 2.0 * b.model.omega_s * ((dx @ b.model.a.T)[:, m:] * b.model.h
+                                        * (xs[:, m:] - 1.0)).sum(-1)
+        assert rate[0] < 0.0 < rate[1]
+        x, t = propagate(b.basis, stage.x_c, x_on, stage.t_off - stage.t_on), stage.t_off
 
 
 class TestStageRide:
@@ -328,7 +345,7 @@ class TestStageRide:
         "wscc9": [
             (0.5, [((1,), 0.47937414320309996, 0.4833571916208799)], [(0, 1)]),
             (1.0, [((0,), 0.8157650772680844, 0.9361280779377594),
-                   ((1,), 1.1956227413103957, 1.261721498404341)], []),
+                   ((1,), 1.1956227413103957, 1.2617214945403432)], []),
         ],
         "ieee39": [
             (1.0, [((1,), 0.9667572704156246, 0.9755704026281412),
@@ -354,14 +371,20 @@ class TestStageRide:
     def test_one_switch_off_search_per_root(self, monkeypatch, bundled_deoc):
         b = bundled_deoc
         calls = {"roots": 0, "switch_off": 0}
+        depth = []
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return func(*args, **kwargs)
+                if not depth:     # a switch-off search also refines its minimum
+                    calls[name] += 1
+                depth.append(name)
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    depth.pop()
             return wrapper
 
-        monkeypatch.setattr(oscillation, "_bisect", counted("roots", oscillation._bisect))
+        monkeypatch.setattr(oscillation, "_refine", counted("roots", oscillation._refine))
         monkeypatch.setattr(oscillation, "find_switch_off",
                             counted("switch_off", oscillation.find_switch_off))
         with warnings.catch_warnings():
