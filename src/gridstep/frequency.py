@@ -20,8 +20,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import minimize
 
 from .errors import DimensionError, OptimizationError, StiffnessError
 from .fileio import require_grid
@@ -419,22 +417,32 @@ def _sample_range(t_grid: np.ndarray, lo: float, hi: float, last: bool) -> tuple
 # on lanes, ``BENCH_12.json``), so both stay; they share ``dfec_dynamics``,
 # the tableau below, ``_initial_step`` and the piece start.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's RungeKutta
-_ERR_EXP = -1.0 / (RK45.error_estimator_order + 1)
+_ERR_EXP = -1 / 5                                       # -1 / (error order 4 + 1)
 # A first step guess ``h0`` of zero or NaN means the state derivative overflowed;
 # stepping on would divide by zero or loop on a NaN step the min-step rule passes.
 _NO_INITIAL_STEP = ("DFEC integration failed: the state derivative is not finite, "
                     "so no initial step size exists.")
 
-# The tableau as floats. Stage 2 carries no weight in B, E or P, and the
+# The tableau, written as scipy's ``RK45.A``, ``B``, ``E`` and ``P`` write it
+# (so the floats are the same). Stage 2 carries no weight in B, E or P, and the
 # interpolant's x**1 column is stage 1 alone (Dormand-Prince), so those
 # terms are left out; ``_PjxN`` weighs stage j in the x**N column.
-(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
-    (_A61, _A62, _A63, _A64, _A65) = (RK45.A[s, :s].tolist() for s in range(1, 6))
-_B1, _, _B3, _B4, _B5, _B6 = RK45.B.tolist()
-_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
-(_P1x2, _P1x3, _P1x4), _, (_P3x2, _P3x3, _P3x4), (_P4x2, _P4x3, _P4x4), \
-    (_P5x2, _P5x3, _P5x4), (_P6x2, _P6x3, _P6x4), (_P7x2, _P7x3, _P7x4) = \
-    (row[1:] for row in RK45.P.tolist())
+_A21 = 1/5
+_A31, _A32 = 3/40, 9/40
+_A41, _A42, _A43 = 44/45, -56/15, 32/9
+_A51, _A52, _A53, _A54 = 19372/6561, -25360/2187, 64448/6561, -212/729
+_A61, _A62, _A63, _A64, _A65 = 9017/3168, -355/33, 46732/5247, 49/176, -5103/18656
+_B1, _B3, _B4, _B5, _B6 = 35/384, 500/1113, 125/192, -2187/6784, 11/84
+_E1, _E3, _E4, _E5, _E6, _E7 = -71/57600, 71/16695, -71/1920, 17253/339200, -22/525, 1/40
+_P1x2, _P1x3, _P1x4 = -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432
+_P3x2, _P3x3, _P3x4 = (131558114200/32700410799, -68118460800/10900136933,
+                       87487479700/32700410799)
+_P4x2, _P4x3, _P4x4 = (-1754552775/470086768, 14199869525/1410260304,
+                       -10690763975/1880347072)
+_P5x2, _P5x3, _P5x4 = (127303824393/49829197408, -318862633887/49829197408,
+                       701980252875/199316789632)
+_P6x2, _P6x3, _P6x4 = -282668133/205662961, 2019193451/616988883, -1453857185/822651844
+_P7x2, _P7x3, _P7x4 = 40617522/29380423, -110615467/29380423, 69997945/29380423
 
 
 def _norm(values) -> float:
@@ -955,6 +963,63 @@ _NELDER_MEAD = {"xatol": 1e-3, "fatol": 1e-9, "maxiter": 400}
 _POLISH_STEP = 0.005  # edge of the polish's initial simplex, unit-cube units
 
 
+def _nelder_mead(func, x0, xatol, fatol, maxiter, initial_simplex=None):
+    """The Nelder-Mead simplex search (Nelder & Mead, Comput. J. 7(4), 1965)
+    as ``scipy.optimize.minimize(method="Nelder-Mead")`` runs it without
+    bounds or ``adaptive``, step for step: the same coefficients (reflect 1,
+    expand 2, contract 1/2, shrink 1/2), the same ``np.argsort`` reordering
+    and stop rule, at most ``maxiter - 1`` iterations, so it visits the same
+    points. ``func`` gets copies. Returns ``(best vertex, best value)``.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    if initial_simplex is None:
+        sim = np.tile(x0, (n + 1, 1))
+        for k, v in enumerate(x0):
+            sim[k + 1, k] = 1.05 * v if v != 0 else 0.00025
+    else:
+        sim = np.array(initial_simplex, dtype=float)
+
+    def f(v):
+        return func(v.copy())
+
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    for _ in range(2):                      # scipy sorts the first simplex twice
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    for _ in range(maxiter - 1):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = sim[:-1].sum(0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:              # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:                           # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], fsim.min()
+
+
 def optimize_action(
     model: TwoMachineModel,
     bounds: ActionBounds,
@@ -1022,8 +1087,7 @@ def optimize_action(
     # Rank the starts and descend on the surrogate.
     surrogate_of = objective(surrogate.cost)
     ranked = sorted(starts, key=surrogate_of)[:refine_starts]
-    optima = [minimize(surrogate_of, v0, method="Nelder-Mead", options=_NELDER_MEAD).x
-              for v0 in ranked]
+    optima = [_nelder_mead(surrogate_of, v0, **_NELDER_MEAD)[0] for v0 in ranked]
 
     # The surrogate optima on the nonlinear model.
     windows = [unpack(v) for v in optima]
@@ -1040,10 +1104,10 @@ def optimize_action(
     # its first vertex, start_v, is already costed.
     steps = np.where(start_v < 0.5, _POLISH_STEP, -_POLISH_STEP)
     simplex = np.vstack([start_v, start_v + np.diag(steps)])
-    polish = minimize(lambda v: start_c if np.array_equal(v, start_v) else nonlinear_of(v),
-                      start_v, method="Nelder-Mead",
-                      options=dict(_NELDER_MEAD, initial_simplex=simplex))
-    best_v = polish.x if polish.fun < start_c else start_v
+    polish_v, polish_c = _nelder_mead(
+        lambda v: start_c if np.array_equal(v, start_v) else nonlinear_of(v),
+        start_v, **_NELDER_MEAD, initial_simplex=simplex)
+    best_v = polish_v if polish_c < start_c else start_v
 
     # Report the reported action's own cost, without the cube penalty.
     action = DfecAction(*unpack(best_v))

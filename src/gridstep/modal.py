@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSpectrumError, DimensionError
 from .network import ReducedModel, read_only
@@ -71,7 +70,7 @@ def analyze(model: ReducedModel) -> ModalBasis:
     w_s = model.omega_s
     h_sqrt = np.sqrt(model.h)
     k_sym = 0.5 * w_s * (model.b_red / h_sqrt[:, None] / h_sqrt[None, :])
-    sigma, w = scipy.linalg.eigh(k_sym)
+    sigma, w = np.linalg.eigh(k_sym)
 
     if sigma[0] <= 0.0 or np.sqrt(max(sigma[0], 0.0)) < FREQ_SEPARATION_TOL:
         raise DegenerateSpectrumError(

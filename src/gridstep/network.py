@@ -17,9 +17,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionError, ModelError
 from .fileio import validate
@@ -109,12 +106,17 @@ class GridSystem:
     def _check_connected(self) -> None:
         if not self.branches:
             raise ModelError("no branches")
-        index = {b.id: i for i, b in enumerate(self.buses)}
-        rows = [index[br.from_bus] for br in self.branches]
-        cols = [index[br.to_bus] for br in self.branches]
-        n = len(self.buses)
-        adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        n_comp, _ = connected_components(adj, directed=False)
+        parent = {b.id: b.id for b in self.buses}   # union-find over bus ids
+
+        def root(bus):
+            while parent[bus] != bus:
+                parent[bus] = parent[parent[bus]]
+                bus = parent[bus]
+            return bus
+
+        for br in self.branches:
+            parent[root(br.from_bus)] = root(br.to_bus)
+        n_comp = sum(root(bus) == bus for bus in parent)
         if n_comp != 1:
             raise ModelError(f"branch graph is disconnected ({n_comp} components)")
 
@@ -201,6 +203,25 @@ def _assemble_nodes(sys: GridSystem):
     return nodes, branches, machine_nodes, machine_gens, ground, index
 
 
+def elimination_pivots(b_ll: np.ndarray) -> np.ndarray:
+    """Pivots of Gaussian elimination on the eliminated-bus block ``b_ll``.
+
+    ``b_ll`` is a symmetric, diagonally dominant Laplacian block, so
+    elimination needs no row swaps and its pivots are the squared diagonal of
+    the Cholesky factor. Cholesky fails where a pivot rounds to zero or
+    below; the pivots of the longest leading block it factors are then kept
+    and the rest read 0.
+    """
+    n = len(b_ll)
+    for k in range(n, 0, -1):
+        try:
+            head = np.diag(np.linalg.cholesky(b_ll[:k, :k])) ** 2
+        except np.linalg.LinAlgError:
+            continue
+        return np.concatenate([head, np.zeros(n - k)])
+    return np.zeros(n)
+
+
 def build_reduced_model(sys: GridSystem) -> ReducedModel:
     """Reduce a :class:`GridSystem` to the linear swing model.
 
@@ -232,13 +253,12 @@ def build_reduced_model(sys: GridSystem) -> ReducedModel:
     b_ll = lap[np.ix_(elim, elim)]
 
     if elim:
-        lu, piv = scipy.linalg.lu_factor(b_ll, check_finite=False)
-        diag = np.abs(np.diag(lu))
-        bad = np.flatnonzero(diag < _SINGULAR_PIVOT_RTOL * max(diag.max(), 1.0))
+        pivots = elimination_pivots(b_ll)
+        bad = np.flatnonzero(pivots < _SINGULAR_PIVOT_RTOL * max(pivots.max(), 1.0))
         if bad.size:
             raise ModelError(f"singular Kron reduction: pivot {bad[0]} is numerically zero")
         # F maps eliminated-bus injections to machine electrical powers.
-        f_map = scipy.linalg.lu_solve((lu, piv), b_gl.T).T
+        f_map = np.linalg.solve(b_ll, b_gl.T).T
         b_red = b_gg - f_map @ b_gl.T
     else:
         f_map = np.zeros((len(mach), 0))

@@ -11,6 +11,7 @@ bracketed on a 1 ms sample grid and refined by one rule, ``_refine``.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -357,25 +358,29 @@ def build_schedule(
     """Sequential per-mode schedule: design the injection, find the switch-on
     root, ride the shifted orbit to the energy minimum, advance, repeat.
 
-    A stage that finds no switching opportunity is skipped with a recorded
-    reason; later stages continue from the unchanged state.
+    Each target is one mode pair index; anything else raises
+    :class:`DimensionError`. A stage that finds no switching opportunity is
+    skipped with a recorded reason; later stages continue from the unchanged
+    state.
     """
-    targets = list(targets)
+    try:
+        targets = [operator.index(target) for target in targets]
+    except TypeError as exc:
+        raise DimensionError(f"each target must be one integer mode pair: {exc}") from exc
     if dp_overrides is not None and len(dp_overrides) != len(targets):
         raise DimensionError("dp_overrides must match targets in length")
     n_pairs = len(basis.modes)
     for target in targets:
-        for pair in (target,) if np.isscalar(target) else target:
-            if not 0 <= pair < n_pairs:
-                raise DimensionError(f"target pair {pair} is outside [0, {n_pairs}): "
-                                     f"the system has {n_pairs} mode pairs")
+        if not 0 <= target < n_pairs:
+            raise DimensionError(f"target pair {target} is outside [0, {n_pairs}): "
+                                 f"the system has {n_pairs} mode pairs")
 
     x, t = np.asarray(x0, dtype=float), float(t0)
     stages: list[ControlStage] = []
     skipped: list[tuple[int, str]] = []
 
     for k, target in enumerate(targets):
-        pair_targets = (target,) if np.isscalar(target) else tuple(target)
+        pair_targets = (target,)
         if dp_overrides is not None and dp_overrides[k] is not None:
             dp = np.asarray(dp_overrides[k], dtype=float)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -387,19 +392,19 @@ def build_schedule(
         else:
             s = scale if scale is not None else auto_scale(basis, model, x, pair_targets)
             if s == 0.0:
-                skipped.append((int(target), "target mode not excited"))
+                skipped.append((target, "target mode not excited"))
                 continue
             dp = design_dp(basis, model, x, pair_targets, s)
             x_c = equilibrium_shifted(model, dp)
         if np.linalg.norm(x_c - model.x_eq) < 1e-14:
-            skipped.append((int(target), "zero equilibrium shift"))
+            skipped.append((target, "zero equilibrium shift"))
             continue
         try:
             t_on, x_on, h_res, (t_off, x_off, e_off) = find_switch_on(
                 basis, model, x_c, x, t, t, t + stage_window
             )
         except NoSwitchOpportunityError as exc:
-            skipped.append((int(target), str(exc)))
+            skipped.append((target, str(exc)))
             continue
         e_on = oscillation_energy(model, x_on)
         stages.append(

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -347,6 +350,18 @@ class TestModes:
         path = write_json(tmp_path / "twins.json", doc)
         code, _, err = run(capsys, "modes", "--system", str(path))
         assert code == 1
+
+    def test_singular_kron_reduction_is_input_error(self, capsys, tmp_path):
+        """A leaf load bus hung on a branch of x = 1e15 pu leaves a pivot
+        of 1e-15 against the others' O(10): the reduction is refused."""
+        doc = json.loads((DATA / "wscc9.json").read_text())
+        doc["buses"].append({"id": 99, "type": "non-generator"})
+        doc["branches"].append({"from": 5, "to": 99, "x": 1e15})
+        doc["loads"].append({"bus": 99, "p": 1.0})
+        path = write_json(tmp_path / "leaf.json", doc)
+        code, out, err = run(capsys, "modes", "--system", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: singular Kron reduction: pivot ")
 
 
 class TestDeoc:
@@ -743,3 +758,39 @@ class TestDfec:
                            str(DATA / "dfec_twomachine.json"), "--dt-out", "0")
         assert code == 2
         assert "dt_out" in err
+
+
+# Runs each command through ``cli.main`` in one fresh interpreter and prints
+# the exit codes and the scipy modules that interpreter loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from gridstep.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """scipy is a test dependency only: no command imports any of it."""
+    doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+    doc["sim"]["horizon"] = 2.0
+    doc["optimize"] = {"grid_starts": 1, "refine_starts": 1}
+    dfec = str(write_json(tmp_path / "dfec_short.json", doc))
+    wscc9, scenario = str(DATA / "wscc9.json"), str(DATA / "scenario_wscc9.json")
+    commands = [
+        ["validate", "--system", wscc9, "--scenario", scenario],
+        ["modes", "--system", wscc9],
+        ["deoc", "--system", wscc9, "--scenario", scenario, "--out", str(tmp_path / "deoc")],
+        ["dfec", "simulate", "--scenario", str(DATA / "dfec_twomachine.json"), "--t-end", "2"],
+        ["dfec", "optimize", "--scenario", dfec, "--out", str(tmp_path / "result.json")],
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0] * len(commands), "scipy": []}
+    assert (tmp_path / "result.json").is_file()

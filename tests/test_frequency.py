@@ -322,6 +322,24 @@ class TestScalarStepper:
         assert not ref.unstable or cost == fq.INSTABILITY_COST
 
 
+def test_tableau_is_scipys_rk45():
+    """The literal Dormand-Prince constants equal ``scipy.integrate.RK45``'s,
+    element for element; the terms left out are zero (or 1 at P[0, 0])."""
+    from scipy.integrate import RK45
+
+    a = [[getattr(fq, f"_A{i}{j}") for j in range(1, i)] for i in range(2, 7)]
+    assert [RK45.A[s, :s].tolist() for s in range(1, 6)] == a
+    assert not np.triu(RK45.A).any()
+    assert RK45.B.tolist() == [fq._B1, 0.0, fq._B3, fq._B4, fq._B5, fq._B6]
+    assert RK45.E.tolist() == [fq._E1, 0.0, fq._E3, fq._E4, fq._E5, fq._E6, fq._E7]
+    p = RK45.P.tolist()
+    assert p[0] == [1.0, fq._P1x2, fq._P1x3, fq._P1x4]
+    assert p[1] == [0.0] * 4
+    for j in range(3, 8):
+        assert p[j - 1] == [0.0] + [getattr(fq, f"_P{j}x{n}") for n in (2, 3, 4)]
+    assert fq._ERR_EXP == -1.0 / (RK45.error_estimator_order + 1)
+
+
 class TestBatchedCosts:
     # Per-lane dp; t_on = 0 (no switch-on break); t_off beyond the horizon
     # (switch-off break dropped); an uncontrolled lane; a lane whose large
@@ -451,6 +469,70 @@ class TestOptimize:
         doc = small_result.to_dict()
         assert set(doc["action"]) == {"dp", "t_on", "t_off"}
         assert doc["cost"] <= doc["uncontrolled_cost"]
+
+
+def _rosenbrock(v):
+    return float(np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (1.0 - v[:-1]) ** 2))
+
+
+def _notch(v):
+    """From x0 = [1]: reflection lands in a notch and the contraction
+    climbs out of it, so the first iteration shrinks."""
+    x = v[0]
+    return 2.0 * (x - 1.0) if x >= 1.0 else 0.05 + abs(x - 0.95)
+
+
+class TestNelderMead:
+    """``_nelder_mead`` against ``scipy.optimize.minimize``, bit for bit."""
+
+    POLISH_START = np.array([0.2, 0.7, 0.4])
+
+    @pytest.mark.parametrize("func, x0, simplex, maxiter", [
+        (_rosenbrock, np.array([-1.2, 1.0]), None, 400),
+        (_rosenbrock, np.array([-1.2, 1.0]), None, 20),
+        # every vertex of the first simplex costs 12, and later values tie too
+        (lambda v: float(np.floor(4.0 * np.abs(v).sum())), np.array([1.0, 2.0]), None, 400),
+        (_notch, np.array([1.0]), None, 400),
+        # the polish's simplex: start plus 0.005 steps pointing into the cube
+        (_rosenbrock, POLISH_START, np.vstack([POLISH_START, POLISH_START + np.diag(
+            np.where(POLISH_START < 0.5, 0.005, -0.005))]), 400),
+    ], ids=["rosenbrock", "maxiter", "tied", "shrink", "initial-simplex"])
+    def test_matches_scipy(self, func, x0, simplex, maxiter):
+        from scipy.optimize import minimize
+
+        options = dict(fq._NELDER_MEAD, maxiter=maxiter, initial_simplex=simplex)
+        runs = []
+        for search in ("scipy", "port"):
+            calls = []
+
+            def counted(v):
+                calls.append(v)
+                return func(v)
+
+            if search == "scipy":
+                res = minimize(counted, x0, method="Nelder-Mead", options=options)
+                runs.append((res.x, res.fun, res.nfev, calls))
+            else:
+                x, fun = fq._nelder_mead(counted, x0, **options)
+                runs.append((x, fun, len(calls), calls))
+        (x_ref, f_ref, n_ref, ref_calls), (x, fun, n, port_calls) = runs
+        assert x.tobytes() == x_ref.tobytes() and fun == f_ref and n == n_ref
+        assert np.array_equal(np.array(port_calls), np.array(ref_calls))
+        if func is _notch:     # reflect, contract, then the shrunk vertex
+            assert port_calls[4][0] == 1.0 + 0.5 * (1.05 - 1.0)
+
+    def test_func_gets_copies(self):
+        """A ``func`` that overwrites its argument changes nothing."""
+        def scribbling(v):
+            value = _rosenbrock(v)
+            v[:] = np.nan
+            return value
+
+        x0 = np.array([-1.2, 1.0])
+        x, fun = fq._nelder_mead(scribbling, x0, **fq._NELDER_MEAD)
+        x_ref, f_ref = fq._nelder_mead(_rosenbrock, x0, **fq._NELDER_MEAD)
+        assert x.tobytes() == x_ref.tobytes() and fun == f_ref
+        assert x0.tolist() == [-1.2, 1.0]
 
 
 class TestContourSweep:

@@ -4,6 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from gridstep import (
     DimensionError,
@@ -19,6 +24,8 @@ from gridstep.network import (
     Generator,
     GridSystem,
     Load,
+    _SINGULAR_PIVOT_RTOL,
+    elimination_pivots,
     grid_from_dict,
 )
 
@@ -122,6 +129,23 @@ class TestValidation:
         with pytest.raises(ModelError, match="disconnected"):
             build_reduced_model(sys)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 12), data=st.data())
+    def test_components_match_scipy(self, n, data):
+        """The union-find counts the components ``connected_components`` counts."""
+        edges = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                                   min_size=1, max_size=2 * n))
+        sys = _grid(buses=[(k, "non-generator") for k in range(1, n + 1)],
+                    branches=[(i, j, 0.5) for i, j in edges], gens=[])
+        rows, cols = zip(*[(i - 1, j - 1) for i, j in edges])
+        adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        n_comp = connected_components(adj, directed=False)[0]
+        if n_comp == 1:
+            sys._check_connected()
+        else:
+            with pytest.raises(ModelError, match=rf"disconnected \({n_comp} components\)"):
+                sys._check_connected()
+
     def test_duplicate_bus_ids_rejected(self):
         sys = _grid(
             buses=[(1, "generator"), (1, "generator")],
@@ -195,3 +219,53 @@ class TestEquilibriumShifted:
     def test_speeds_stay_synchronous(self, wscc9_model):
         x_c = equilibrium_shifted(wscc9_model, 0.1 * np.ones(6))
         assert x_c[2:] == pytest.approx(np.ones(2))
+
+
+@st.composite
+def laplacian_blocks(draw):
+    """The eliminated-bus block of the grounded Laplacian of a random connected
+    network: a random tree plus extra branches, the first ``kept`` nodes kept.
+    Susceptances spread over 3 decades, or over 17 in a third of the cases."""
+    n = draw(st.integers(3, 40))
+    kept = draw(st.integers(1, n - 1))
+    decades = draw(st.sampled_from([3.0, 3.0, 17.0]))
+    edges = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
+    edges += [(i, j) for i, j in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)) if i != j]
+    lap = np.zeros((n, n))
+    for i, j in edges:
+        b = 10.0 ** draw(st.floats(-decades / 2, decades / 2))
+        lap[[i, j], [i, j]] += b
+        lap[[i, j], [j, i]] -= b
+    return lap[kept:, kept:]
+
+
+class TestSingularReduction:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(b_ll=laplacian_blocks())
+    def test_pivot_flag_matches_lu_factor_scan(self, b_ll):
+        """Squared Cholesky diagonals flag a numerically zero pivot exactly
+        when the pivots of ``lu_factor`` (with row swaps) do."""
+        pivots = elimination_pivots(b_ll)
+        lu_diag = np.abs(np.diag(scipy.linalg.lu_factor(b_ll, check_finite=False)[0]))
+        flag = np.any(pivots < _SINGULAR_PIVOT_RTOL * max(pivots.max(), 1.0))
+        lu_flag = np.any(lu_diag < _SINGULAR_PIVOT_RTOL * max(lu_diag.max(), 1.0))
+        assert flag == lu_flag
+
+    def test_weakly_hung_bus_pair_fails_cholesky(self):
+        """Buses 2 and 3, tied by x = 1e-8, hang on the grid by x = 1e9: the
+        second pivot, 1e8 - 1e16 / 1e8, is exactly 0, so Cholesky fails; the
+        first pivot is kept and the reduction refused at the second."""
+        sys = _grid(
+            buses=[(1, "generator"), (2, "non-generator"), (3, "non-generator"),
+                   (4, "generator")],
+            branches=[(1, 4, 0.5), (1, 2, 1e9), (2, 3, 1e-8)],
+            gens=[dict(bus=1, inertia=3.5, pm=0.0),
+                  dict(bus=4, inertia=1.0, pm=0.0, infinite=True)],
+        )
+        b_ll = np.array([[1e8 + 1e-9, -1e8], [-1e8, 1e8]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(b_ll)
+        assert elimination_pivots(b_ll).tolist() == [1e8, 0.0]
+        with pytest.raises(ModelError, match="Kron reduction: pivot 1 is numerically zero"):
+            build_reduced_model(sys)

@@ -8,6 +8,7 @@ import pytest
 
 from gridstep import (
     DeocSchedule,
+    DimensionError,
     MaxWindowWarning,
     NoSwitchOpportunityError,
     build_schedule,
@@ -429,6 +430,16 @@ class TestBuildSchedule:
         assert len(sched.stages) == 0
         assert len(sched.skipped) == 1
 
+    def test_unexcited_target_is_skipped(self, wscc9_basis, wscc9_model):
+        sched = build_schedule(wscc9_basis, wscc9_model, wscc9_model.x_eq, 0.0, [0])
+        assert sched.stages == ()
+        assert sched.skipped == ((0, "target mode not excited"),)
+
+    @pytest.mark.parametrize("target", [(0, 1), 1.0])
+    def test_non_integer_target_is_dimension_error(self, wscc9_basis, wscc9_model, target):
+        with pytest.raises(DimensionError, match="each target must be one integer mode pair"):
+            build_schedule(wscc9_basis, wscc9_model, wscc9_model.x_eq, 0.0, [target])
+
     def test_default_targets_ranked_by_excitation(self, wscc9_basis, wscc9_model):
         dist = Disturbance(kind="power-pulse", bus=8, magnitude=-5.0, start=0.0,
                           duration=5.0 / 60.0)
@@ -438,7 +449,7 @@ class TestBuildSchedule:
         assert amps[targets[0]] >= amps[targets[1]]
 
     def test_overlapping_stages_rejected(self, smib_cc_model, smib_cc_basis):
-        from gridstep import ControlStage, DimensionError
+        from gridstep import ControlStage
 
         x_c = equilibrium_shifted(smib_cc_model, np.array([0.05]))
         mk = lambda t_on, t_off: ControlStage(
