@@ -14,13 +14,14 @@ worker process: the parent side in a ``git archive`` checkout of
 A worker keeps each command's exit code, stdout, stderr, stages, skips and
 the SHA-256 of each output file, and deletes the files.
 
-The report gives per side pair the commands whose stages (target modes) or
-skips (target and reason, its ``min |h|`` aside) differ, the commands whose
-skip reasons differ only in ``min |h|``, the largest ``|t_on|`` and ``|t_off|``
-differences with where they occur, and the commands whose stdout or stderr
-differ; it also lists the commands whose two change-side runs are not
-byte-identical. The exit code is 1 when stages, skips or the repeated runs
-differ, else 0.
+The report gives per side pair the commands whose stages (target modes)
+differ, each with both sides' ``(target modes, t_on, t_off)`` stages and
+skips; the commands whose skips (target and reason, its ``min |h|`` aside)
+differ; the commands whose skip reasons differ only in ``min |h|``; the
+largest ``|t_on|`` and ``|t_off|`` differences with where they occur; and the
+commands whose stdout or stderr differ. It also lists the commands whose two
+change-side runs are not byte-identical. The exit code is 1 when stages,
+skips or the repeated runs differ, else 0.
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ def compare(parent: dict, change: dict) -> dict:
             continue
         old_stages, new_stages = old.get("stages", []), new.get("stages", [])
         if [s[0] for s in old_stages] != [s[0] for s in new_stages]:
-            stage_diff.append(cid)
+            stage_diff.append({"id": cid,
+                               "parent": {"stages": old_stages, "skipped": old.get("skipped")},
+                               "change": {"stages": new_stages, "skipped": new.get("skipped")}})
             continue
         if old.get("skipped") != new.get("skipped"):
             masked = [[(t, MIN_H.sub("min |h| = ?", r)) for t, r in rec.get("skipped", [])]

@@ -52,5 +52,6 @@ class ReachabilityWarning(UserWarning):
 
 
 class MaxWindowWarning(UserWarning):
-    """No oscillation-energy minimum found before the window end; the window
-    end time was returned instead."""
+    """The oscillation-energy rate rises through zero nowhere before the
+    window end, so no energy minimum was found; the window end time was
+    returned instead."""

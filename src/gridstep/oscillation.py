@@ -5,8 +5,9 @@ The controller damps swing oscillations by stepping CC injections so the
 equilibrium temporarily shifts from ``x_e`` to ``x_c``. The switch-on instant
 is the root of a closed-form switching function (the orbit around ``x_c``
 through the current state then contains ``x_e``); the switch-off instant is
-the first minimum of the kinetic oscillation energy afterwards. Both are
-bracketed on a 1 ms sample grid and refined by one rule, ``_refine``.
+the first minimum of the kinetic oscillation energy afterwards, where its
+closed-form rate rises through zero. Both are found by one rule, ``_roots``:
+sign changes on a 1 ms sample grid, each refined by ``_refine``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
 from .modal import ModalBasis, orbit_value, propagate
 from .network import ReducedModel, equilibrium_shifted
 
-SAMPLE_DT = 1e-3          # root/minimum bracketing step, s
+SAMPLE_DT = 1e-3          # root bracketing step, s
 H_ROOT_RTOL = 1e-10       # |h| tolerance relative to the h(x_c) term
 SEARCH_BLOCK = 512        # samples evaluated at a time by the switch-time searches
 REFINE_POINTS = 64        # points evaluated inside a bracket per refinement pass
@@ -196,8 +197,8 @@ def find_switch_on(
     """Earliest usable switching-function root along the uncontrolled orbit.
 
     ``x0`` is the state at time ``t0``; the search covers ``[t_arm, t_max]``
-    with fixed-step bracketing followed by ``_refine``, and samples the window
-    only up to the first accepted root. The switching function
+    with ``_roots`` and samples the window only up to the first accepted
+    root. The switching function
     vanishes twice per revolution of the targeted mode, but only one of the
     crossings steers the trajectory toward ``x_e`` before the opposite orbit
     extreme. Each root is therefore checked with the ride its stage would
@@ -219,8 +220,7 @@ def find_switch_on(
     ts = np.arange(max(t_arm, t0), t_max + 0.5 * SAMPLE_DT, SAMPLE_DT)
     hs = np.empty(len(ts))
     roots_rejected = 0
-    for k in _scan(h_at, ts, hs, _changes, 1):
-        t_on = _refine(h_at, ts[k:k + 2], hs[k:k + 2], tol)
+    for t_on in _roots(h_at, ts, hs, tol):
         x_on = propagate(basis, x_e, x0, t_on - t0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", MaxWindowWarning)
@@ -241,10 +241,9 @@ def find_switch_on(
     )
 
 
-def _scan(func, ts, values, flags, width):
-    """Indices ``k``, in order, that ``flags`` marks on ``values = func(ts)``.
-
-    ``flags(v)`` marks each ``k < len(v) - width`` from ``v[k : k + width + 1]``.
+def _roots(func, ts, values, tol, rising=False):
+    """Roots of ``func``, in order: one per bracket that ``_changes(values,
+    rising)`` marks on ``values = func(ts)``, each refined by ``_refine``.
     ``func`` is evaluated ``SEARCH_BLOCK`` samples at a time, into ``values``,
     and only as far as the caller keeps iterating: ``values`` is complete
     once the generator is exhausted."""
@@ -253,30 +252,25 @@ def _scan(func, ts, values, flags, width):
         stop = min(done + SEARCH_BLOCK, len(ts))
         values[done:stop] = func(ts[done:stop])
         done = stop
-        if done - width > marked:
-            for k in np.flatnonzero(flags(values[marked:done])):
-                yield marked + int(k)
-            marked = done - width
+        for k in marked + np.flatnonzero(_changes(values[marked:done], rising)):
+            yield _refine(func, ts[k:k + 2], values[k:k + 2], tol, rising)
+        marked = done - 1
 
 
 def _changes(v, rising=False):
-    """``v[k]`` is zero, or ``v[k]`` and a nonzero ``v[k + 1]`` differ in sign
-    (``v[k] < 0 < v[k + 1]`` if ``rising``). Signs are read with
-    ``np.signbit``, so no product of two values can overflow."""
+    """``v[k]`` is zero, or ``v[k]`` and a nonzero ``v[k + 1]`` differ in sign;
+    signs are read with ``np.signbit``, so no product of two values can
+    overflow. If ``rising``: ``v[k] < 0 <= v[k + 1]``, so a zero that starts
+    the samples, as a ride from rest does, marks nothing."""
+    if rising:
+        return (v[:-1] < 0.0) & (v[1:] >= 0.0)
     neg = np.signbit(v)
-    flip = neg[:-1] & ~neg[1:] if rising else neg[:-1] != neg[1:]
-    return (v[:-1] == 0.0) | (flip & (v[1:] != 0.0))
-
-
-def _minima(v):
-    """``v[k + 1]`` is a local minimum, flat on at most one side."""
-    lo, mid, hi = v[:-2], v[1:-1], v[2:]
-    return (mid <= lo) & (mid <= hi) & ((mid < lo) | (mid < hi))
+    return (v[:-1] == 0.0) | ((neg[:-1] != neg[1:]) & (v[1:] != 0.0))
 
 
 def _refine(func, ts, values, tol, rising=False):
     """First root of ``func`` that ``_changes(values, rising)`` brackets on the
-    samples ``values = func(ts)``, or ``None`` if it brackets none.
+    samples ``values = func(ts)``, which must bracket one.
 
     Each pass evaluates ``func`` once, on ``REFINE_POINTS`` evenly spaced
     points inside the first bracket ``[a, b]``, and keeps the first bracket
@@ -285,10 +279,7 @@ def _refine(func, ts, values, tol, rising=False):
     ``T_RESOLUTION`` or no longer shrinks."""
     width = np.inf
     while True:
-        marked = np.flatnonzero(_changes(values, rising))
-        if not marked.size:
-            return None
-        k = int(marked[0])
+        k = int(np.flatnonzero(_changes(values, rising))[0])
         (a, b), (f_a, f_b) = ts[k:k + 2], values[k:k + 2]
         end, f_end = (a, f_a) if abs(f_a) <= abs(f_b) else (b, f_b)
         if f_end == 0.0 or abs(f_end) < tol or not T_RESOLUTION <= b - a < width:
@@ -308,26 +299,18 @@ def find_switch_off(
 ):
     """First local minimum of the oscillation energy after switch-on.
 
-    The system orbits ``x_c`` while the control is active. The minimum is
-    bracketed by three energy samples 1 ms apart and placed at the root of
-    :func:`energy_rate` inside them that ``_refine`` finds; if the rate does
-    not rise through zero there, the middle sample is taken. Returns
-    ``(t_off, x_off, energy_off)``; if no interior minimum appears before
-    ``t_max``, returns the window end and emits :class:`MaxWindowWarning`.
+    The system orbits ``x_c`` while the control is active. The minimum is the
+    first root of :func:`energy_rate` that rises through zero between two
+    samples 1 ms apart (``v[k] < 0 <= v[k + 1]``), refined by ``_refine``.
+    Returns ``(t_off, x_off, energy_off)``; if the rate rises through zero
+    nowhere before ``t_max``, returns the window end and emits
+    :class:`MaxWindowWarning`.
     """
-    def ek_at(t):
-        return oscillation_energy(model, propagate(basis, x_c, x_on, t - t_on))
-
     def rate_at(t):
         return energy_rate(model, x_c, propagate(basis, x_c, x_on, t - t_on))
 
     ts = np.arange(t_on, t_max + 0.5 * SAMPLE_DT, SAMPLE_DT)
-    ek = np.empty(len(ts))
-    for k in _scan(ek_at, ts, ek, _minima, 2):
-        bracket = ts[k:k + 3]
-        t_off = _refine(rate_at, bracket, rate_at(bracket), 0.0, rising=True)
-        if t_off is None:
-            t_off = float(ts[k + 1])
+    for t_off in _roots(rate_at, ts, np.empty(len(ts)), 0.0, rising=True):
         x_off = propagate(basis, x_c, x_on, t_off - t_on)
         return t_off, x_off, oscillation_energy(model, x_off)
 

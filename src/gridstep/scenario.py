@@ -233,6 +233,13 @@ def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
     if sweep and sweep["t_on"]["count"] * sweep["t_off"]["count"] > MAX_SAMPLES:
         raise DimensionError(f"sweep.t_on.count x sweep.t_off.count gives more than "
                              f"{MAX_SAMPLES} cells")
+    sweep_t_on = sweep_t_off = None
+    if sweep:
+        sweep_t_on, sweep_t_off = _axis(sweep["t_on"]), _axis(sweep["t_off"])
+        if sweep_t_on.min() >= sweep_t_off.max():
+            raise DimensionError(f"no sweep cell has t_on < t_off: the earliest sweep.t_on "
+                                 f"is {sweep_t_on.min():g} s, the latest sweep.t_off "
+                                 f"{sweep_t_off.max():g} s")
     return DfecScenario(
         model=model,
         sim=sim,
@@ -241,8 +248,8 @@ def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
         grid_starts=grid_starts,
         refine_starts=_int(opt.get("refine_starts", 3)),
         sweep_dp=sweep.get("dp", 0.1),
-        sweep_t_on=_axis(sweep["t_on"]) if sweep else None,
-        sweep_t_off=_axis(sweep["t_off"]) if sweep else None,
+        sweep_t_on=sweep_t_on,
+        sweep_t_off=sweep_t_off,
         name=doc.get("name", ""),
     )
 

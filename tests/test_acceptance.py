@@ -9,6 +9,7 @@ import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +211,26 @@ def test_perturbed_switch_on_still_reduces_energy(wscc9_case, wscc9_auto_schedul
             )
         assert e_off < e_on
         x, t = x_off, t_off
+
+
+# ---------------------------------------------------------------------------
+# 5b. README headline numbers
+
+def test_readme_headline_numbers(wscc9_case, wscc9_auto_schedule, dfec_uncontrolled_cost,
+                                 dfec_optimum):
+    """Each computed number README quotes appears there to its printed digits."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    model, basis, scn, _, _ = wscc9_case
+    ratio = _energy_ratio(model, basis, scn.disturbance, wscc9_auto_schedule)
+    c0, a, cost = dfec_uncontrolled_cost, dfec_optimum.action, dfec_optimum.cost
+    for quoted in (
+        f"`({a.dp:.5f}, {a.t_on:.5f}, {a.t_off:.3f})` at cost {cost:.7f}",
+        f"cuts the excursion cost by {100.0 * (1.0 - cost / c0):.1f} % "
+        f"({c0:.6f} → {cost:.6f})",
+        f"the second inter-machine mode sits at {basis.modes[1].frequency:.2f} rad/s",
+        f"actual result ≈ {100.0 * ratio:.1f} %",
+    ):
+        assert quoted in readme
 
 
 # ---------------------------------------------------------------------------

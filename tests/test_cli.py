@@ -121,6 +121,11 @@ class TestValidate:
         ("scenario_wscc9.json", ("stage_window",), 1e9,
          "stage_window = 1e+09 at the switch-time search step = 0.001 gives 1e+12 samples, "
          "more than 10000000"),
+        ("dfec_twomachine.json", ("sweep",),
+         {"dp": 0.12, "t_on": {"start": 5.0, "stop": 6.0, "count": 2},
+          "t_off": {"start": 1.0, "stop": 2.0, "count": 2}},
+         "no sweep cell has t_on < t_off: the earliest sweep.t_on is 5 s, the latest "
+         "sweep.t_off 2 s"),
     ])
     def test_grid_too_large_is_input_error(self, capsys, tmp_path, name, path, value, message):
         scn = str(_edited(tmp_path, name, path, value))

@@ -22,9 +22,11 @@ from gridstep import (
 from gridstep import oscillation, simulate
 from gridstep.modal import propagate
 from gridstep.oscillation import SAMPLE_DT, auto_scale, default_targets
+from gridstep.scenario import load_scenario
 from gridstep.simulate import Disturbance, apply_disturbance
 
 import oracle
+from conftest import DATA
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,44 @@ class TestSwitchTimes:
         t_on, x_on, _, _ = find_switch_on(basis, model, x_c, x0, t0, t0, t0 + 5.0)
         t_off, x_off, e_off = find_switch_off(basis, model, x_c, x_on, t_on, t_on + 5.0)
         assert t_off > t_on
+        assert e_off < oscillation_energy(model, x_on)
+
+    def test_ride_from_rest_ends_at_the_next_minimum(self, wscc9_basis, wscc9_model):
+        """From rest (every speed 1, so ``ek`` and ``dEk/dt`` are zero at
+        ``t_on``) on a pure mode-0 shift, the speeds are next all 1 half a
+        period later; the ride must not end where it starts."""
+        basis, model = wscc9_basis, wscc9_model
+        _, x0 = apply_disturbance(model, basis,
+                                  load_scenario(DATA / "scenario_wscc9.json").disturbance)
+        x_c = equilibrium_shifted(model, design_dp(basis, model, x0, (0,),
+                                                   auto_scale(basis, model, x0, (0,))))
+        assert oscillation.energy_rate(model, x_c, model.x_eq) == 0.0
+        t_on = 1.0
+        t_off, _, e_off = find_switch_off(basis, model, x_c, model.x_eq, t_on, t_on + 2.0)
+        assert t_off == pytest.approx(t_on + math.pi / basis.modes[0].frequency, abs=1e-9)
+        assert e_off < 1e-12
+
+    def test_minimum_within_the_first_sample_after_switch_on(self, ieee39_basis,
+                                                              ieee39_model):
+        """The bundled ieee39 study at stage window 1 s: the target-8 ride's
+        energy minimum lies 0.11 ms after its switch-on root, inside the
+        first 1 ms sample interval."""
+        basis, model = ieee39_basis, ieee39_model
+        scn = load_scenario(DATA / "scenario_ieee39.json")
+        t0, x0 = apply_disturbance(model, basis, scn.disturbance)
+        targets = default_targets(basis, model, x0, scn.n_targets)
+        assert targets[-1] == 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sched = build_schedule(basis, model, x0, t0, targets[:-1], stage_window=1.0)
+        x, t = sched.final_state, sched.final_time
+        x_c = equilibrium_shifted(model, design_dp(basis, model, x, (8,),
+                                                   auto_scale(basis, model, x, (8,))))
+        t_on = 2.6437059880777474
+        x_on = propagate(basis, model.x_eq, x, t_on - t)
+        t_off, _, e_off = find_switch_off(basis, model, x_c, x_on, t_on, t_on + 1.0)
+        assert t_off - t_on == pytest.approx(1.115e-4, abs=1e-7)
+        assert t_off == pytest.approx(2.6438175017960353, abs=1e-9)
         assert e_off < oscillation_energy(model, x_on)
 
     def test_no_root_raises(self, smib_cc_basis, smib_cc_model):
@@ -351,7 +391,8 @@ class TestStageRide:
         "ieee39": [
             (1.0, [((1,), 0.9667572704156246, 0.9755704026281412),
                    ((2,), 1.8250319023191515, 1.8281717513986457),
-                   ((4,), 2.3532208103127723, 2.354061209703489)], [(0, 0), (8, 4)]),
+                   ((4,), 2.3532208103127723, 2.354061209703489),
+                   ((8,), 2.6437059880777474, 2.6438175017960353)], [(0, 0)]),
         ],
     }
 
