@@ -7,15 +7,18 @@ Run from the root of the repository:
         --claim dfec-optimize:wall_s --trace dfec-optimize
 
 Each workload of ``BENCHMARK.json`` runs ``bench/run.py --workload W --seed S
---seconds <run_seconds>`` once per side and seed, one run at a time: the
-parent side is a checkout of ``--parent`` (``git archive`` into a temporary
-directory, removed on exit), the change side is the working tree. Seeds 1-10
+--seconds <run_seconds>`` once per side and seed, one run at a time. Each
+side runs in a fresh tree in one temporary directory, removed on exit: the
+parent side in a ``git archive`` of ``--parent``, the change side in a copy
+of the working tree's tracked files (``git ls-files``, as they are in the
+working tree; ``git add`` new files first). So neither side reads a
+``__pycache__`` the other lacks. Seeds 1-10
 make the pairs, the parent running first on odd seeds and the change first on
 even ones; the held-out seed 4242 runs once per side (change first) after
 the pairs. ``--trace W`` adds one ``--trace 1`` run of seed 1 per side of
 workload W after everything else. The script writes nothing under
 ``bench/``; ``bench/run.py`` keeps its run records in each tree's
-``.bench_work/``.
+``.bench_work/``, inside the temporary directory.
 
 The output keeps the layout of the earlier ``BENCH_*.json`` records: per
 workload the pairs, and per metric the inclusive quartiles of each side over
@@ -56,6 +59,19 @@ def run_bench(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     result = json.loads(lines[-1])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"]}
+
+
+def copy_tracked(dest: Path) -> None:
+    """Copy the working tree's tracked files, as they are now, into ``dest``
+    (a tracked file deleted in the working tree is left out)."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
+                            capture_output=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def quartiles(values) -> dict:
@@ -106,7 +122,8 @@ def environment() -> dict:
 
     return {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__, "parent_tree": "git archive of the parent commit",
+            "change_tree": "copy of the working tree's `git ls-files` files"}
 
 
 def main(argv=None) -> int:
@@ -127,7 +144,9 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
-        sides = {"parent": parent, "change": ROOT}
+        change = tmp / "change"
+        copy_tracked(change)
+        sides = {"parent": parent, "change": change}
 
         workloads = {}
         for workload in names:
@@ -155,8 +174,9 @@ def main(argv=None) -> int:
             "what": (f"Alternated parent/change pairs of `python3 bench/run.py --workload W "
                      f"--seed S --seconds {SPEC['run_seconds']}` (end-to-end metrics, tracing "
                      f"off), written by scripts/paired_bench.py; the parent side ran in a "
-                     f"`git archive` checkout of the parent commit, the change side in the "
-                     f"working tree, one run at a time, parent first on odd seeds and change "
+                     f"`git archive` checkout of the parent commit, the change side in a "
+                     f"fresh copy of the working tree's tracked files, both in one temporary "
+                     f"directory, one run at a time, parent first on odd seeds and change "
                      f"first on even ones, seeds 1-10 per workload; seed {HELD_OUT_SEED} is "
                      f"the held-out seed, run once per side (change first) after the pairs. "
                      f"Quartiles are statistics.quantiles(method='inclusive') over the ten "

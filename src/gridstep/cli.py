@@ -214,6 +214,8 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; each subcommand's ``func`` default names
+    the ``cmd_*`` function that runs it."""
     parser = argparse.ArgumentParser(
         prog="gridstep",
         description="Discrete power-injection grid control: oscillation "
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_modes = sub.add_parser("modes", help="eigenvalue/participation report")
     p_modes.add_argument("--system", required=True)
     p_modes.add_argument("--out", default=None)
-    p_modes.set_defaults(func=cmd_modes)
+    p_modes.set_defaults(func="cmd_modes")
 
     p_deoc = sub.add_parser("deoc", help="schedule and simulate the oscillation controller")
     p_deoc.add_argument("--system", required=True)
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deoc.add_argument("--out", required=True, help="output directory")
     p_deoc.add_argument("--dt-out", type=float, default=None)
     p_deoc.add_argument("--t-end", type=float, default=None)
-    p_deoc.set_defaults(func=cmd_deoc)
+    p_deoc.set_defaults(func="cmd_deoc")
 
     p_dfec = sub.add_parser("dfec", help="frequency excursion controller")
     dfec_sub = p_dfec.add_subparsers(dest="dfec_command", required=True)
@@ -240,35 +242,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = dfec_sub.add_parser("optimize", help="search the best (dp, t_on, t_off)")
     p_opt.add_argument("--scenario", required=True)
     p_opt.add_argument("--out", default=None)
-    p_opt.set_defaults(func=cmd_dfec_optimize)
+    p_opt.set_defaults(func="cmd_dfec_optimize")
 
     p_sweep = dfec_sub.add_parser("sweep", help="switch-time contour grid (cost x 1000)")
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.set_defaults(func=cmd_dfec_sweep)
+    p_sweep.set_defaults(func="cmd_dfec_sweep")
 
     p_sim = dfec_sub.add_parser("simulate", help="single disturbance response")
     p_sim.add_argument("--scenario", required=True)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--dt-out", type=float, default=None)
     p_sim.add_argument("--t-end", type=float, default=None)
-    p_sim.set_defaults(func=cmd_dfec_simulate)
+    p_sim.set_defaults(func="cmd_dfec_simulate")
 
     p_val = sub.add_parser("validate", help="schema-check input files")
     p_val.add_argument("--system", default=None)
     p_val.add_argument("--scenario", default=None)
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func="cmd_validate")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     import jsonschema
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a wrapped or replaced cmd_* is the one run.
+        return globals()[args.func](args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -107,11 +107,16 @@ class TwoMachineModel:
 
 @dataclass(frozen=True)
 class DfecAction:
+    """An injection block; the fields are stored as Python floats, so a run
+    of an action made from numpy scalars steps on floats too."""
+
     dp: float
     t_on: float
     t_off: float
 
     def __post_init__(self):
+        for name in ("dp", "t_on", "t_off"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (0.0 <= self.t_on < self.t_off):
             raise DimensionError("action requires 0 <= t_on < t_off")
         if self.dp < 0.0:
@@ -413,9 +418,11 @@ def _sample_range(t_grid: np.ndarray, lo: float, hi: float, last: bool) -> tuple
 # rtol/atol keep their meaning. ``_dense_rows`` steps one action on
 # plain floats, straight-line over nine scalars; ``nadir_costs`` steps a batch
 # as numpy lanes. Each loop is the only fast one for its work (one action, or
-# a sweep's many: 38 bench sweep cells take ~3x as long on the float loop as
-# on lanes, ``BENCH_12.json``), so both stay; they share ``dfec_dynamics``,
-# the tableau below, ``_initial_step`` and the piece start.
+# a sweep's many: on a 2-vCPU x86 VM, the 38 cells of the bench's seed-1
+# sweep take 0.43 s one by one on the float loop against 0.33 s as lanes,
+# 1.3x, and the bundled sweep's 272 cells 3.86 s against 0.60 s, 6.5x), so
+# both stay; they share ``dfec_dynamics``, the tableau below,
+# ``_initial_step`` and the piece start.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's RungeKutta
 _ERR_EXP = -1 / 5                                       # -1 / (error order 4 + 1)
 # A first step guess ``h0`` of zero or NaN means the state derivative overflowed;
@@ -472,17 +479,63 @@ def _initial_step(rhs, y, f, length, rtol, atol):
     return min(100.0 * h0, h1, length)
 
 
+class _Prefix:
+    """Solver states of one run's first piece, kept for later runs of the
+    same model and options to start from.
+
+    The recording run keeps, after each accepted step of its first piece,
+    the farthest time any of its attempts has aimed at (``reach``) and the
+    state the next step starts from: ``(t, y, f, h_abs, low, count)`` with
+    the derivative ``f`` (first same as last), the next step size, the
+    lowest average speed and the number of output rows so far. It keeps no
+    more once ``reach`` gets to ``until``. A later run whose first piece has
+    the same injection, load and initial step attempts the same steps, bit
+    for bit, up to the first attempt that aims at its own first break or
+    past a sample that belongs to the next piece."""
+
+    def __init__(self, until: float):
+        self.until = until
+        self.first = None       # (dp_active, p_motor, initial step) of the first piece
+        self.reach: list[float] = []
+        self.states: list[tuple] = []
+        self.rows = array("d")  # the recording run's rows, ``width`` to a row
+        self.width = 0
+
+    def resume(self, first, bound, width, w_ss, penalty, cap):
+        """``(state, stop)`` for a run whose first piece starts as ``first``
+        and whose attempts, from the first one that aims at ``bound`` on,
+        differ from the recording run's: the last state before that, or,
+        with ``stop``, the earlier one after which the run's cap test
+        ``(w_ss - low) + penalty > cap`` first holds. ``(None, False)``
+        where no state applies."""
+        n = bisect.bisect_left(self.reach, bound)
+        if first != self.first or width != self.width or n == 0:
+            return None, False
+        # The lowest speed only falls from state to state, so the test can
+        # only hold at an earlier state if it holds at the last one.
+        if (w_ss - self.states[n - 1][4]) + penalty > cap:
+            return next(s for s in self.states if (w_ss - s[4]) + penalty > cap), True
+        return self.states[n - 1], False
+
+
 def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
-                settling: _Settling | None = None) -> array | None:
+                settling: _Settling | None = None, cap: float = math.inf,
+                penalty: float = 0.0, start: _Prefix | None = None,
+                record: _Prefix | None = None) -> array | None:
     """The first ``width`` (4 or 9) state components at every output sample
     of the run through ``pieces``, row after row; ``None`` as soon as a
     sample shows loss of synchronism. With ``settling`` (the last piece's),
     the rows end after the first accepted step of the last piece from which
-    the run has ``_settled``.
+    the run has ``_settled``, or after the first accepted step of any piece
+    after which ``(w_ss - low) + penalty > cap`` for the lowest average
+    speed ``low`` so far.
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
-    accepted step's dense output.
+    accepted step's dense output. ``record`` keeps the states of the first
+    piece (see ``_Prefix``); a run given a ``start`` recorded on the same
+    model and options starts its first piece, if that is not its last, from
+    the last state it shares with the recording run.
 
     The step is written out over nine float locals per vector: the state
     ``y0..y8``, the stages ``a, b, c, d, e, g, q`` (``k1 .. k7``, one letter
@@ -498,6 +551,9 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
     y0, y1, y2, y3, y4, y5, y6, y7, y8 = model.equilibrium().tolist()
     rows = array("d")
     low = math.inf          # lowest average speed sampled so far
+    w_ss = math.nan if settling is None else settling.w_ss   # NaN: no cap test
+    if record is not None:
+        record.rows, record.width = rows, width
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
         last = n == len(pieces) - 1
         watch = settling if last else None
@@ -509,10 +565,29 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
         h_abs = _initial_step(rhs, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, hi - lo,
                               rtol, atol)
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = f
+        recording = n == 0 and record is not None
+        if recording:
+            record.first = (dp_active, p_motor, h_abs)
+            reach = -math.inf
+        elif n == 0 and start is not None and not last:
+            # Attempts that aim at the break or past the next piece's first
+            # sample differ from the recording run's.
+            bound = min(hi, t_out[k_end]) if k_end < len(t_out) else hi
+            state, stop = start.resume((dp_active, p_motor, h_abs), bound, width,
+                                       w_ss, penalty, cap)
+            if state is not None:
+                t, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, h_abs, low, count = state
+                a0, a1, a2, a3, a4, a5, a6, a7, a8 = f
+                rows = start.rows[:count * width]
+                if stop:
+                    return rows
         while True:
             # One step (scipy's RungeKutta._step_impl).
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
+            if recording:       # a retried attempt aims short of the first one
+                reach = max(reach, t + h_abs)
+                recording = reach < record.until
             rejected = False
             while True:
                 if h_abs < min_step:
@@ -690,6 +765,8 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                     v7 = h * (a7 * x + p2_7 * x2 + p3_7 * x3 + p4_7 * x4) + y7
                     v8 = h * (a8 * x + p2_8 * x2 + p3_8 * x3 + p4_8 * x4) + y8
                     rows.extend((v0, v1, v2, v3, v4, v5, v6, v7, v8))
+                if (w_ss - low) + penalty > cap:
+                    return rows
                 if end:
                     y0 = h * (((a0 + p2_0) + p3_0) + p4_0) + y0
                     y1 = h * (((a1 + p2_1) + p3_1) + p4_1) + y1
@@ -706,16 +783,25 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
             t = t_new
             y0, y1, y2, y3, y4, y5, y6, y7, y8 = z0, z1, z2, z3, z4, z5, z6, z7, z8
             a0, a1, a2, a3, a4, a5, a6, a7, a8 = k7
+            if recording:
+                record.reach.append(reach)
+                record.states.append((t, (y0, y1, y2, y3, y4, y5, y6, y7, y8), k7, h_abs,
+                                      low, len(rows) // width))
     return rows
 
-def _trajectory(model, action, opts, width, settle=False) -> DfecTrajectory:
+
+def _trajectory(model, action, opts, width, settle=False, cap=math.inf, penalty=0.0,
+                start=None, record=None) -> DfecTrajectory:
     """The run of ``action``; with ``settle`` (a cost run) it ends where the
-    run has ``_settled``, so ``t`` and ``y`` may stop short of the horizon."""
+    run has ``_settled`` or its cost, plus ``penalty``, is past ``cap``, so
+    ``t`` and ``y`` may stop short of the horizon. ``start`` and ``record``
+    are ``_dense_rows``'."""
     pieces = _pieces(model, action, opts)
     settling = _settling(model, *pieces[-1][2:])      # where it settles
     _require_steps(settling, opts)
     t = _output_grid(opts)
-    rows = _dense_rows(model, pieces, opts, width, settling if settle else None)
+    rows = _dense_rows(model, pieces, opts, width, settling if settle else None, cap, penalty,
+                       start, record)
     if rows is None:
         return DfecTrajectory(t, np.full((len(t), width), np.nan), True, settling.w_ss)
     y = np.frombuffer(rows).reshape(-1, width)
@@ -728,11 +814,25 @@ def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions
     return _trajectory(model, action, opts, 9)
 
 
-def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> float:
+def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions,
+               cap: float = math.inf, penalty: float = 0.0, start: _Prefix | None = None,
+               summary: bool = False):
     """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism or
     has no steady state. Only the angles and speeds are interpolated, and
-    the run stops once it has ``_settled``."""
-    return _trajectory(model, action, opts, 4, settle=True).summary()[2]
+    the run stops once it has ``_settled``.
+
+    A caller that only compares the cost plus ``penalty`` against ``cap``
+    can let the run stop at the first step after which the cost so far,
+    plus ``penalty``, exceeds ``cap``. The value returned then is at most
+    the cost, and it plus ``penalty`` still exceeds ``cap``; a cost whose
+    sum with ``penalty`` is at most ``cap`` is returned exactly.
+    ``start`` (a ``_Prefix`` recorded on the same model and options) lets
+    the run start from a state it shares with the recording run; the result
+    is the same bit for bit. With ``summary`` the return is the run's
+    ``(w_ss, nadir, cost)`` (see ``DfecTrajectory.summary``)."""
+    run = _trajectory(model, action, opts, 4, settle=True, cap=cap, penalty=penalty,
+                      start=start)
+    return run.summary() if summary else run.summary()[2]
 
 
 # Lane-batched cost engine. Every lane follows the scalar step sequence and
@@ -969,7 +1069,10 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter, initial_simplex=None):
     bounds or ``adaptive``, step for step: the same coefficients (reflect 1,
     expand 2, contract 1/2, shrink 1/2), the same ``np.argsort`` reordering
     and stop rule, at most ``maxiter - 1`` iterations, so it visits the same
-    points. ``func`` gets copies. Returns ``(best vertex, best value)``.
+    points. ``func(v, cap)`` gets copies of the points. Where ``cap`` is
+    finite, the value is only compared against ``cap`` and is kept only if
+    it is not above it, so any value above ``cap`` (at most the true one)
+    does as well. Returns ``(best vertex, best value)``.
     """
     x0 = np.asarray(x0, dtype=float).flatten()
     n = len(x0)
@@ -980,8 +1083,8 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter, initial_simplex=None):
     else:
         sim = np.array(initial_simplex, dtype=float)
 
-    def f(v):
-        return func(v.copy())
+    def f(v, cap=math.inf):
+        return func(v.copy(), float(cap))
 
     fsim = np.array([f(v) for v in sim], dtype=float)
     for _ in range(2):                      # scipy sorts the first simplex twice
@@ -993,21 +1096,23 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter, initial_simplex=None):
             break
         xbar = sim[:-1].sum(0) / n
         xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
+        # Past the worst vertex, the reflection only picks the inside
+        # contraction; it is kept (and needed exactly) only below it.
+        fxr = f(xr, fsim[-1])
         if fxr < fsim[0]:
             xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
+            fxe = f(xe, fxr)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:              # outside contraction
                 xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
+                fxc = f(xc, fxr)
                 shrink = not fxc <= fxr
             else:                           # inside contraction
                 xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
+                fxc = f(xc, fsim[-1])
                 shrink = not fxc < fsim[-1]
             if not shrink:
                 sim[-1], fsim[-1] = xc, fxc
@@ -1041,8 +1146,15 @@ def optimize_action(
     on it, and Nelder-Mead on the nonlinear cost polishes the best one from a
     small simplex. The reported ``cost`` is the ``nadir_cost`` of the
     reported action.
+
+    The polish pays only for what each comparison needs: a cost run that
+    Nelder-Mead only compares against a bound stops once it is past it,
+    and a cost run that switches on after the uncontrolled run's first step
+    starts from that run's last state before its switch-on (``_Prefix``).
+    Neither changes a result bit.
     """
-    uncontrolled_run = _trajectory(model, None, opts, 4)
+    prefix = _Prefix(until=bounds.t_on_max)
+    uncontrolled_run = _trajectory(model, None, opts, 4, record=prefix)
     _, nadir0, uncontrolled = uncontrolled_run.summary()
     if uncontrolled_run.unstable:
         raise OptimizationError("the uncontrolled run loses synchronism, so there "
@@ -1061,17 +1173,23 @@ def optimize_action(
         return float(np.sum(np.clip(np.abs(v - 0.5) - 0.5, 0.0, None) ** 2)) * 10.0
 
     def objective(cost):
-        def cost_of(v):
+        def cost_of(v, cap=math.inf):
             dp, t_on, t_off = unpack(v)
-            return (cost(dp, t_on, t_off) if dp > 0.0 else uncontrolled) + penalty(v)
+            extra = penalty(v)
+            return (cost(dp, t_on, t_off, cap, extra) if dp > 0.0 else uncontrolled) + extra
         return cost_of
 
     nonlinear_evals = 0
+    exact = {}      # (nadir, cost) of each action whose cost run was not cut short
 
-    def nonlinear(dp, t_on, t_off):
+    def nonlinear(dp, t_on, t_off, cap, extra):
         nonlocal nonlinear_evals
         nonlinear_evals += 1
-        return nadir_cost(model, DfecAction(dp, t_on, t_off), opts)
+        action = DfecAction(dp, t_on, t_off)
+        _, nadir, cost = nadir_cost(model, action, opts, cap, extra, prefix, summary=True)
+        if not cost + extra > cap:
+            exact[action] = nadir, cost
+        return cost
 
     starts = []
     if initial_guess is not None:
@@ -1085,7 +1203,7 @@ def optimize_action(
     starts += [np.array([gd, gon, glen]) for gd in grid for gon in grid for glen in grid]
 
     # Rank the starts and descend on the surrogate.
-    surrogate_of = objective(surrogate.cost)
+    surrogate_of = objective(lambda dp, t_on, t_off, cap, extra: surrogate.cost(dp, t_on, t_off))
     ranked = sorted(starts, key=surrogate_of)[:refine_starts]
     optima = [_nelder_mead(surrogate_of, v0, **_NELDER_MEAD)[0] for v0 in ranked]
 
@@ -1105,13 +1223,15 @@ def optimize_action(
     steps = np.where(start_v < 0.5, _POLISH_STEP, -_POLISH_STEP)
     simplex = np.vstack([start_v, start_v + np.diag(steps)])
     polish_v, polish_c = _nelder_mead(
-        lambda v: start_c if np.array_equal(v, start_v) else nonlinear_of(v),
+        lambda v, cap: start_c if np.array_equal(v, start_v) else nonlinear_of(v, cap),
         start_v, **_NELDER_MEAD, initial_simplex=simplex)
     best_v = polish_v if polish_c < start_c else start_v
 
-    # Report the reported action's own cost, without the cube penalty.
+    # Report the reported action's own cost, without the cube penalty, from
+    # its exact run (every vertex Nelder-Mead keeps was costed exactly). With
+    # dp = 0 no run was made: the action is none.
     action = DfecAction(*unpack(best_v))
-    _, nadir_c, cost = _trajectory(model, action, opts, 4, settle=True).summary()
+    nadir_c, cost = exact[action] if action.dp > 0.0 else (nadir0, uncontrolled)
     if not cost < uncontrolled:
         # dp = 0 is always feasible; an action no better than none is none.
         action, nadir_c, cost = DfecAction(0.0, 0.0, 1e-3), nadir0, uncontrolled

@@ -93,17 +93,20 @@ def nadir_cost(model, action, opts) -> float:
     return simulate(model, action, opts).summary()[2]
 
 
-def list_rows(model, pieces, opts, width, settling=None):
+def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0.0,
+              start=None, record=None):
     """``frequency._dense_rows`` with its step written over 9-element lists,
     list comprehensions and ``zip``: the first ``width`` state components at
     every output sample of the run through ``pieces``, row after row; ``None``
     as soon as a sample shows loss of synchronism. With ``settling`` (the
     last piece's), the rows end after the first accepted step of the last
-    piece from which the run has ``_settled``.
+    piece from which the run has ``_settled``, or after the first accepted
+    step of any piece after which ``(w_ss - low) + penalty > cap``.
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
-    accepted step's dense output.
+    accepted step's dense output. ``record`` and ``start`` keep and resume
+    the first piece's states as ``_dense_rows`` does (see ``_Prefix``).
     """
     t_grid = _output_grid(opts)
     t_out = t_grid.tolist()
@@ -111,6 +114,9 @@ def list_rows(model, pieces, opts, width, settling=None):
     y = model.equilibrium().tolist()
     rows = array("d")
     low = math.inf          # lowest average speed sampled so far
+    w_ss = math.nan if settling is None else settling.w_ss
+    if record is not None:
+        record.rows, record.width = rows, width
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
         last = n == len(pieces) - 1
         watch = settling if last else None
@@ -120,10 +126,27 @@ def list_rows(model, pieces, opts, width, settling=None):
         t = lo
         f = rhs(*y)
         h_abs = _initial_step(rhs, y, f, hi - lo, rtol, atol)
+        recording = n == 0 and record is not None
+        if recording:
+            record.first = (dp_active, p_motor, h_abs)
+            reach = -math.inf
+        elif n == 0 and start is not None and not last:
+            bound = min(hi, t_out[k_end]) if k_end < len(t_out) else hi
+            state, stop = start.resume((dp_active, p_motor, h_abs), bound, width,
+                                       w_ss, penalty, cap)
+            if state is not None:
+                t, y, f, h_abs, low, count = state
+                y = list(y)
+                rows = start.rows[:count * width]
+                if stop:
+                    return rows
         while True:
             # One step (scipy's RungeKutta._step_impl).
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
+            if recording:
+                reach = max(reach, t + h_abs)
+                recording = reach < record.until
             rejected = False
             while True:
                 if h_abs < min_step:
@@ -183,12 +206,17 @@ def list_rows(model, pieces, opts, width, settling=None):
                     if avg < low:
                         low = avg
                     rows.extend(row)
+                if (w_ss - low) + penalty > cap:
+                    return rows
                 if end:
                     y = [h * (((q0 + q1) + q2) + q3) + y_ for (q0, q1, q2, q3), y_ in zip(Q, y)]
                     break
             if watch is not None and _settled(watch, y_new, low):
                 return rows
             t, y, f = t_new, y_new, k7
+            if recording:
+                record.reach.append(reach)
+                record.states.append((t, tuple(y), f, h_abs, low, len(rows) // width))
     return rows
 
 

@@ -799,3 +799,14 @@ def test_commands_load_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"codes": [0] * len(commands), "scipy": []}
     assert (tmp_path / "result.json").is_file()
+
+
+def test_parser_is_built_once_and_commands_are_found_by_name(capsys, monkeypatch):
+    """One parser serves every call; the command run is the module's
+    ``cmd_*`` at call time, so a wrapped or replaced one is reached."""
+    assert run(capsys, "validate", "--scenario", str(DATA / "dfec_twomachine.json"))[0] == 0
+    parser = cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.scenario) or 0)
+    assert run(capsys, "validate", "--scenario", "elsewhere.json")[0] == 0
+    assert seen == ["elsewhere.json"] and cli._parser() is parser

@@ -110,6 +110,71 @@ class TestNadirCost:
         assert w_ss == pytest.approx(predicted, rel=0.0, abs=4e-16)
 
 
+class TestCappedAndResumedRuns:
+    """A cost run stopped at a cap and one started from a recorded prefix
+    change nothing a caller reads."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dp=st.floats(0.0, 0.25), t_on=st.floats(0.0, 5.0), length=st.floats(0.1, 40.0),
+           cap=st.floats(0.0, 0.05), penalty=st.sampled_from([0.0, 1e-3]))
+    def test_capped_cost_compares_as_the_cost(self, model, dp, t_on, length, cap, penalty):
+        action = fq.DfecAction(dp, t_on, t_on + length) if dp else None
+        cost = fq.nadir_cost(model, action, FAST)
+        capped = fq.nadir_cost(model, action, FAST, cap, penalty)
+        if cost + penalty <= cap:
+            assert capped == cost
+        else:
+            assert capped + penalty > cap and capped <= cost
+        # A cost at the cap itself is not past it: that run goes to its end.
+        assert fq.nadir_cost(model, action, FAST, cost + penalty, penalty) == cost
+
+    @pytest.fixture(scope="class")
+    def prefix(self, model):
+        prefix = fq._Prefix(until=3.0)
+        fq._trajectory(model, None, FAST, 4, record=prefix)
+        return prefix
+
+    @pytest.mark.parametrize("t_on, resumes", [
+        (0.0, False),           # the first piece injects
+        (1e-4, False),          # shorter than the first step
+        (1.0, True),            # on an output sample
+        (5.0, True),            # past the last kept state
+    ], ids=["t_on-0", "before-first-step", "on-sample", "past-last-state"])
+    @pytest.mark.parametrize("cap", [math.inf, 0.02, 1e-4])
+    def test_resumed_run_is_the_fresh_run(self, model, prefix, monkeypatch, t_on, resumes,
+                                          cap):
+        assert 1.0 in fq._output_grid(FAST).tolist() and prefix.reach[0] > 1e-4
+        assert prefix.reach[-1] < prefix.until < 5.0
+        states = []
+
+        def resume(*args):
+            state, stop = fq._Prefix.resume(prefix, *args)
+            states.append(state)
+            return state, stop
+
+        monkeypatch.setattr(prefix, "resume", resume)
+        action = fq.DfecAction(0.08, t_on, 12.0)
+        fresh = fq._trajectory(model, action, FAST, 4, settle=True, cap=cap)
+        resumed = fq._trajectory(model, action, FAST, 4, settle=True, cap=cap, start=prefix)
+        assert resumed.t.tobytes() == fresh.t.tobytes()
+        assert resumed.y.tobytes() == fresh.y.tobytes()
+        assert (states[0] is not None) == resumes
+        if resumes and cap == math.inf:
+            # The last state whose attempts all aimed before t_on.
+            k = prefix.states.index(states[0])
+            assert prefix.reach[k] < t_on
+            assert k == len(prefix.states) - 1 or prefix.reach[k + 1] >= t_on
+
+    def test_stop_inside_the_prefix(self, model, prefix):
+        # The cap is passed before switch-on: the resumed run stops at the
+        # recorded state where the fresh run stops.
+        action = fq.DfecAction(0.08, 2.9, 12.0)
+        fresh = fq._trajectory(model, action, FAST, 4, settle=True, cap=1e-4)
+        assert fresh.t[-1] < 2.9
+        resumed = fq._trajectory(model, action, FAST, 4, settle=True, cap=1e-4, start=prefix)
+        assert resumed.y.tobytes() == fresh.y.tobytes()
+
+
 GOVERNORS = st.fixed_dictionaries({
     "k1": st.floats(5.0, 20.0), "t1": st.floats(0.05, 0.3), "t2": st.floats(0.0, 0.2),
     "t3": st.floats(0.05, 0.3), "k2": st.floats(0.0, 1.0), "k3": st.floats(0.0, 1.0),
@@ -314,12 +379,20 @@ class TestScalarStepper:
         with pytest.MonkeyPatch.context() as patch:
             for rows in (fq._dense_rows, oracle.list_rows):
                 patch.setattr(fq, "_dense_rows", rows)
-                runs.append((fq.simulate(model, action, FAST), fq.nadir_cost(model, action, FAST)))
-        (run, cost), (ref, ref_cost) = runs
+                # A capped run started from the uncontrolled run's prefix.
+                prefix = fq._Prefix(until=t_on + 0.5)
+                fq._trajectory(model, None, FAST, 4, record=prefix)
+                capped = fq._trajectory(model, action, FAST, 4, settle=True, cap=0.02,
+                                        start=prefix)
+                runs.append((fq.simulate(model, action, FAST), fq.nadir_cost(model, action, FAST),
+                             capped, prefix))
+        (run, cost, capped, prefix), (ref, ref_cost, ref_capped, ref_prefix) = runs
         assert run.unstable == ref.unstable and run.t.tobytes() == ref.t.tobytes()
         assert run.y.tobytes() == ref.y.tobytes()
         assert cost == ref_cost
         assert not ref.unstable or cost == fq.INSTABILITY_COST
+        assert prefix.states == ref_prefix.states and prefix.reach == ref_prefix.reach
+        assert capped.y.tobytes() == ref_capped.y.tobytes()
 
 
 def test_tableau_is_scipys_rk45():
@@ -465,13 +538,56 @@ class TestOptimize:
                    for t_off in np.linspace(0.0, bounds.t_off_max, 11) if t_on < t_off]
         assert res.cost <= 1.02 * fq.nadir_costs(asym, actions, FAST).min()
 
+    @pytest.mark.parametrize("case", ["bench", "bundled"])
+    def test_lazy_polish_changes_nothing(self, dfec_scenario, case):
+        """Capped and resumed cost runs against plain ones: the same result
+        and the same actions costed, in the same order."""
+        scn = dfec_scenario
+        if case == "bench":      # the benchmark's dfec-optimize case
+            args = (scn.model, fq.ActionBounds(0.1, 3.0, 15.0), FAST)
+            kwargs = dict(grid_starts=2, refine_starts=1)
+        else:
+            args = (scn.model, scn.bounds, scn.sim)
+            kwargs = dict(initial_guess=scn.action, grid_starts=scn.grid_starts,
+                          refine_starts=scn.refine_starts)
+        plain, plain_resume = fq.nadir_cost, fq._Prefix.resume
+        runs = []
+        for lazy in (True, False):
+            costed, cut, resumed = [], [], []
+
+            def cost(model, action, opts, cap=math.inf, penalty=0.0, start=None,
+                     summary=False):
+                costed.append(action)
+                if not lazy:
+                    cap, penalty, start = math.inf, 0.0, None
+                out = plain(model, action, opts, cap, penalty, start, summary)
+                cut.append(out[2] + penalty > cap)
+                return out
+
+            def resume(prefix, *args):
+                state, stop = plain_resume(prefix, *args)
+                resumed.append(state is not None)
+                return state, stop
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fq, "nadir_cost", cost)
+                patch.setattr(fq._Prefix, "resume", resume)
+                result = fq.optimize_action(*args, **kwargs)
+            runs.append((result.to_dict(), costed))
+            if lazy:    # the mechanism was at work (the bundled polish switches
+                # on at about 6 ms, inside the uncontrolled run's first step)
+                assert any(cut) and any(resumed) == (case == "bench")
+            else:
+                assert not any(cut)
+        assert runs[0] == runs[1]
+
     def test_result_serializes(self, small_result):
         doc = small_result.to_dict()
         assert set(doc["action"]) == {"dp", "t_on", "t_off"}
         assert doc["cost"] <= doc["uncontrolled_cost"]
 
 
-def _rosenbrock(v):
+def _rosenbrock(v, cap=None):
     return float(np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (1.0 - v[:-1]) ** 2))
 
 
@@ -505,7 +621,7 @@ class TestNelderMead:
         for search in ("scipy", "port"):
             calls = []
 
-            def counted(v):
+            def counted(v, cap=None):
                 calls.append(v)
                 return func(v)
 
@@ -523,7 +639,7 @@ class TestNelderMead:
 
     def test_func_gets_copies(self):
         """A ``func`` that overwrites its argument changes nothing."""
-        def scribbling(v):
+        def scribbling(v, cap=None):
             value = _rosenbrock(v)
             v[:] = np.nan
             return value
@@ -575,6 +691,11 @@ class TestScenarioIngestion:
         assert dfec_scenario.model.h1 == 3.75
         assert dfec_scenario.bounds.dp_max == pytest.approx(0.2)
         assert dfec_scenario.sweep_t_on is not None
+
+    def test_action_fields_are_floats(self):
+        action = fq.DfecAction(np.float64(0.1), np.linspace(0.0, 1.0, 3)[1], 4)
+        assert [type(v) for v in (action.dp, action.t_on, action.t_off)] == [float] * 3
+        assert action == fq.DfecAction(0.1, 0.5, 4.0)
 
     def test_action_window_invariant(self):
         with pytest.raises(DimensionError):
