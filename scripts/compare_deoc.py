@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Compare the DEOC schedules and outputs of the working tree with a parent commit.
+"""Compare the DEOC schedules and the outputs of bench commands with a parent commit.
 
 Run from the root of the repository:
 
     python3 scripts/compare_deoc.py --parent <commit> [--out report.json]
+    python3 scripts/compare_deoc.py --parent <commit> --workload dfec-sweep
 
-The inputs are the `deoc-mixed` commands of bench seeds 1-10 and 4242 (the
-first pair of each seed runs the bundled wscc9 and ieee39 studies), written
-once by the workload generator of ``bench/run.py`` (imported, not run). Each
-side runs every command in-process through ``gridstep.cli.main`` in one
-worker process: the parent side in a ``git archive`` checkout of
+The inputs are the commands of a bench workload (``deoc-mixed`` unless
+``--workload`` names another) for bench seeds 1-10 and 4242, written once by
+the workload generator of ``bench/run.py`` (imported, not run). The first
+pair of each ``deoc-mixed`` seed runs the bundled wscc9 and ieee39 studies;
+``dfec-sweep`` runs each seed's sweep once and then the bundled sweep, and
+``dfec-optimize`` each seed's simulate and optimize and then the bundled
+ones. Each side runs every command in-process through ``gridstep.cli.main``
+in one worker process: the parent side in a ``git archive`` checkout of
 ``--parent``, the change side in the working tree, twice, in two processes.
-A worker keeps each command's exit code, stdout, stderr, stages, skips and
-the SHA-256 of each output file, and deletes the files.
+A worker keeps each command's exit code, stdout, stderr, stages, skips, sweep
+cells and the SHA-256 of each output file, and deletes the files.
 
 The report gives per side pair the commands whose stages (target modes)
 differ, each with both sides' ``(target modes, t_on, t_off)`` stages and
@@ -22,12 +26,17 @@ largest ``|t_on|`` and ``|t_off|`` differences with where they occur; and the
 commands whose stdout or stderr differ. It also lists the commands whose two
 change-side runs are not byte-identical. The exit code is 1 when stages,
 skips or the repeated runs differ, else 0.
+
+For a DFEC workload the report lists instead the commands whose exit code,
+stdout, stderr or output files differ, and each printed sweep cell that
+moves; the exit code is 1 when any command differs or does not repeat.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -42,7 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = [*range(1, 11), 4242]
-WORKLOAD = "deoc-mixed"
+WORKLOADS = ("deoc-mixed", "dfec-sweep", "dfec-optimize")
+BUNDLED_DFEC = {"dfec-sweep": ("sweep",), "dfec-optimize": ("simulate", "optimize")}
 # A skip reason's "min |h| = ..." is the smallest sampled |h|; near a
 # cancellation its digits follow rounding, so skips compare without it.
 MIN_H = re.compile(r"min \|h\| = [^,]*")
@@ -55,19 +65,31 @@ def bench_module():
     return module
 
 
-def write_inputs(work: Path, seeds) -> list[dict]:
-    """Every seed's commands, with their input files written under ``work``."""
+def write_inputs(work: Path, seeds, workload: str = "deoc-mixed") -> list[dict]:
+    """Every seed's commands, with their input files written under ``work``;
+    each command's ``argv`` leaves out the value of its ``--out``."""
     bench = bench_module()
     commands = []
+
+    def add(name, argv):
+        argv = [str(a) for a in argv]
+        at = argv.index("--out") + 1
+        commands.append({"id": name, "argv": argv[:at] + argv[at + 1:], "out_at": at,
+                         "out_is_dir": argv[0] == "deoc"})
+
     for seed in seeds:
         seed_dir = work / f"seed{seed}"
         seed_dir.mkdir()
-        rng = random.Random(f"{WORKLOAD}/{seed}")
-        _, argvs, _, _ = bench.deoc_mixed(rng, bench.SPEC["run_seconds"], seed_dir)
+        rng = random.Random(f"{workload}/{seed}")
+        _, argvs, _, _ = bench.WORKLOADS[workload](rng, bench.SPEC["run_seconds"], seed_dir)
+        if workload == "dfec-sweep":
+            argvs = argvs[:1]       # the workload's second sweep repeats its first
         for k, argv in enumerate(argvs):
-            argv = [str(a) for a in argv]
-            commands.append({"id": f"seed {seed} #{k} {argv[0]} {Path(argv[2]).stem}",
-                             "argv": argv[:-1], "out_is_dir": argv[0] == "deoc"})
+            what = f"{argv[0]} {Path(argv[2]).stem}" if argv[0] != "dfec" else f"dfec {argv[1]}"
+            add(f"seed {seed} #{k} {what}", argv)
+    bundled = bench.DATA / "dfec_twomachine.json"
+    for command in BUNDLED_DFEC.get(workload, ()):
+        add(f"bundled dfec {command}", ["dfec", command, "--scenario", bundled, "--out", "-"])
     return commands
 
 
@@ -80,13 +102,17 @@ def worker(src: Path, commands_path: Path, out_dir: Path) -> None:
         raise SystemExit(f"imported gridstep from {cli.__file__}, not {src}")
     for cmd in json.loads(commands_path.read_text()):
         out = out_dir / "o" if cmd["out_is_dir"] else out_dir / "o.json"
+        argv, at = cmd["argv"], cmd["out_at"]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(cmd["argv"] + [str(out)])
+            code = cli.main(argv[:at] + [str(out)] + argv[at:])
         files = sorted(out.iterdir()) if out.is_dir() else [out] if out.exists() else []
         record = {"id": cmd["id"], "code": code, "stdout": stdout.getvalue(),
                   "stderr": stderr.getvalue(),
                   "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
+        if argv[:2] == ["dfec", "sweep"] and out.is_file():
+            with open(out, newline="") as fh:
+                record["cells"] = list(csv.reader(fh))
         if (out / "schedule.json").is_file():
             doc = json.loads((out / "schedule.json").read_text())
             record["stages"] = [(s["target_modes"], s["t_on"], s["t_off"]) for s in doc["stages"]]
@@ -140,10 +166,30 @@ def compare(parent: dict, change: dict) -> dict:
             "stdout_examples": stdout_diff[:5], "stderr_examples": stderr_diff[:5]}
 
 
+def compare_outputs(parent: dict, change: dict) -> dict:
+    """The commands whose exit code, stdout, stderr or output files differ,
+    and the printed sweep cells that move, ``(t_on, t_off)`` as printed."""
+    differ, moved = [], []
+    for cid, old in parent.items():
+        new = change[cid]
+        fields = [k for k in ("code", "stdout", "stderr", "sha256") if old.get(k) != new.get(k)]
+        if fields:
+            differ.append({"id": cid, "fields": fields})
+        if "cells" in old and "cells" in new:
+            header = old["cells"][0]
+            for row_a, row_b in zip(old["cells"][1:], new["cells"][1:]):
+                moved += [{"id": cid, "t_on": row_a[0], "t_off": header[j], "parent": a,
+                           "change": b}
+                          for j, (a, b) in enumerate(zip(row_a, row_b)) if a != b]
+    return {"commands": len(parent), "differ": differ, "moved_cells": moved}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="commit to compare against")
     parser.add_argument("--out", default=None, help="also write the report to this file")
+    parser.add_argument("--workload", choices=WORKLOADS, default="deoc-mixed",
+                        help="bench workload whose commands are compared (default deoc-mixed)")
     parser.add_argument("--worker", nargs=3, metavar=("SRC", "COMMANDS", "SCRATCH"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -164,7 +210,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
         (tmp / "inputs").mkdir()
         commands_path = tmp / "commands.json"
-        commands_path.write_text(json.dumps(write_inputs(tmp / "inputs", SEEDS)))
+        commands_path.write_text(json.dumps(write_inputs(tmp / "inputs", SEEDS, args.workload)))
 
         parent = run_side(parent_tree, commands_path, tmp / "run_parent")
         change = run_side(ROOT, commands_path, tmp / "run_change")
@@ -175,14 +221,19 @@ def main(argv=None) -> int:
     not_repeated = [cid for cid, rec in change.items()
                     if {k: rec.get(k) for k in ("code", "stdout", "stderr", "sha256")}
                     != {k: repeat[cid].get(k) for k in ("code", "stdout", "stderr", "sha256")}]
+    deoc = args.workload == "deoc-mixed"
     report = {"parent_commit": commit, "seeds": SEEDS,
-              "parent_vs_change": compare(parent, change),
+              "parent_vs_change": (compare if deoc else compare_outputs)(parent, change),
               "change_repeat_not_identical": not_repeated}
+    if not deoc:
+        report = {"workload": args.workload, **report}
     text = json.dumps(report, indent=1)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
     diff = report["parent_vs_change"]
+    if not deoc:
+        return 1 if diff["differ"] or not_repeated else 0
     return 1 if diff["stages_differ"] or diff["skips_differ"] or not_repeated else 0
 
 

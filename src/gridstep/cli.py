@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fileio import field_name, write_csv
 from .modal import analyze, modal_report
-from .network import build_reduced_model, grid_from_dict, load_grid
+from .network import build_reduced_model, grid_from_dict
 from .oscillation import DeocSchedule, build_schedule, default_targets
 from .scenario import DeocScenario, DfecScenario, load_scenario
 from .simulate import apply_disturbance, simulate_deoc
@@ -63,13 +63,19 @@ def _write_json(doc: dict, path: str | None) -> None:
         Path(path).write_text(text + "\n")
 
 
+def _text(path) -> str:
+    """The text of an input file: its bytes decoded as UTF-8."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
 def _system(path):
     """``(grid, model, basis)`` of a system file, built once per file content.
 
     Commands run in one process (a program calling :func:`main` repeatedly)
     share the result while the file's bytes stay the same; the model's and
     the basis' arrays are read-only, so no command can change them."""
-    return _built_system(Path(path).read_bytes().decode("utf-8"))
+    return _built_system(_text(path))
 
 
 @functools.lru_cache(maxsize=8)
@@ -204,7 +210,7 @@ def cmd_validate(args) -> int:
     if args.system is None and args.scenario is None:
         raise ModelError("validate requires --system and/or --scenario")
     if args.system is not None:
-        grid = load_grid(args.system)
+        grid = grid_from_dict(json.loads(_text(args.system)))
         grid.validate()
         print(f"system ok: {args.system}")
     if args.scenario is not None:

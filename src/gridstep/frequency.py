@@ -415,14 +415,15 @@ def _sample_range(t_grid: np.ndarray, lo: float, hi: float, last: bool) -> tuple
 # Both integrators step an action as scipy's ``RK45`` solver does: the
 # Dormand-Prince 5(4) tableau of ``scipy.integrate.RK45``, the RMS error norm,
 # scipy's step controller and ``select_initial_step`` at every piece, so
-# rtol/atol keep their meaning. ``_dense_rows`` steps one action on
-# plain floats, straight-line over nine scalars; ``nadir_costs`` steps a batch
-# as numpy lanes. Each loop is the only fast one for its work (one action, or
-# a sweep's many: on a 2-vCPU x86 VM, the 38 cells of the bench's seed-1
-# sweep take 0.43 s one by one on the float loop against 0.33 s as lanes,
-# 1.3x, and the bundled sweep's 272 cells 3.86 s against 0.60 s, 6.5x), so
-# both stay; they share ``dfec_dynamics``, the tableau below,
-# ``_initial_step`` and the piece start.
+# rtol/atol keep their meaning. ``_dense_rows`` steps one action on plain
+# floats, straight-line over nine scalars; ``nadir_costs`` steps a batch's
+# shared histories on it and the last pieces as numpy lanes, bit for bit the
+# float loop's. Each loop is the only fast one for its work (one action, or
+# a sweep's many last pieces: on a 2-vCPU x86 VM, the 38 cells of the bench's
+# seed-1 sweep take 0.31 s one by one on the float loop against 0.15 s as a
+# batch, 2.1x, and the bundled sweep's 272 cells 2.74 s against 0.37 s,
+# 7.4x), so both stay; they share ``dfec_dynamics`` and the tableau below,
+# and every lane starts where the float loop hands its last piece off.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's RungeKutta
 _ERR_EXP = -1 / 5                                       # -1 / (error order 4 + 1)
 # A first step guess ``h0`` of zero or NaN means the state derivative overflowed;
@@ -480,48 +481,53 @@ def _initial_step(rhs, y, f, length, rtol, atol):
 
 
 class _Prefix:
-    """Solver states of one run's first piece, kept for later runs of the
-    same model and options to start from.
+    """Solver states of one piece of a recording run, kept for later runs of
+    the same model and options whose history up to that piece is the same.
 
-    The recording run keeps, after each accepted step of its first piece,
-    the farthest time any of its attempts has aimed at (``reach``) and the
-    state the next step starts from: ``(t, y, f, h_abs, low, count)`` with
-    the derivative ``f`` (first same as last), the next step size, the
-    lowest average speed and the number of output rows so far. It keeps no
-    more once ``reach`` gets to ``until``. A later run whose first piece has
-    the same injection, load and initial step attempts the same steps, bit
-    for bit, up to the first attempt that aims at its own first break or
-    past a sample that belongs to the next piece."""
+    The recording run keeps, after each accepted step of the piece, the
+    farthest time any of its attempts has aimed at (``reach``) and the state
+    the next step starts from: ``(t, y, f, h_abs, low, count)`` with the
+    derivative ``f`` (first same as last), the next step size, the lowest
+    average speed and the number of output rows so far, which ``rows`` (the
+    recording run's) holds; ``states`` keeps them flat, 22 numbers each. It
+    keeps no more once ``reach`` gets to ``until``. A later run whose pieces
+    before this one are the recording run's, and whose piece starts with the
+    same injection, load and initial step, attempts the same steps, bit for
+    bit, up to the first attempt that aims at its own break or past a sample
+    that belongs to its next piece."""
 
-    def __init__(self, until: float):
+    def __init__(self, until: float, rows: array):
         self.until = until
-        self.first = None       # (dp_active, p_motor, initial step) of the first piece
         self.reach: list[float] = []
-        self.states: list[tuple] = []
-        self.rows = array("d")  # the recording run's rows, ``width`` to a row
-        self.width = 0
+        self.states = array("d")
+        self.rows = rows
 
-    def resume(self, first, bound, width, w_ss, penalty, cap):
-        """``(state, stop)`` for a run whose first piece starts as ``first``
-        and whose attempts, from the first one that aims at ``bound`` on,
-        differ from the recording run's: the last state before that, or,
-        with ``stop``, the earlier one after which the run's cap test
-        ``(w_ss - low) + penalty > cap`` first holds. ``(None, False)``
-        where no state applies."""
+    def resume(self, bound, w_ss, penalty, cap):
+        """``(state, stop)`` for a run whose attempts, from the first one
+        that aims at ``bound`` on, differ from the recording run's: the last
+        state before that, or, with ``stop``, the earlier one after which the
+        run's cap test ``(w_ss - low) + penalty > cap`` first holds.
+        ``(None, False)`` where no state applies."""
         n = bisect.bisect_left(self.reach, bound)
-        if first != self.first or width != self.width or n == 0:
+        if n == 0:
             return None, False
         # The lowest speed only falls from state to state, so the test can
         # only hold at an earlier state if it holds at the last one.
-        if (w_ss - self.states[n - 1][4]) + penalty > cap:
-            return next(s for s in self.states if (w_ss - s[4]) + penalty > cap), True
-        return self.states[n - 1], False
+        if (w_ss - self.state(n - 1)[4]) + penalty > cap:
+            states = map(self.state, range(n))
+            return next(s for s in states if (w_ss - s[4]) + penalty > cap), True
+        return self.state(n - 1), False
+
+    def state(self, k: int) -> tuple:
+        """The ``k``-th state kept, ``(t, y, f, h_abs, low, count)``."""
+        s = self.states[22 * k:22 * k + 22]
+        return s[0], tuple(s[1:10]), tuple(s[10:19]), s[19], s[20], int(s[21])
 
 
 def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                 settling: _Settling | None = None, cap: float = math.inf,
-                penalty: float = 0.0, start: _Prefix | None = None,
-                record: _Prefix | None = None) -> array | None:
+                penalty: float = 0.0, shared: dict | None = None,
+                until: float = -math.inf, hand_off: bool = False):
     """The first ``width`` (4 or 9) state components at every output sample
     of the run through ``pieces``, row after row; ``None`` as soon as a
     sample shows loss of synchronism. With ``settling`` (the last piece's),
@@ -532,10 +538,14 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
-    accepted step's dense output. ``record`` keeps the states of the first
-    piece (see ``_Prefix``); a run given a ``start`` recorded on the same
-    model and options starts its first piece, if that is not its last, from
-    the last state it shares with the recording run.
+    accepted step's dense output. ``shared`` maps the start of a piece (the
+    pieces before it, its injection, load and initial step) to the
+    ``_Prefix`` a run on the same model and options recorded there: a piece
+    that is not the run's last starts from the last state it shares with
+    that run. A piece that starts before ``until`` and is not in ``shared``
+    gets a ``_Prefix``, kept up to ``until`` or its own break. With
+    ``hand_off`` the run stops where its last piece starts and returns that
+    piece's start ``(y, f, h_abs, low, count)`` (``None`` after a slip).
 
     The step is written out over nine float locals per vector: the state
     ``y0..y8``, the stages ``a, b, c, d, e, g, q`` (``k1 .. k7``, one letter
@@ -552,35 +562,38 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
     rows = array("d")
     low = math.inf          # lowest average speed sampled so far
     w_ss = math.nan if settling is None else settling.w_ss   # NaN: no cap test
-    if record is not None:
-        record.rows, record.width = rows, width
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
         last = n == len(pieces) - 1
         watch = settling if last else None
         rhs = dfec_dynamics(model, dp_active, p_motor)
-        k_start, k_end = _sample_range(t_grid, lo, hi, last)
-        t_samples = np.clip(t_grid[k_start:k_end], lo, hi).tolist()
         t = lo
         f = rhs(y0, y1, y2, y3, y4, y5, y6, y7, y8)
         h_abs = _initial_step(rhs, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, hi - lo,
                               rtol, atol)
+        if last and hand_off:
+            return (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, h_abs, low, len(rows) // width
+        k_start, k_end = _sample_range(t_grid, lo, hi, last)
+        t_samples = np.clip(t_grid[k_start:k_end], lo, hi).tolist()
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = f
-        recording = n == 0 and record is not None
-        if recording:
-            record.first = (dp_active, p_motor, h_abs)
-            reach = -math.inf
-        elif n == 0 and start is not None and not last:
+        record = None
+        if shared is not None:
             # Attempts that aim at the break or past the next piece's first
-            # sample differ from the recording run's.
+            # sample differ from those of a run with a later break.
             bound = min(hi, t_out[k_end]) if k_end < len(t_out) else hi
-            state, stop = start.resume((dp_active, p_motor, h_abs), bound, width,
-                                       w_ss, penalty, cap)
-            if state is not None:
-                t, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, h_abs, low, count = state
-                a0, a1, a2, a3, a4, a5, a6, a7, a8 = f
-                rows = start.rows[:count * width]
-                if stop:
-                    return rows
+            key = (width, tuple(pieces[:n]), lo, dp_active, p_motor, h_abs)
+            prefix = shared.get(key)
+            if prefix is None and lo < until:
+                record = shared[key] = _Prefix(min(until, bound), rows)
+                reach = -math.inf
+            elif prefix is not None and not last:
+                state, stop = prefix.resume(bound, w_ss, penalty, cap)
+                if state is not None:
+                    t, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, h_abs, low, count = state
+                    a0, a1, a2, a3, a4, a5, a6, a7, a8 = f
+                    rows = prefix.rows[:count * width]
+                    if stop:
+                        return rows
+        recording = record is not None
         while True:
             # One step (scipy's RungeKutta._step_impl).
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -785,23 +798,23 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
             a0, a1, a2, a3, a4, a5, a6, a7, a8 = k7
             if recording:
                 record.reach.append(reach)
-                record.states.append((t, (y0, y1, y2, y3, y4, y5, y6, y7, y8), k7, h_abs,
+                record.states.extend((t, y0, y1, y2, y3, y4, y5, y6, y7, y8, *k7, h_abs,
                                       low, len(rows) // width))
     return rows
 
 
 def _trajectory(model, action, opts, width, settle=False, cap=math.inf, penalty=0.0,
-                start=None, record=None) -> DfecTrajectory:
+                shared=None, until=-math.inf) -> DfecTrajectory:
     """The run of ``action``; with ``settle`` (a cost run) it ends where the
     run has ``_settled`` or its cost, plus ``penalty``, is past ``cap``, so
-    ``t`` and ``y`` may stop short of the horizon. ``start`` and ``record``
+    ``t`` and ``y`` may stop short of the horizon. ``shared`` and ``until``
     are ``_dense_rows``'."""
     pieces = _pieces(model, action, opts)
     settling = _settling(model, *pieces[-1][2:])      # where it settles
     _require_steps(settling, opts)
     t = _output_grid(opts)
     rows = _dense_rows(model, pieces, opts, width, settling if settle else None, cap, penalty,
-                       start, record)
+                       shared, until)
     if rows is None:
         return DfecTrajectory(t, np.full((len(t), width), np.nan), True, settling.w_ss)
     y = np.frombuffer(rows).reshape(-1, width)
@@ -815,7 +828,7 @@ def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions
 
 
 def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions,
-               cap: float = math.inf, penalty: float = 0.0, start: _Prefix | None = None,
+               cap: float = math.inf, penalty: float = 0.0, shared: dict | None = None,
                summary: bool = False):
     """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism or
     has no steady state. Only the angles and speeds are interpolated, and
@@ -826,19 +839,22 @@ def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptio
     plus ``penalty``, exceeds ``cap``. The value returned then is at most
     the cost, and it plus ``penalty`` still exceeds ``cap``; a cost whose
     sum with ``penalty`` is at most ``cap`` is returned exactly.
-    ``start`` (a ``_Prefix`` recorded on the same model and options) lets
-    the run start from a state it shares with the recording run; the result
-    is the same bit for bit. With ``summary`` the return is the run's
-    ``(w_ss, nadir, cost)`` (see ``DfecTrajectory.summary``)."""
+    ``shared`` (``_Prefix`` records of runs on the same model and options,
+    see ``_dense_rows``) lets the run start from states it shares with the
+    recording runs; the result is the same bit for bit. With ``summary``
+    the return is the run's ``(w_ss, nadir, cost)`` (see
+    ``DfecTrajectory.summary``)."""
     run = _trajectory(model, action, opts, 4, settle=True, cap=cap, penalty=penalty,
-                      start=start)
+                      shared=shared)
     return run.summary() if summary else run.summary()[2]
 
 
-# Lane-batched cost engine. Every lane follows the scalar step sequence and
-# ``dfec_dynamics``'s operations. Stage sums are written out term by term in
-# the order ``_dense_rows`` uses (no BLAS, no axis reductions), so a lane's
-# rounding, and with it its cost, does not depend on the batch it is in.
+# Lane-batched engine for the last pieces of a batch. Every lane follows the
+# scalar step sequence and ``dfec_dynamics``'s operations. Stage sums are
+# written out term by term in the order ``_dense_rows`` uses (no BLAS, no axis
+# reductions), and the step factor ``err ** _ERR_EXP`` is Python's float power
+# per lane (numpy's SIMD ``np.power`` rounds some inputs differently), so a
+# lane's run is the float loop's, bit for bit.
 def _rms(x):
     """RMS over the 9 state rows of ``x``, summed in row order."""
     sq = x * x
@@ -856,21 +872,23 @@ def _stacked(rhs, y):
 
 
 class _Lanes:
-    """Per-lane solver state of the active lanes, one column (or entry) each."""
+    """Per-lane solver state of the active lanes, one column (or entry) each,
+    in the last piece of their actions, which starts at ``lo``."""
 
-    FIELDS = ("lane", "piece", "t", "y", "f", "h_abs", "rejected", "k_next",
-              "lo", "hi", "dp_active", "p_motor", "k_end")
+    FIELDS = ("lane", "t", "y", "f", "h_abs", "rejected", "k_next", "lo", "dp_active",
+              "p_motor")
 
-    def __init__(self, y0, n):
-        self.lane = np.arange(n)
-        self.piece = np.zeros(n, dtype=int)
-        self.t = np.zeros(n)
-        self.y = np.repeat(y0[:, None], n, axis=1)
-        self.f = np.empty_like(self.y)
-        self.rejected = np.zeros(n, dtype=bool)
-        self.k_next = np.zeros(n, dtype=int)
-        self.h_abs, self.lo, self.hi, self.dp_active, self.p_motor = np.empty((5, n))
-        self.k_end = np.zeros(n, dtype=int)
+    def __init__(self, lanes, plans, starts):
+        """Lanes ``lanes`` from their last piece's start as ``_dense_rows``
+        hands it off (``starts``)."""
+        self.lane = lanes
+        self.lo, _, self.dp_active, self.p_motor = np.reshape(
+            [plans[i][-1] for i in lanes], (-1, 4)).T
+        self.t = self.lo
+        self.y, self.f = (np.reshape([starts[i][k] for i in lanes], (-1, 9)).T for k in (0, 1))
+        self.h_abs = np.array([starts[i][2] for i in lanes], dtype=float)
+        self.k_next = np.array([starts[i][4] for i in lanes], dtype=int)
+        self.rejected = np.zeros(len(lanes), dtype=bool)
 
     def keep(self, mask):
         for name in self.FIELDS:
@@ -878,20 +896,23 @@ class _Lanes:
 
 
 def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray:
-    """``nadir_cost`` of every action (``None`` = uncontrolled), integrated
-    together as numpy lanes.
+    """``nadir_cost`` of every action (``None`` = uncontrolled), bit for bit.
 
-    The state is held as a ``(9, lanes)`` array. Each lane keeps its own time,
-    step size and piece, and restarts at its own power steps. Dense output is
+    Every piece before an action's last runs on the float loop once per
+    shared history: the actions that share a piece start run one after
+    another, the one with the latest break first, so the first run through
+    a piece start records it up to its break (``_Prefix``), and the later
+    runs that share it resume there and step only to their own break. On a sweep, that steps the uncontrolled run once
+    to the latest switch-on and each row's injection once to its latest
+    switch-off. The last pieces then run together as numpy lanes from their
+    switch-off states and running minima: the state is a ``(9, lanes)``
+    array, each lane keeps its own time and step size, dense output is
     sampled onto the ``dt_out`` grid, where the loss-of-synchronism check
-    runs; each lane keeps only the running minimum of its average speed. A
-    lane's cost is bit-identical whatever batch it is in and agrees with
-    ``nadir_cost`` to rounding.
+    runs, and each lane keeps only the running minimum of its average speed.
     """
     n = len(actions)
     t_grid = _output_grid(opts)
     plans = [_pieces(model, a, opts) for a in actions]
-    n_pieces = np.array([len(p) for p in plans], dtype=int)
     kind = {}                                    # distinct last pieces, numbered
     for plan in plans:
         kind.setdefault(plan[-1][2:], len(kind))
@@ -900,27 +921,22 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
         _require_steps(settling, opts)
     lane_kind = np.array([kind[plan[-1][2:]] for plan in plans], dtype=int)
 
-    run_min = np.full(n, np.inf)
-    unstable = np.zeros(n, dtype=bool)
-    L = _Lanes(model.equilibrium(), n)
-
-    def start_piece(idx):
-        """Start lanes ``idx`` on their current piece as ``_dense_rows``
-        starts a piece."""
-        for i in idx:
-            plan = plans[L.lane[i]]
-            lo, hi, dp_active, p_motor = plan[L.piece[i]]
-            piece_rhs = dfec_dynamics(model, dp_active, p_motor)
-            y = L.y[:, i].tolist()
-            f = piece_rhs(*y)
-            L.f[:, i] = f
-            L.h_abs[i] = _initial_step(piece_rhs, y, f, hi - lo, opts.rtol, opts.atol)
-            L.lo[i], L.hi[i], L.dp_active[i], L.p_motor[i] = lo, hi, dp_active, p_motor
-            L.k_end[i] = _sample_range(t_grid, lo, hi, L.piece[i] == len(plan) - 1)[1]
-            L.rejected[i] = False
+    # Ordered piece by piece, the actions that share a piece start are
+    # neighbours, the one with the latest break first; records off the
+    # current run's path are not needed again.
+    shared, starts = {}, [None] * n
+    for i in sorted(range(n), key=lambda i: [(lo, dp, pm, -hi) for lo, hi, dp, pm in plans[i]]):
+        plan = plans[i]
+        path = {(tuple(plan[:m]), lo, dp, pm) for m, (lo, _, dp, pm) in enumerate(plan)}
+        shared = {key: record for key, record in shared.items() if key[1:5] in path}
+        starts[i] = _dense_rows(model, plan, opts, 4, shared=shared, until=math.inf,
+                                hand_off=True)
+    del shared
+    unstable = np.array([start is None for start in starts], dtype=bool)
+    run_min = np.array([math.inf if start is None else start[3] for start in starts])
+    L = _Lanes(np.flatnonzero(~unstable), plans, starts)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start_piece(range(n))
         while len(L.lane):
             # One attempted step per lane (scipy's RungeKutta._step_impl).
             t, y, h_abs, rejected = L.t, L.y, L.h_abs, L.rejected
@@ -931,7 +947,7 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
                     raise StiffnessError("DFEC integration failed: required step "
                                          "size is less than spacing between numbers.")
                 h_abs = np.where(tiny, min_step, h_abs)
-            t_new = np.minimum(t + h_abs, L.hi)
+            t_new = np.minimum(t + h_abs, opts.horizon)
             h = t_new - t
             rhs = dfec_dynamics(model, L.dp_active, L.p_motor, np.sin, np.maximum, np.minimum)
             k1 = L.f
@@ -946,7 +962,7 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
             scale = opts.atol + np.maximum(np.abs(y), np.abs(y_new)) * opts.rtol
             err = _rms((k1 * _E1 + k3 * _E3 + k4 * _E4 + k5 * _E5 + k6 * _E6 + k7 * _E7)
                        * h / scale)
-            grow = _SAFETY * err ** _ERR_EXP
+            grow = _SAFETY * np.array([e ** _ERR_EXP if e else math.inf for e in err.tolist()])
             accept = err < 1.0
             factor = np.where(err == 0.0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, grow))
             factor = np.where(rejected, np.minimum(1.0, factor), factor)
@@ -957,33 +973,32 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
                 continue
 
             # Dense output of the accepted steps, sampled onto the grid.
-            done = accept & (t_new >= L.hi)
-            k_stop = np.where(done, L.k_end, np.minimum(
-                np.searchsorted(t_grid, t_new, "right"), L.k_end))
+            done = accept & (t_new >= opts.horizon)
+            k_stop = np.where(done, len(t_grid), np.searchsorted(t_grid, t_new, "right"))
             count = np.where(accept, k_stop - L.k_next, 0)
-            Q = (k1,                                 # interpolant, x**1 .. x**4
-                 k1 * _P1x2 + k3 * _P3x2 + k4 * _P4x2 + k5 * _P5x2 + k6 * _P6x2 + k7 * _P7x2,
-                 k1 * _P1x3 + k3 * _P3x3 + k4 * _P4x3 + k5 * _P5x3 + k6 * _P6x3 + k7 * _P7x3,
-                 k1 * _P1x4 + k3 * _P3x4 + k4 * _P4x4 + k5 * _P5x4 + k6 * _P6x4 + k7 * _P7x4)
             if count.any():
                 src = np.repeat(np.arange(len(count)), count)
                 ks = np.arange(len(src)) + np.repeat(L.k_next - (np.cumsum(count) - count), count)
-                ts = np.minimum(np.maximum(t_grid[ks], L.lo[src]), L.hi[src])
+                ts = np.minimum(np.maximum(t_grid[ks], L.lo[src]), opts.horizon)
                 x = (ts - t[src]) / h[src]
                 x2 = x * x
                 x3 = x2 * x
-                Qs = [q[:4, src] for q in Q]
-                ys = h[src] * (Qs[0] * x + Qs[1] * x2 + Qs[2] * x3 + Qs[3] * (x3 * x)) \
-                    + y[:4, src]
+                a, c, d, e, g, q = (k[:4, src] for k in (k1, k3, k4, k5, k6, k7))
+                ys = h[src] * (
+                    a * x
+                    + (a * _P1x2 + c * _P3x2 + d * _P4x2 + e * _P5x2 + g * _P6x2 + q * _P7x2) * x2
+                    + (a * _P1x3 + c * _P3x3 + d * _P4x3 + e * _P5x3 + g * _P6x3 + q * _P7x3) * x3
+                    + (a * _P1x4 + c * _P3x4 + d * _P4x4 + e * _P5x4 + g * _P6x4 + q * _P7x4)
+                    * (x3 * x)) + y[:4, src]
                 avg = 0.5 * (ys[1] + ys[3])
                 lane = L.lane[src]
                 np.minimum.at(run_min, lane, avg)
                 unstable[lane[np.abs(ys[0] - ys[2]) > _ANGLE_SLIP]] = True
                 L.k_next = L.k_next + count
 
-            # Lanes in their last piece stop once they have settled.
+            # Lanes stop once they have settled.
             kinds = lane_kind[L.lane]
-            check = accept & ~done & (L.piece == n_pieces[L.lane] - 1)
+            check = accept & ~done
             settled = np.zeros_like(check)
             for k in np.unique(kinds[check]):
                 sel = np.flatnonzero(check & (kinds == k))
@@ -992,16 +1007,9 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
             L.t = np.where(accept, t_new, t)
             L.y = np.where(accept, y_new, y)
             L.f = np.where(accept, k7, L.f)
-            if done.any():
-                # The next piece starts from the interpolant at the break.
-                L.y[:, done] = h[done] * (((Q[0] + Q[1]) + Q[2]) + Q[3])[:, done] + y[:, done]
-                L.piece = L.piece + done
-            finished = (L.piece >= n_pieces[L.lane]) | unstable[L.lane] | settled
+            finished = done | unstable[L.lane] | settled
             if finished.any():
                 L.keep(~finished)
-                done = done[~finished]
-            if done.any():
-                start_piece(np.flatnonzero(done))
 
     w_ss = np.array([settlings[k].w_ss for k in lane_kind])
     return np.where(unstable, INSTABILITY_COST, _speed_summary(w_ss, run_min)[2])
@@ -1153,8 +1161,8 @@ def optimize_action(
     starts from that run's last state before its switch-on (``_Prefix``).
     Neither changes a result bit.
     """
-    prefix = _Prefix(until=bounds.t_on_max)
-    uncontrolled_run = _trajectory(model, None, opts, 4, record=prefix)
+    shared = {}     # the uncontrolled run's states up to the latest switch-on
+    uncontrolled_run = _trajectory(model, None, opts, 4, shared=shared, until=bounds.t_on_max)
     _, nadir0, uncontrolled = uncontrolled_run.summary()
     if uncontrolled_run.unstable:
         raise OptimizationError("the uncontrolled run loses synchronism, so there "
@@ -1186,7 +1194,7 @@ def optimize_action(
         nonlocal nonlinear_evals
         nonlinear_evals += 1
         action = DfecAction(dp, t_on, t_off)
-        _, nadir, cost = nadir_cost(model, action, opts, cap, extra, prefix, summary=True)
+        _, nadir, cost = nadir_cost(model, action, opts, cap, extra, shared, summary=True)
         if not cost + extra > cap:
             exact[action] = nadir, cost
         return cost
@@ -1260,9 +1268,10 @@ def contour_sweep(
     """Cost grid (scaled by 1000) over switch-on/switch-off times.
 
     Cells with ``t_on >= t_off`` carry NaN. Rows follow ``t_on_values``,
-    columns ``t_off_values``. All valid cells are integrated as one batch of
-    ``nadir_costs`` lanes; a cell's value does not depend on the grid it
-    belongs to.
+    columns ``t_off_values``. All valid cells are costed as one
+    ``nadir_costs`` batch: the uncontrolled run and each row's injection are
+    stepped once, and the runs after switch-off as lanes. A cell's value is
+    its ``nadir_cost``, bit for bit, whatever grid it belongs to.
     """
     t_on_values = np.asarray(t_on_values, dtype=float)
     t_off_values = np.asarray(t_off_values, dtype=float)

@@ -236,6 +236,9 @@ def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
     sweep_t_on = sweep_t_off = None
     if sweep:
         sweep_t_on, sweep_t_off = _axis(sweep["t_on"]), _axis(sweep["t_off"])
+        if sweep_t_on.min() < 0.0:
+            raise DimensionError(f"sweep.t_on must be >= 0: its earliest value is "
+                                 f"{sweep_t_on.min():g} s")
         if sweep_t_on.min() >= sweep_t_off.max():
             raise DimensionError(f"no sweep cell has t_on < t_off: the earliest sweep.t_on "
                                  f"is {sweep_t_on.min():g} s, the latest sweep.t_off "

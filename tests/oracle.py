@@ -94,7 +94,7 @@ def nadir_cost(model, action, opts) -> float:
 
 
 def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0.0,
-              start=None, record=None):
+              shared=None, until=-math.inf, hand_off=False):
     """``frequency._dense_rows`` with its step written over 9-element lists,
     list comprehensions and ``zip``: the first ``width`` state components at
     every output sample of the run through ``pieces``, row after row; ``None``
@@ -105,8 +105,9 @@ def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
-    accepted step's dense output. ``record`` and ``start`` keep and resume
-    the first piece's states as ``_dense_rows`` does (see ``_Prefix``).
+    accepted step's dense output. ``shared`` and ``until`` keep and resume
+    the states of any piece, and ``hand_off`` ends the run at its last
+    piece's start, as ``_dense_rows`` does (see ``_Prefix``).
     """
     t_grid = _output_grid(opts)
     t_out = t_grid.tolist()
@@ -115,8 +116,6 @@ def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0
     rows = array("d")
     low = math.inf          # lowest average speed sampled so far
     w_ss = math.nan if settling is None else settling.w_ss
-    if record is not None:
-        record.rows, record.width = rows, width
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
         last = n == len(pieces) - 1
         watch = settling if last else None
@@ -126,20 +125,25 @@ def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0
         t = lo
         f = rhs(*y)
         h_abs = _initial_step(rhs, y, f, hi - lo, rtol, atol)
-        recording = n == 0 and record is not None
-        if recording:
-            record.first = (dp_active, p_motor, h_abs)
-            reach = -math.inf
-        elif n == 0 and start is not None and not last:
+        if last and hand_off:
+            return tuple(y), f, h_abs, low, len(rows) // width
+        record = None
+        if shared is not None:
             bound = min(hi, t_out[k_end]) if k_end < len(t_out) else hi
-            state, stop = start.resume((dp_active, p_motor, h_abs), bound, width,
-                                       w_ss, penalty, cap)
-            if state is not None:
-                t, y, f, h_abs, low, count = state
-                y = list(y)
-                rows = start.rows[:count * width]
-                if stop:
-                    return rows
+            key = (width, tuple(pieces[:n]), lo, dp_active, p_motor, h_abs)
+            prefix = shared.get(key)
+            if prefix is None and lo < until:
+                record = shared[key] = fq._Prefix(min(until, bound), rows)
+                reach = -math.inf
+            elif prefix is not None and not last:
+                state, stop = prefix.resume(bound, w_ss, penalty, cap)
+                if state is not None:
+                    t, y, f, h_abs, low, count = state
+                    y = list(y)
+                    rows = prefix.rows[:count * width]
+                    if stop:
+                        return rows
+        recording = record is not None
         while True:
             # One step (scipy's RungeKutta._step_impl).
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -216,7 +220,7 @@ def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0
             t, y, f = t_new, y_new, k7
             if recording:
                 record.reach.append(reach)
-                record.states.append((t, tuple(y), f, h_abs, low, len(rows) // width))
+                record.states.extend((t, *y, *f, h_abs, low, len(rows) // width))
     return rows
 
 

@@ -126,14 +126,16 @@ class TestValidate:
           "t_off": {"start": 1.0, "stop": 2.0, "count": 2}},
          "no sweep cell has t_on < t_off: the earliest sweep.t_on is 5 s, the latest "
          "sweep.t_off 2 s"),
+        ("dfec_twomachine.json", ("sweep", "t_on", "start"), -2.0,
+         "sweep.t_on must be >= 0: its earliest value is -2 s"),
     ])
     def test_grid_too_large_is_input_error(self, capsys, tmp_path, name, path, value, message):
         scn = str(_edited(tmp_path, name, path, value))
         out = tmp_path / "o"
         commands = [["validate", "--scenario", scn]]
         if name.startswith("dfec"):
-            commands += [["dfec", "simulate", "--scenario", scn, "--out", str(out)],
-                         ["dfec", "sweep", "--scenario", scn, "--out", str(out)]]
+            commands += [["dfec", command, "--scenario", scn, "--out", str(out)]
+                         for command in ("simulate", "sweep", "optimize")]
         else:
             commands += [["deoc", "--system", str(DATA / "wscc9.json"), "--scenario", scn,
                           "--out", str(out)]]
