@@ -9,6 +9,7 @@ from .errors import (
     DegenerateSpectrumError,
     DimensionError,
     GridStepError,
+    InputFormatError,
     MaxWindowWarning,
     ModelError,
     NoSwitchOpportunityError,
@@ -53,7 +54,7 @@ __all__ = [
     "ActionBounds", "DfecAction", "DfecResult", "GovernorParams",
     "SimOptions", "TwoMachineModel", "contour_sweep", "nadir_cost",
     "optimize_action", "DeocScenario", "DfecScenario", "load_scenario",
-    "GridStepError", "ModelError", "DimensionError", "DegenerateSpectrumError",
+    "GridStepError", "ModelError", "DimensionError", "InputFormatError", "DegenerateSpectrumError",
     "NoSwitchOpportunityError", "ScheduleError", "StiffnessError",
     "OptimizationError", "ReachabilityWarning", "MaxWindowWarning",
     "GridSystem", "ReducedModel", "build_reduced_model", "equilibrium_shifted",

@@ -13,6 +13,11 @@ class DimensionError(GridStepError):
     """Vector or matrix argument has the wrong length/shape."""
 
 
+class InputFormatError(GridStepError):
+    """An input document is not of its format: its JSON is nested too deeply
+    to read, or it breaks its schema (the text is ``where: message``)."""
+
+
 class DegenerateSpectrumError(GridStepError):
     """Repeated or zero eigenvalue: the closed-form orbit machinery needs a
     distinct, nonzero spectrum."""

@@ -1,18 +1,25 @@
-"""Input-file validation and CSV table output shared by the readers and writers."""
+"""Input-file reading and validation, and CSV table output shared by the
+readers and writers.
+
+Input documents are checked against the schema dicts ``network.GRID_SCHEMA``,
+``scenario.DEOC_SCENARIO_SCHEMA`` and ``scenario.DFEC_SCENARIO_SCHEMA`` by a
+small walker that knows the JSON Schema keywords those use. It reports the
+error, in the words, that ``jsonschema.validate`` (Draft 2020-12, jsonschema
+4.26) reports; the tests keep jsonschema as its oracle."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import numbers
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
-
-# One validator per schema, built (and the schema checked) on first use.
-_VALIDATORS: dict[int, tuple[dict, object]] = {}
+from .errors import DimensionError, InputFormatError
 
 # Rows formatted per write. The kernels hold a few dozen bytes per value at
 # once: 384 rows of 25 columns peak near 1.2 MB (tests/test_fileio.py).
@@ -23,24 +30,42 @@ _ROWS_PER_WRITE = 384
 MAX_SAMPLES = 10**7
 
 
+def read_text(path) -> str:
+    """The text of an input file: its bytes decoded as UTF-8."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+def parse_json(text: str, path):
+    """The JSON document ``text`` of the file ``path``. JSON nested deeper
+    than the parser's recursion allows is an :class:`InputFormatError`
+    naming the file."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputFormatError(f"{path}: JSON nested too deeply to read") from None
+
+
+def read_json(path):
+    """The JSON document in the file ``path``, as :func:`parse_json` reads it."""
+    return parse_json(read_text(path), path)
+
+
 def validate(doc, schema: dict) -> None:
-    """Raise the error ``jsonschema.validate(doc, schema)`` raises, if any,
-    then :class:`DimensionError` for the first NaN or infinity in ``doc``
-    (JSON readers accept both).
+    """Raise :class:`InputFormatError` for the error ``jsonschema.validate(doc,
+    schema)`` raises, if any, with the text ``where: message`` (the message
+    alone for the whole document); then :class:`DimensionError` for the first
+    NaN or infinity in ``doc`` (JSON readers accept both).
 
-    ``schema`` must be a module constant: its validator is built, and the
-    schema itself checked, once per process."""
-    import jsonschema
-
-    entry = _VALIDATORS.get(id(schema))
-    if entry is None:
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        entry = _VALIDATORS[id(schema)] = (schema, cls(schema))  # keeps the id in use
-    error = jsonschema.exceptions.best_match(entry[1].iter_errors(doc))
+    ``schema`` may use the keywords ``type``, ``required``, ``properties``,
+    ``additionalProperties: false``, ``items``, ``enum``, ``const``,
+    ``minimum``, ``exclusiveMinimum``, ``anyOf`` and ``$ref`` to its own
+    ``$defs``; any other keyword raises ``ValueError`` when it is reached."""
+    error = _best(_schema_errors(doc, schema, schema))
     if error is not None:
-        raise error
-    _require_finite(doc, ())
+        where = field_name(error.path)
+        raise InputFormatError(f"{where}: {error.message}" if where else error.message)
+    _require_finite(doc)
 
 
 def require_grid(span: float, step: float, span_name: str, step_name: str) -> None:
@@ -57,15 +82,142 @@ def field_name(path) -> str:
     return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path).removeprefix(".")
 
 
-def _require_finite(value, path: tuple) -> None:
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, path + (key,))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _require_finite(item, path + (i,))
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise DimensionError(f"{field_name(path)} must be finite, got {value}")
+class _Error(NamedTuple):
+    """One schema error, as jsonschema describes it."""
+    path: tuple           # of the value in the document
+    keyword: str
+    message: str
+    matches_type: bool    # the value has the type its schema names
+    context: tuple | list  # the branches' errors, for ``anyOf``
+
+
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+def _is_type(value, types) -> bool:
+    return any(_TYPES[t](value) for t in ([types] if isinstance(types, str) else types))
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: a bool equals only a bool."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(doc, schema: dict, root: dict, path: tuple = ()) -> list[_Error]:
+    """The errors jsonschema's Draft 2020-12 validator yields for ``doc`` (at
+    ``path``) under ``schema``, in its order: depth first, each schema's
+    keywords in turn. ``root`` holds the ``$defs`` a ``$ref`` names."""
+    errors = []
+    todo = [(doc, schema, path)]        # values still to check, and errors found, last first
+    while todo:
+        item = todo.pop()
+        if isinstance(item, _Error):
+            errors.append(item)
+            continue
+        value, schema, path = item
+        found = []
+        for key, arg in schema.items():
+            message, context = None, ()
+            if key == "type":
+                if not _is_type(value, arg):
+                    names = ", ".join(map(repr, [arg] if isinstance(arg, str) else arg))
+                    message = f"{value!r} is not of type {names}"
+            elif key == "enum":
+                if not any(_equal(option, value) for option in arg):
+                    message = f"{value!r} is not one of {arg!r}"
+            elif key == "const":
+                if not _equal(value, arg):
+                    message = f"{arg!r} was expected"
+            elif key == "minimum":
+                if _TYPES["number"](value) and value < arg:
+                    message = f"{value!r} is less than the minimum of {arg!r}"
+            elif key == "exclusiveMinimum":
+                if _TYPES["number"](value) and value <= arg:
+                    message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+            elif key == "required":
+                if isinstance(value, dict):
+                    found += [_error(value, schema, path, key, f"{name!r} is a required property")
+                              for name in arg if name not in value]
+            elif key == "properties":
+                if isinstance(value, dict):
+                    found += [(value[name], sub, path + (name,))
+                              for name, sub in arg.items() if name in value]
+            elif key == "additionalProperties" and arg is False:
+                if isinstance(value, dict):
+                    extras = sorted((name for name in value if name not in
+                                     schema.get("properties", {})), key=str)
+                    if extras:
+                        message = (f"Additional properties are not allowed "
+                                   f"({', '.join(map(repr, extras))} "
+                                   f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+            elif key == "items" and isinstance(arg, dict):
+                if isinstance(value, list):
+                    found += [(item, arg, path + (i,)) for i, item in enumerate(value)]
+            elif key == "anyOf":
+                context = []
+                for branch in arg:
+                    branch_errors = _schema_errors(value, branch, root, path)
+                    if not branch_errors:
+                        break
+                    context += branch_errors
+                else:
+                    message = f"{value!r} is not valid under any of the given schemas"
+            elif key == "$ref" and arg.startswith("#/$defs/"):
+                found.append((value, root["$defs"][arg.removeprefix("#/$defs/")], path))
+            elif key != "$defs":
+                raise ValueError(f"schema keyword {key!r}: {arg!r} is not supported")
+            if message is not None:
+                found.append(_error(value, schema, path, key, message, context))
+        todo.extend(reversed(found))
+    return errors
+
+
+def _error(value, schema, path, keyword, message, context=()) -> _Error:
+    matches = "type" in schema and _is_type(value, schema["type"])
+    return _Error(path, keyword, message, matches, context)
+
+
+def _relevance(error: _Error) -> tuple:
+    """jsonschema's ``relevance`` key: the shallower error ranks higher, then
+    the greater sibling path, then not ``anyOf``, then a value that is not of
+    its schema's type."""
+    return (-len(error.path), error.path, error.keyword != "anyOf", not error.matches_type)
+
+
+def _best(errors: list[_Error]) -> _Error | None:
+    """The error ``jsonschema.exceptions.best_match`` picks: the most relevant
+    one (the first of equals); from a failed ``anyOf``, the least relevant
+    of its branches' errors, when no other ties with it."""
+    best = max(errors, key=_relevance, default=None)
+    while best is not None and best.context:
+        first, *rest = sorted(best.context, key=_relevance)[:2]
+        if rest and _relevance(rest[0]) == _relevance(first):
+            break
+        best = first
+    return best
+
+
+def _require_finite(doc) -> None:
+    """Raise :class:`DimensionError` for the first NaN or infinity in ``doc``,
+    in document order; iterative, so any nesting depth is checked."""
+    todo = [((), doc)]
+    while todo:
+        path, value = todo.pop()
+        if isinstance(value, dict):
+            todo += reversed([(path + (key,), item) for key, item in value.items()])
+        elif isinstance(value, list):
+            todo += reversed([(path + (i,), item) for i, item in enumerate(value)])
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise DimensionError(f"{field_name(path)} must be finite, got {value}")
 
 
 def write_csv(path, names, formats, columns) -> None:

@@ -12,14 +12,13 @@ speeds in pu (equilibrium speed is 1.0 for every machine).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DimensionError, ModelError
-from .fileio import validate
+from .fileio import read_json, validate
 
 OMEGA_S_DEFAULT = 120.0 * math.pi
 
@@ -439,6 +438,4 @@ def grid_from_dict(doc: dict) -> GridSystem:
 
 def load_grid(path) -> GridSystem:
     """Read a grid description JSON file (see docs/file-formats in README)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return grid_from_dict(doc)
+    return grid_from_dict(read_json(path))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelError
-from .fileio import MAX_SAMPLES, require_grid, validate
+from .fileio import MAX_SAMPLES, read_json, require_grid, validate
 from .frequency import ActionBounds, DfecAction, GovernorParams, SimOptions, TwoMachineModel
 from .oscillation import SAMPLE_DT
 from .simulate import Disturbance
@@ -259,8 +259,7 @@ def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
 
 def load_scenario(path):
     """Read a scenario JSON file and return the matching scenario object."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if scenario_kind(doc) == "deoc":
         return deoc_scenario_from_dict(doc)
     return dfec_scenario_from_dict(doc)

@@ -90,7 +90,7 @@ class TestValidate:
                         for step in expected.value.absolute_path).lstrip(".")
         assert where    # every edit above is inside the document
         path = write_json(tmp_path / name, doc)
-        for _ in range(2):   # the second load reuses the validator the first one built
+        for _ in range(2):   # a second load in the same process gives the same text
             code, _, err = run(capsys, "validate", flag, str(path))
             assert (code, err) == (2, f"input error: {where}: {expected.value.message}\n")
 
@@ -320,6 +320,42 @@ class TestFuzz:
                 assert "Traceback" not in err.getvalue()
                 stray = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
                 assert not stray
+
+
+class TestDeepNesting:
+    """An unknown member nested past what the JSON parser can read is an
+    input error naming the file; one the parser reads still validates."""
+
+    @staticmethod
+    def _nested(tmp_path, name, depth):
+        text = (DATA / name).read_text().rstrip()
+        path = tmp_path / name
+        path.write_text(f'{text[:-1]}, "deep": {"[" * depth}{"]" * depth}}}')
+        return str(path)
+
+    def test_too_deep_is_input_error(self, capsys, tmp_path):
+        grid, scn, dfec = (self._nested(tmp_path, name, 100_000) for name in
+                           ("wscc9.json", "scenario_wscc9.json", "dfec_twomachine.json"))
+        out = str(tmp_path / "o")
+        for argv, file in [
+            (["validate", "--system", grid], grid),
+            (["validate", "--scenario", scn], scn),
+            (["modes", "--system", grid], grid),
+            (["deoc", "--system", grid, "--scenario", str(DATA / "scenario_wscc9.json"),
+              "--out", out], grid),
+            (["deoc", "--system", str(DATA / "wscc9.json"), "--scenario", scn, "--out", out],
+             scn),
+            (["dfec", "simulate", "--scenario", dfec], dfec),
+        ]:
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (2, f"input error: {file}: JSON nested too deeply to read\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_readable_depth_validates(self, capsys, tmp_path):
+        grid, scn = (self._nested(tmp_path, name, 900)
+                     for name in ("wscc9.json", "scenario_wscc9.json"))
+        code, out, err = run(capsys, "validate", "--system", grid, "--scenario", scn)
+        assert (code, out, err) == (0, f"system ok: {grid}\nscenario ok: {scn}\n", "")
 
 
 class TestModes:
@@ -767,23 +803,30 @@ class TestDfec:
         assert "dt_out" in err
 
 
+# Packages of the ``test`` extra (scipy, and jsonschema with what it imports).
+TEST_ONLY = ("scipy", "jsonschema", "referencing", "rpds", "attrs", "attr",
+             "jsonschema_specifications")
+
 # Runs each command through ``cli.main`` in one fresh interpreter and prints
-# the exit codes and the scipy modules that interpreter loaded.
+# the exit codes and the modules of TEST_ONLY packages that interpreter loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from gridstep.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "test_only": sorted(m for m in sys.modules
+                                      if m.split(".")[0] in json.loads(sys.argv[2]))}))
 """
 
 
 def test_commands_load_no_scipy(tmp_path):
-    """scipy is a test dependency only: no command imports any of it."""
+    """scipy and jsonschema are test dependencies only: no command imports
+    any of them, or of the packages jsonschema imports."""
     doc = json.loads((DATA / "dfec_twomachine.json").read_text())
     doc["sim"]["horizon"] = 2.0
     doc["optimize"] = {"grid_starts": 1, "refine_starts": 1}
+    doc["sweep"]["t_on"]["count"] = doc["sweep"]["t_off"]["count"] = 2
     dfec = str(write_json(tmp_path / "dfec_short.json", doc))
     wscc9, scenario = str(DATA / "wscc9.json"), str(DATA / "scenario_wscc9.json")
     commands = [
@@ -792,14 +835,16 @@ def test_commands_load_no_scipy(tmp_path):
         ["deoc", "--system", wscc9, "--scenario", scenario, "--out", str(tmp_path / "deoc")],
         ["dfec", "simulate", "--scenario", str(DATA / "dfec_twomachine.json"), "--t-end", "2"],
         ["dfec", "optimize", "--scenario", dfec, "--out", str(tmp_path / "result.json")],
+        ["dfec", "sweep", "--scenario", dfec, "--out", str(tmp_path / "sweep.csv")],
     ]
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands),
+                           json.dumps(TEST_ONLY)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"codes": [0] * len(commands), "scipy": []}
+    assert json.loads(done.stdout) == {"codes": [0] * len(commands), "test_only": []}
     assert (tmp_path / "result.json").is_file()
 
 

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 
 from gridstep import (
     DimensionError,
+    InputFormatError,
     ModelError,
     build_reduced_model,
     equilibrium_shifted,
@@ -187,10 +188,9 @@ class TestValidation:
             "branches": [{"from": 1, "to": 1, "x": -0.5}],
             "generators": [{"bus": 1, "inertia": 1.0, "pm": 0.0}],
         }
-        import jsonschema
-
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(InputFormatError) as raised:
             grid_from_dict(doc)
+        assert str(raised.value) == "branches[0].x: -0.5 is less than or equal to the minimum of 0"
 
 
 class TestEquilibriumShifted:
