@@ -22,10 +22,13 @@ The report gives per side pair the commands whose stages (target modes)
 differ, each with both sides' ``(target modes, t_on, t_off)`` stages and
 skips; the commands whose skips (target and reason, its ``min |h|`` aside)
 differ; the commands whose skip reasons differ only in ``min |h|``; the
-largest ``|t_on|`` and ``|t_off|`` differences with where they occur; and the
-commands whose stdout or stderr differ. It also lists the commands whose two
-change-side runs are not byte-identical. The exit code is 1 when stages,
-skips or the repeated runs differ, else 0.
+largest ``|t_on|`` and ``|t_off|`` differences with where they occur; the
+largest ``h_residual`` in ``schedule.json`` on each side; the outputs that no
+schedule feeds (each ``uncontrolled.csv`` and each ``modes`` report) whose
+SHA-256 differs; and the commands whose stdout or stderr differ. It also lists
+the commands whose two change-side runs are not byte-identical. The exit code
+is 1 when stages, skips, schedule-free outputs or the repeated runs differ,
+else 0.
 
 For a DFEC workload the report lists instead the commands whose exit code,
 stdout, stderr or output files differ, and each printed sweep cell that
@@ -107,7 +110,7 @@ def worker(src: Path, commands_path: Path, out_dir: Path) -> None:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv[:at] + [str(out)] + argv[at:])
         files = sorted(out.iterdir()) if out.is_dir() else [out] if out.exists() else []
-        record = {"id": cmd["id"], "code": code, "stdout": stdout.getvalue(),
+        record = {"id": cmd["id"], "command": argv[0], "code": code, "stdout": stdout.getvalue(),
                   "stderr": stderr.getvalue(),
                   "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
         if argv[:2] == ["dfec", "sweep"] and out.is_file():
@@ -117,6 +120,7 @@ def worker(src: Path, commands_path: Path, out_dir: Path) -> None:
             doc = json.loads((out / "schedule.json").read_text())
             record["stages"] = [(s["target_modes"], s["t_on"], s["t_off"]) for s in doc["stages"]]
             record["skipped"] = [(s["target"], s["reason"]) for s in doc["skipped"]]
+            record["h_residual"] = [s["h_residual"] for s in doc["stages"]]
         print(json.dumps(record), flush=True)
         if out.is_dir():
             shutil.rmtree(out)
@@ -132,11 +136,27 @@ def run_side(tree: Path, commands_path: Path, scratch: Path) -> dict:
     return {r["id"]: r for r in map(json.loads, proc.stdout.splitlines())}
 
 
+# The outputs of a ``deoc-mixed`` command that no schedule feeds.
+SCHEDULE_FREE = {"deoc": ("uncontrolled.csv",), "modes": ("o.json",)}
+
+
+def largest_h_residual(side: dict) -> dict:
+    """The largest ``h_residual`` of any stage in ``schedule.json``, and where."""
+    value, at = max(((h, cid) for cid, rec in side.items() for h in rec.get("h_residual", [])),
+                    default=(None, None))
+    return {"value": value, "at": at}
+
+
 def compare(parent: dict, change: dict) -> dict:
     stage_diff, skip_diff, min_h_diff, stdout_diff, stderr_diff = [], [], [], [], []
+    free_diff, free_compared = [], 0
     worst = {"t_on": (0.0, None), "t_off": (0.0, None)}
     for cid, old in parent.items():
         new = change[cid]
+        for name in SCHEDULE_FREE.get(old["command"], ()):
+            free_compared += 1
+            if name not in old["sha256"] or old["sha256"][name] != new["sha256"].get(name):
+                free_diff.append({"id": cid, "file": name})
         if old["stdout"] != new["stdout"]:
             stdout_diff.append({"id": cid, "parent": old["stdout"], "change": new["stdout"]})
         if old["stderr"] != new["stderr"]:
@@ -162,6 +182,10 @@ def compare(parent: dict, change: dict) -> dict:
             "skips_differ_in_min_h_only": min_h_diff,
             "max_abs_dt_on_s": {"value": worst["t_on"][0], "at": worst["t_on"][1]},
             "max_abs_dt_off_s": {"value": worst["t_off"][0], "at": worst["t_off"][1]},
+            "max_h_residual": {"parent": largest_h_residual(parent),
+                               "change": largest_h_residual(change)},
+            "schedule_free_outputs_compared": free_compared,
+            "schedule_free_outputs_differ": free_diff,
             "stdout_differs": len(stdout_diff), "stderr_differs": len(stderr_diff),
             "stdout_examples": stdout_diff[:5], "stderr_examples": stderr_diff[:5]}
 
@@ -234,7 +258,8 @@ def main(argv=None) -> int:
     diff = report["parent_vs_change"]
     if not deoc:
         return 1 if diff["differ"] or not_repeated else 0
-    return 1 if diff["stages_differ"] or diff["skips_differ"] or not_repeated else 0
+    return 1 if (diff["stages_differ"] or diff["skips_differ"]
+                 or diff["schedule_free_outputs_differ"] or not_repeated) else 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ Input documents are checked against the schema dicts ``network.GRID_SCHEMA``,
 ``scenario.DEOC_SCENARIO_SCHEMA`` and ``scenario.DFEC_SCENARIO_SCHEMA`` by a
 small walker that knows the JSON Schema keywords those use. It reports the
 error, in the words, that ``jsonschema.validate`` (Draft 2020-12, jsonschema
-4.26) reports; the tests keep jsonschema as its oracle."""
+4.26) reports, except that a document value's ``repr`` is cut to
+``_SHOWN_CHARS`` characters (:func:`shown`); the tests keep jsonschema as its
+oracle."""
 
 from __future__ import annotations
 
@@ -21,9 +23,14 @@ import numpy as np
 
 from .errors import DimensionError, InputFormatError
 
-# Rows formatted per write. The kernels hold a few dozen bytes per value at
-# once: 384 rows of 25 columns peak near 1.2 MB (tests/test_fileio.py).
-_ROWS_PER_WRITE = 384
+# Values formatted per write, whatever the table's width (384 rows of an
+# ieee39 trajectory's 23 columns). The kernels hold a few dozen bytes per value
+# at once, so a chunk peaks near 1.2 MB (tests/test_fileio.py).
+_VALUES_PER_WRITE = 384 * 23
+
+# Most characters of a document value an error message shows: a longer
+# ``repr`` is cut to this length, ending in "...".
+_SHOWN_CHARS = 80
 
 # Most values an output grid (time samples, sweep cells) may hold: studies use
 # 5k-50k, and a grid this size (80 MB a column) can still be allocated.
@@ -54,7 +61,8 @@ def read_json(path):
 def validate(doc, schema: dict) -> None:
     """Raise :class:`InputFormatError` for the error ``jsonschema.validate(doc,
     schema)`` raises, if any, with the text ``where: message`` (the message
-    alone for the whole document); then :class:`DimensionError` for the first
+    alone for the whole document; document values in it as :func:`shown`
+    gives them); then :class:`DimensionError` for the first
     NaN or infinity in ``doc`` (JSON readers accept both).
 
     ``schema`` may use the keywords ``type``, ``required``, ``properties``,
@@ -75,6 +83,16 @@ def require_grid(span: float, step: float, span_name: str, step_name: str) -> No
     if not samples <= MAX_SAMPLES:
         raise DimensionError(f"{span_name} = {span:.6g} at {step_name} = {step:.6g} gives "
                              f"{samples:.3g} samples, more than {MAX_SAMPLES}")
+
+
+def shown(value) -> str:
+    """``repr(value)`` as an error message shows it: cut to
+    ``_SHOWN_CHARS`` characters, ending in ``...``, when it is longer."""
+    return _clipped(repr(value))
+
+
+def _clipped(text: str) -> str:
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
 
 
 def field_name(path) -> str:
@@ -130,19 +148,19 @@ def _schema_errors(doc, schema: dict, root: dict, path: tuple = ()) -> list[_Err
             if key == "type":
                 if not _is_type(value, arg):
                     names = ", ".join(map(repr, [arg] if isinstance(arg, str) else arg))
-                    message = f"{value!r} is not of type {names}"
+                    message = f"{shown(value)} is not of type {names}"
             elif key == "enum":
                 if not any(_equal(option, value) for option in arg):
-                    message = f"{value!r} is not one of {arg!r}"
+                    message = f"{shown(value)} is not one of {arg!r}"
             elif key == "const":
                 if not _equal(value, arg):
                     message = f"{arg!r} was expected"
             elif key == "minimum":
                 if _TYPES["number"](value) and value < arg:
-                    message = f"{value!r} is less than the minimum of {arg!r}"
+                    message = f"{shown(value)} is less than the minimum of {arg!r}"
             elif key == "exclusiveMinimum":
                 if _TYPES["number"](value) and value <= arg:
-                    message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+                    message = f"{shown(value)} is less than or equal to the minimum of {arg!r}"
             elif key == "required":
                 if isinstance(value, dict):
                     found += [_error(value, schema, path, key, f"{name!r} is a required property")
@@ -157,7 +175,7 @@ def _schema_errors(doc, schema: dict, root: dict, path: tuple = ()) -> list[_Err
                                      schema.get("properties", {})), key=str)
                     if extras:
                         message = (f"Additional properties are not allowed "
-                                   f"({', '.join(map(repr, extras))} "
+                                   f"({_clipped(', '.join(map(repr, extras)))} "
                                    f"{'was' if len(extras) == 1 else 'were'} unexpected)")
             elif key == "items" and isinstance(arg, dict):
                 if isinstance(value, list):
@@ -170,7 +188,7 @@ def _schema_errors(doc, schema: dict, root: dict, path: tuple = ()) -> list[_Err
                         break
                     context += branch_errors
                 else:
-                    message = f"{value!r} is not valid under any of the given schemas"
+                    message = f"{shown(value)} is not valid under any of the given schemas"
             elif key == "$ref" and arg.startswith("#/$defs/"):
                 found.append((value, root["$defs"][arg.removeprefix("#/$defs/")], path))
             elif key != "$defs":
@@ -233,10 +251,11 @@ def write_csv(path, names, formats, columns) -> None:
     columns = [np.asarray(c) for c in columns]
     runs = [(fmt, [c for _, c in run]) for fmt, run in
             itertools.groupby(zip(formats, columns), key=lambda fc: fc[0])]
+    chunk = max(1, _VALUES_PER_WRITE // len(columns))
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\r\n").encode())
-        for lo in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            rows = min(_ROWS_PER_WRITE, len(columns[0]) - lo)
+        for lo in range(0, len(columns[0]), chunk):
+            rows = min(chunk, len(columns[0]) - lo)
             # One kernel call per run of same-format columns, row by row.
             blocks = [_KERNELS[fmt](np.stack([c[lo:lo + rows] for c in run], axis=1).ravel())
                       .reshape(rows, -1) for fmt, run in runs]

@@ -10,6 +10,7 @@ two-machine model, simulation options, optimization bounds, and sweep grid.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelError
-from .fileio import MAX_SAMPLES, read_json, require_grid, validate
+from .fileio import MAX_SAMPLES, read_json, require_grid, shown, validate
 from .frequency import ActionBounds, DfecAction, GovernorParams, SimOptions, TwoMachineModel
 from .oscillation import SAMPLE_DT
 from .simulate import Disturbance
@@ -170,10 +171,13 @@ class DfecScenario:
 
 def scenario_kind(doc) -> str:
     if not isinstance(doc, dict):
-        raise ModelError(f"scenario file must hold a JSON object, got {json.dumps(doc)[:40]}")
+        # Each encoder chunk holds a character or more: 40 chunks give the first
+        # 40 characters of the document's JSON without encoding the rest.
+        head = "".join(itertools.islice(json.JSONEncoder().iterencode(doc), 40))[:40]
+        raise ModelError(f"scenario file must hold a JSON object, got {head}")
     kind = doc.get("kind")
     if kind not in ("deoc", "dfec"):
-        raise ModelError(f"scenario kind must be 'deoc' or 'dfec', got {kind!r}")
+        raise ModelError(f"scenario kind must be 'deoc' or 'dfec', got {shown(kind)}")
     return kind
 
 

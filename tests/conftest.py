@@ -60,6 +60,30 @@ def ieee39_basis(ieee39_model):
 
 
 @pytest.fixture(scope="session")
+def twin_model():
+    """Two identical machines (H 3.5 s) on an infinite bus, each through
+    0.3 + 0.2 pu with a CC at the middle bus: one modal frequency, twice."""
+    from gridstep.network import (Branch, Bus, ControllableComponent, Generator,
+                                  GridSystem)
+
+    return build_reduced_model(GridSystem(
+        buses=(Bus(1, "generator"), Bus(2, "generator"), Bus(3, "non-generator"),
+               Bus(4, "non-generator"), Bus(5, "generator")),
+        branches=(Branch(1, 3, 0.3), Branch(3, 5, 0.2), Branch(2, 4, 0.3), Branch(4, 5, 0.2)),
+        generators=(Generator(bus=1, inertia=3.5, pm=0.0), Generator(bus=2, inertia=3.5, pm=0.0),
+                    Generator(bus=5, inertia=1.0, pm=0.0, infinite=True)),
+        loads=(),
+        ccs=(ControllableComponent(bus=3, p0=0.0), ControllableComponent(bus=4, p0=0.0)),
+        base_mva=100.0,
+    ))
+
+
+@pytest.fixture(scope="session")
+def twin_basis(twin_model):
+    return analyze(twin_model)
+
+
+@pytest.fixture(scope="session")
 def dfec_scenario():
     from gridstep.scenario import load_scenario
 

@@ -3,10 +3,11 @@
 The numerical oracle is ``scipy.integrate.solve_ivp`` run piece by piece, a
 fresh solver for each continuous piece that restarts from the previous
 solver's state at the break. Tests check the closed-form DEOC propagation and
-both DFEC steppers against it, and the real-form ``modal.propagate`` against
-the complex modal form it replaced. ``list_rows`` is the DFEC float stepper
-written over 9-element lists, the bit-for-bit reference of the package's
-straight-line ``frequency._dense_rows``. The reference writers are the
+both DFEC steppers against it, and the real-form ``modal.orbit`` and
+``modal.propagate`` against the complex modal form they replaced.
+``list_rows`` is the DFEC float stepper written over 9-element lists, the
+bit-for-bit reference of the package's straight-line
+``frequency._dense_rows``. The reference writers are the
 ``csv.writer`` and ``json.dump`` code of the output files."""
 
 import bisect
@@ -28,12 +29,21 @@ from gridstep.frequency import (
     _output_grid, _sample_range, _settled, dfec_dynamics)
 
 
-def propagate(basis, center, x_start, dt):
-    """``modal.propagate`` in complex modal form,
+def orbit(basis, center, x_start):
+    """``modal.orbit`` in complex modal form: the evaluator of
     ``c + Re(M e^(Λ dt) M^-1 (x_start - c))``, one or many offsets."""
     z = basis.m_inv @ (np.asarray(x_start, dtype=float) - center)
-    phases = np.exp(np.multiply.outer(dt, basis.eigenvalues)) * z
-    return (phases @ basis.m.T).real + center
+
+    def states(dt):
+        phases = np.exp(np.multiply.outer(dt, basis.eigenvalues)) * z
+        return (phases @ basis.m.T).real + center
+
+    return states
+
+
+def propagate(basis, center, x_start, dt):
+    """``modal.propagate`` in complex modal form, one or many offsets."""
+    return orbit(basis, center, x_start)(dt)
 
 
 def piecewise(pieces, y0, t_grid, method, rtol, atol):

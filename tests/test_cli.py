@@ -98,6 +98,11 @@ class TestValidate:
     @pytest.mark.parametrize("content,message", [
         (b"[]", "scenario file must hold a JSON object, got []"),
         (b'"x"', 'scenario file must hold a JSON object, got "x"'),
+        # Long documents: the first 40 characters of their JSON, the kind clipped.
+        (b"[" * 900 + b"]" * 900, "scenario file must hold a JSON object, got " + "[" * 40),
+        (b'{"kind": [' + b", ".join(b"%d" % k for k in range(10**5)) + b"]}",
+         "scenario kind must be 'deoc' or 'dfec', got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, "
+         "12, 13, 14, 15, 16, 17, 18, 19, 20, 21..."),
         (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ])
     def test_file_that_is_not_an_object_is_input_error(self, capsys, tmp_path, content,
@@ -376,23 +381,37 @@ class TestModes:
         assert len(freqs) == 2
         assert freqs[0] < freqs[1]
 
-    def test_degenerate_spectrum_is_numeric_failure(self, capsys, tmp_path):
-        doc = {
+    @staticmethod
+    def _twins(x2):
+        """Two machines of H 3.5 s on an infinite bus, through 0.5 and ``x2`` pu."""
+        return {
             "schema_version": 1, "base_mva": 100.0, "units": "pu",
             "buses": [{"id": 1, "type": "generator"},
                       {"id": 2, "type": "generator"},
                       {"id": 3, "type": "generator"}],
             "branches": [{"from": 1, "to": 3, "x": 0.5},
-                         {"from": 2, "to": 3, "x": 0.5}],
+                         {"from": 2, "to": 3, "x": x2}],
             "generators": [
                 {"bus": 1, "inertia": 3.5, "pm": 0.0},
                 {"bus": 2, "inertia": 3.5, "pm": 0.0},
                 {"bus": 3, "inertia": 1.0, "pm": 0.0, "infinite": True},
             ],
         }
-        path = write_json(tmp_path / "twins.json", doc)
+
+    def test_degenerate_spectrum_is_numeric_failure(self, capsys, tmp_path):
+        """A machine tied through 1e15 pu has a modal frequency of 2e-7 rad/s."""
+        path = write_json(tmp_path / "loose.json", self._twins(1e15))
         code, _, err = run(capsys, "modes", "--system", str(path))
-        assert code == 1
+        assert code == 1 and "zero (or negative) modal frequency" in err
+
+    def test_repeated_frequency_is_reported(self, capsys, tmp_path):
+        path = write_json(tmp_path / "twins.json", self._twins(0.5))
+        code, _, _ = run(capsys, "modes", "--system", str(path), "--out",
+                         str(tmp_path / "modes.json"))
+        assert code == 0
+        modes = json.loads((tmp_path / "modes.json").read_text())["modes"]
+        assert modes[0]["frequency_rad_s"] == pytest.approx(modes[1]["frequency_rad_s"],
+                                                            rel=1e-12)
 
     def test_singular_kron_reduction_is_input_error(self, capsys, tmp_path):
         """A leaf load bus hung on a branch of x = 1e15 pu leaves a pivot

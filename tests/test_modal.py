@@ -60,9 +60,19 @@ class TestAnalyze:
         f2 = math.sqrt(120.0 * math.pi * (1.0 / 0.3) / 2.0)  # H=1, b=1/0.3
         assert freqs == pytest.approx(sorted([f1, f2]), rel=1e-10)
 
-    def test_repeated_frequency_rejected(self):
-        model = build_reduced_model(_two_smib_grid(h2=3.5, x2=0.5))
-        with pytest.raises(DegenerateSpectrumError):
+    def test_repeated_frequency_accepted(self, twin_model, twin_basis):
+        """Two identical machines share one frequency; the basis still
+        diagonalizes the state matrix and conserves the orbit value."""
+        b, x_e = twin_basis, twin_model.x_eq
+        assert b.omega == pytest.approx([SMIB_FREQ] * 2, rel=1e-12)
+        assert np.abs(b.a @ b.m - b.m * b.eigenvalues).max() < 1e-9 * np.abs(b.a).max()
+        x0 = x_e + np.array([0.05, -0.03, 0.002, 0.001])
+        v = orbit_value(b, x_e, propagate(b, x_e, x0, np.linspace(0.0, 10.0, 101)))
+        assert v == pytest.approx(orbit_value(b, x_e, x0), rel=1e-12)
+
+    def test_zero_frequency_rejected(self):
+        model = build_reduced_model(_two_smib_grid(x2=1e15))
+        with pytest.raises(DegenerateSpectrumError, match="zero"):
             analyze(model)
 
     def test_deterministic_bit_identical(self, wscc9_model):

@@ -287,21 +287,29 @@ class TestSearchBlocks:
 
 
 def test_bundled_schedules_match_complex_propagation(monkeypatch, bundled_deoc):
-    """The real-form ``propagate`` leaves each bundled study's stages and
-    skips as the complex modal form gives them, with switch-on roots and
-    switch-off times within 1e-9 s: the switch-off is the root of the energy
-    rate, which a rounding-level change of the state moves far less than it
-    moves the flat energy minimum."""
+    """The real-form closed form leaves each bundled study's stages and skips
+    as the complex modal form gives them, with switch-on roots and switch-off
+    times within 1e-12 s (1.2e-13 s apart at most): both are roots finished
+    to round-off, of ``h`` and of the energy rate, which a rounding-level
+    change of the state moves far less than it moves the flat energy
+    minimum. The searches build their orbits from the oracle."""
     b = bundled_deoc
-    monkeypatch.setattr(oscillation, "propagate", oracle.propagate)
+    built = []
+
+    def oracle_orbit(*args):
+        built.append(args)
+        return oracle.orbit(*args)
+
+    monkeypatch.setattr(oscillation, "orbit", oracle_orbit)
     monkeypatch.setattr(simulate, "propagate", oracle.propagate)
     t0, x0 = apply_disturbance(b.model, b.basis, b.scn.disturbance)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ref = build_schedule(b.basis, b.model, x0, t0, b.targets, **b.kwargs)
+    assert len(built) > 2 * len(ref.stages) > 0      # a switch-on search and rides per stage
     assert b.schedule.skipped == ref.skipped
     assert [(s.target_modes, s.t_on, s.t_off) for s in b.schedule.stages] == [
-        (s.target_modes, pytest.approx(s.t_on, abs=1e-9), pytest.approx(s.t_off, abs=1e-9))
+        (s.target_modes, pytest.approx(s.t_on, abs=1e-12), pytest.approx(s.t_off, abs=1e-12))
         for s in ref.stages]
 
 
@@ -392,7 +400,7 @@ class TestStageRide:
             (1.0, [((1,), 0.9667572704156246, 0.9755704026281412),
                    ((2,), 1.8250319023191515, 1.8281717513986457),
                    ((4,), 2.3532208103127723, 2.354061209703489),
-                   ((8,), 2.6437059880777474, 2.6438175017960353)], [(0, 0)]),
+                   ((8,), 2.6437059869650343, 2.6438175006826032)], [(0, 0)]),
         ],
     }
 
@@ -417,7 +425,7 @@ class TestStageRide:
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
-                if not depth:     # a switch-off search also refines its minimum
+                if not depth:     # a switch-off search also finishes its minimum
                     calls[name] += 1
                 depth.append(name)
                 try:
@@ -426,7 +434,7 @@ class TestStageRide:
                     depth.pop()
             return wrapper
 
-        monkeypatch.setattr(oscillation, "_refine", counted("roots", oscillation._refine))
+        monkeypatch.setattr(oscillation, "_newton", counted("roots", oscillation._newton))
         monkeypatch.setattr(oscillation, "find_switch_off",
                             counted("switch_off", oscillation.find_switch_off))
         with warnings.catch_warnings():
@@ -435,6 +443,115 @@ class TestStageRide:
         assert calls["switch_off"] == calls["roots"] > len(sched.stages) > 0
         assert [(s.t_on, s.t_off, s.energy_off) for s in sched.stages] == [
             (s.t_on, s.t_off, s.energy_off) for s in b.schedule.stages]
+
+
+def _landings(basis, model, x0, t0, schedule):
+    """Per stage: how far, to first order, ``t_on`` lies from the root of
+    ``h`` and ``t_off`` from the root of ``dEk/dt``, in seconds (value over
+    slope, the slopes written out from the state matrix), and the slope of
+    ``dEk/dt`` at ``t_off``."""
+    m, b = model.n_machines, model.b_red
+    out = []
+    for st in schedule.stages:
+        x_on = propagate(basis, model.x_eq, x0, st.t_on - t0)
+        dx = x_on - st.x_c
+        h = switching_function(basis, model.x_eq, st.x_c, x_on)
+        h_slope = -2.0 * (dx @ basis.g) @ (basis.a @ (x_on - model.x_eq))
+        x0, t0 = propagate(basis, st.x_c, x_on, st.t_off - st.t_on), st.t_off
+        dx, xdot = x0 - st.x_c, basis.a @ (x0 - st.x_c)
+        rate = oscillation.energy_rate(model, st.x_c, x0)
+        rate_slope = -model.omega_s * ((xdot[:m] @ b) @ (x0[m:] - 1.0) + (dx[:m] @ b) @ xdot[m:])
+        out.append((abs(h / h_slope), abs(rate / rate_slope), rate_slope))
+    return out
+
+
+class TestNewton:
+    """``_newton`` finishes each bracket at its root, to round-off: the value
+    at a returned time is below its slope times 1e-12 s. Round-off in the
+    states sets that floor, up to about 300 ulps of the time on these cases;
+    a stop at ``|h| < 1e-10`` of the threshold term lands up to 2e-11 s off
+    on the bundled studies."""
+
+    def _check(self, basis, model, x0, t0, sched):
+        assert sched.stages
+        for on, off, rate_slope in _landings(basis, model, x0, t0, sched):
+            assert on < 1e-12 and off < 1e-12
+            assert rate_slope > 0.0          # the energy rate rises through its root
+
+    @pytest.mark.parametrize("window", [None, 1.0])
+    def test_bundled_roots(self, bundled_deoc, window):
+        b = bundled_deoc
+        kwargs = dict(b.kwargs, stage_window=window or b.kwargs["stage_window"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sched = build_schedule(b.basis, b.model, b.x0, b.t0, b.targets, **kwargs)
+        self._check(b.basis, b.model, b.x0, b.t0, sched)
+
+    @pytest.mark.parametrize("system", ["wscc9", "ieee39"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_states(self, request, system, seed):
+        model, basis = (request.getfixturevalue(f"{system}_{k}") for k in ("model", "basis"))
+        rng = np.random.default_rng(seed)
+        m = model.n_machines
+        x0 = model.x_eq + np.concatenate([rng.normal(0.0, 0.05, m), rng.normal(0.0, 0.002, m)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sched = build_schedule(basis, model, x0, 0.0, default_targets(basis, model, x0, 3))
+        self._check(basis, model, x0, 0.0, sched)
+
+    def test_repeated_frequency(self, twin_model, twin_basis):
+        """Two identical machines, both excited: each of the two stages lands
+        on its roots and lowers the energy."""
+        x0 = twin_model.x_eq + np.array([0.05, -0.03, 0.002, 0.001])
+        targets = default_targets(twin_basis, twin_model, x0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sched = build_schedule(twin_basis, twin_model, x0, 0.0, targets)
+        assert [s.target_modes for s in sched.stages] == [(0,), (1,)]
+        assert all(s.energy_off < s.energy_on for s in sched.stages)
+        self._check(twin_basis, twin_model, x0, 0.0, sched)
+
+    @pytest.mark.parametrize("rising", [False, True])
+    def test_root_on_a_sample_is_that_sample(self, rising):
+        """A zero sample is returned as it is, without a Newton step."""
+        ts = np.arange(9) * 0.125
+        calls = []
+
+        def value_and_slope(t):
+            calls.append(t)
+            return t - 0.5, 1.0
+
+        roots = list(oscillation._roots(lambda t: t - 0.5, value_and_slope, ts,
+                                        np.empty(len(ts)), rising))
+        assert roots == [0.5] and not calls
+
+    @pytest.mark.parametrize("slope", [0.0, -1.0])
+    def test_useless_slope_bisects_and_ends(self, slope):
+        """A zero slope, or one whose step leaves the bracket, falls back to
+        bisection, which ends once its step is below ``T_RESOLUTION``."""
+        root, calls = 0.3 + 1e-4 / 3.0, []
+
+        def value_and_slope(t):
+            calls.append(t)
+            return t - root, slope
+
+        got = oscillation._newton(value_and_slope, 0.3, 0.301, -1e-4 / 3.0, 2e-3 / 3.0)
+        assert abs(got - root) < 2.0 * oscillation.T_RESOLUTION
+        assert 30 < len(calls) < 45          # log2(1e-3 / 1e-14) = 36.5 halvings
+
+    def test_newton_converges_from_the_secant_point(self):
+        calls = []
+
+        def value_and_slope(t):
+            calls.append(t)
+            return math.sin(t) - 0.5, math.cos(t)
+
+        a, b = 0.523, 0.524
+        got = oscillation._newton(value_and_slope, a, b, math.sin(a) - 0.5, math.sin(b) - 0.5)
+        assert abs(got - math.pi / 6.0) <= math.ulp(got)
+        assert calls[0] == pytest.approx(a + (b - a) * (0.5 - math.sin(a))
+                                         / (math.sin(b) - math.sin(a)), abs=1e-16)
+        assert len(calls) <= 4
 
 
 class TestBuildSchedule:

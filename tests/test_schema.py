@@ -11,7 +11,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from gridstep.errors import DimensionError, InputFormatError
-from gridstep.fileio import field_name, validate
+from gridstep.fileio import _SHOWN_CHARS, field_name, validate
 from gridstep.network import GRID_SCHEMA
 from gridstep.scenario import DEOC_SCENARIO_SCHEMA, DFEC_SCENARIO_SCHEMA
 
@@ -52,11 +52,30 @@ def _finite_oracle(value, path=()):
     return None
 
 
+def _clip(text):
+    """A document value's text as the walker shows it: past ``_SHOWN_CHARS``
+    characters, its first ``_SHOWN_CHARS - 3`` and ``...``."""
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
+
+
+def _shown_message(error):
+    """jsonschema's message with the document values it names clipped: the
+    instance that starts it, or the list of unexpected properties."""
+    message = error.message
+    if error.validator == "additionalProperties":
+        extras = ", ".join(map(repr, sorted(set(error.instance) - set(error.schema.get("properties", {})),
+                                            key=str)))
+        return message.replace(extras, _clip(extras), 1)
+    text = repr(error.instance)
+    return _clip(text) + message[len(text):] if message.startswith(text) else message
+
+
 def _expected(doc, schema):
     error = best_match(Draft202012Validator(schema).iter_errors(doc))
     if error is not None:
         where = field_name(error.absolute_path)
-        return InputFormatError, f"{where}: {error.message}" if where else error.message
+        message = _shown_message(error)
+        return InputFormatError, f"{where}: {message}" if where else message
     found = _finite_oracle(doc)
     if found:
         return DimensionError, f"{field_name(found[0])} must be finite, got {found[1]}"
@@ -178,6 +197,25 @@ class TestParity:
     ])
     def test_known_texts(self, doc, schema, text):
         assert _got(doc, schema) == _expected(doc, schema) == (InputFormatError, text)
+
+
+@pytest.mark.parametrize("edit, text", [
+    (lambda doc: [doc] * 1000,
+     "[{'schema_version': 1, 'kind': 'dfec', 'name': 'two-machine frequency excursi..."
+     " is not of type 'object'"),
+    (lambda doc: doc["sweep"].update(dp=["x" * 10**6]),
+     "sweep.dp: ['" + "x" * 75 + "... is not of type 'number'"),
+    (lambda doc: doc.update(optimize={f"extra_{k}": k for k in range(10**4)}),
+     "optimize: Additional properties are not allowed ('extra_0', 'extra_1', 'extra_10', "
+     "'extra_100', 'extra_1000', 'extra_1001', 'e... were unexpected)"),
+])
+def test_long_values_are_clipped(edit, text):
+    """A document value's text in a message is cut to ``_SHOWN_CHARS``
+    characters, whatever the value's size."""
+    doc = copy.deepcopy(DOCS["dfec_twomachine.json"])
+    doc = edit(doc) or doc
+    assert _got(doc, DFEC_SCENARIO_SCHEMA) == _expected(doc, DFEC_SCENARIO_SCHEMA) == (
+        InputFormatError, text)
 
 
 def _keywords(schema, where="#"):
