@@ -11,8 +11,12 @@ Each workload of ``BENCHMARK.json`` runs ``bench/run.py --workload W --seed S
 side runs in a fresh tree in one temporary directory, removed on exit: the
 parent side in a ``git archive`` of ``--parent``, the change side in a copy
 of the working tree's tracked files (``git ls-files``, as they are in the
-working tree; ``git add`` new files first). So neither side reads a
-``__pycache__`` the other lacks. Seeds 1-10
+working tree; ``git add`` new files first). Each tree's ``src`` is then
+byte-compiled once (``python -m compileall -q src``), and the runs write no
+bytecode (``PYTHONDONTWRITEBYTECODE=1``), so both sides read the same kind
+of ``__pycache__`` and no run pays the compiler: ``peak_rss_mb`` would
+otherwise count the compiler's heap for the largest module,
+``frequency.py``. Seeds 1-10
 make the pairs, the parent running first on odd seeds and the change first on
 even ones; the held-out seed 4242 runs once per side (change first) after
 the pairs. ``--trace W`` adds one ``--trace 1`` run of seed 1 per side of
@@ -59,6 +63,11 @@ def run_bench(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     result = json.loads(lines[-1])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"]}
+
+
+def compile_tree(tree: Path) -> None:
+    """Byte-compile ``tree``'s ``src`` into its ``__pycache__`` folders."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
 
 
 def copy_tracked(dest: Path) -> None:
@@ -147,6 +156,8 @@ def main(argv=None) -> int:
         change = tmp / "change"
         copy_tracked(change)
         sides = {"parent": parent, "change": change}
+        for tree in sides.values():
+            compile_tree(tree)
 
         workloads = {}
         for workload in names:
@@ -180,7 +191,9 @@ def main(argv=None) -> int:
                      f"first on even ones, seeds 1-10 per workload; seed {HELD_OUT_SEED} is "
                      f"the held-out seed, run once per side (change first) after the pairs. "
                      f"Quartiles are statistics.quantiles(method='inclusive') over the ten "
-                     f"pair seeds. PYTHONDONTWRITEBYTECODE=1 on both sides."),
+                     f"pair seeds. Each tree's src was byte-compiled once (python -m "
+                     f"compileall -q src) before its runs; PYTHONDONTWRITEBYTECODE=1 in "
+                     f"the runs."),
             "parent_commit": commit,
         }
         if args.claim:

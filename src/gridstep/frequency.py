@@ -400,6 +400,15 @@ def _pieces(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions)
     return pieces
 
 
+def _dips(t_grid: np.ndarray, avg: np.ndarray, pieces) -> np.ndarray:
+    """The lowest average speed ``avg`` (sampled on ``t_grid``, perhaps cut
+    short) before the last of ``pieces`` starts (``_sample_range``; at least
+    the first sample) and from there on: the disturbance's and the
+    switch-off's dip."""
+    k = _sample_range(t_grid, *pieces[-1][:2], True)[0]
+    return np.array([avg[:max(k, 1)].min(), avg[k:].min()])
+
+
 def _output_grid(opts: SimOptions) -> np.ndarray:
     return np.arange(0.0, opts.horizon + 0.5 * opts.dt_out, opts.dt_out)
 
@@ -412,18 +421,12 @@ def _sample_range(t_grid: np.ndarray, lo: float, hi: float, last: bool) -> tuple
     return start, stop
 
 
-# Both integrators step an action as scipy's ``RK45`` solver does: the
-# Dormand-Prince 5(4) tableau of ``scipy.integrate.RK45``, the RMS error norm,
-# scipy's step controller and ``select_initial_step`` at every piece, so
-# rtol/atol keep their meaning. ``_dense_rows`` steps one action on plain
-# floats, straight-line over nine scalars; ``nadir_costs`` steps a batch's
-# shared histories on it and the last pieces as numpy lanes, bit for bit the
-# float loop's. Each loop is the only fast one for its work (one action, or
-# a sweep's many last pieces: on a 2-vCPU x86 VM, the 38 cells of the bench's
-# seed-1 sweep take 0.31 s one by one on the float loop against 0.15 s as a
-# batch, 2.1x, and the bundled sweep's 272 cells 2.74 s against 0.37 s,
-# 7.4x), so both stay; they share ``dfec_dynamics`` and the tableau below,
-# and every lane starts where the float loop hands its last piece off.
+# Both integrators step an action as scipy's ``RK45`` solver does (its
+# tableau, RMS error norm, step controller and ``select_initial_step`` at
+# every piece), so rtol/atol keep their meaning. ``_dense_rows`` steps one
+# action on plain floats; ``nadir_costs`` steps a batch's shared histories on
+# it and the last pieces as numpy lanes, bit for bit the float loop's. Each
+# is the only fast loop for its work (README, "Numerical defaults").
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's RungeKutta
 _ERR_EXP = -1 / 5                                       # -1 / (error order 4 + 1)
 # A first step guess ``h0`` of zero or NaN means the state derivative overflowed;
@@ -484,17 +487,16 @@ class _Prefix:
     """Solver states of one piece of a recording run, kept for later runs of
     the same model and options whose history up to that piece is the same.
 
-    The recording run keeps, after each accepted step of the piece, the
-    farthest time any of its attempts has aimed at (``reach``) and the state
-    the next step starts from: ``(t, y, f, h_abs, low, count)`` with the
-    derivative ``f`` (first same as last), the next step size, the lowest
-    average speed and the number of output rows so far, which ``rows`` (the
-    recording run's) holds; ``states`` keeps them flat, 22 numbers each. It
-    keeps no more once ``reach`` gets to ``until``. A later run whose pieces
-    before this one are the recording run's, and whose piece starts with the
-    same injection, load and initial step, attempts the same steps, bit for
-    bit, up to the first attempt that aims at its own break or past a sample
-    that belongs to its next piece."""
+    After each accepted step of the piece, the recording run keeps the
+    farthest time any of its attempts has aimed at (``reach``) and the next
+    step's start ``(t, y, f, h_abs, low, count)``: derivative ``f`` (first
+    same as last), step size, lowest average speed and the count of output
+    rows so far, which ``rows`` holds; ``states`` keeps them flat, 22 numbers
+    each, until ``reach`` gets to ``until``. A later run whose pieces before
+    this one are the recording run's, and whose piece starts with the same
+    injection, load and initial step, attempts the same steps, bit for bit,
+    up to the first attempt that aims at its own break or past a sample that
+    belongs to its next piece."""
 
     def __init__(self, until: float, rows: array):
         self.until = until
@@ -502,21 +504,12 @@ class _Prefix:
         self.states = array("d")
         self.rows = rows
 
-    def resume(self, bound, w_ss, penalty, cap):
-        """``(state, stop)`` for a run whose attempts, from the first one
-        that aims at ``bound`` on, differ from the recording run's: the last
-        state before that, or, with ``stop``, the earlier one after which the
-        run's cap test ``(w_ss - low) + penalty > cap`` first holds.
-        ``(None, False)`` where no state applies."""
+    def resume(self, bound):
+        """The last state kept before the first attempt that aims at
+        ``bound`` (from there on a run's attempts differ from the recording
+        run's); ``None`` where no state applies."""
         n = bisect.bisect_left(self.reach, bound)
-        if n == 0:
-            return None, False
-        # The lowest speed only falls from state to state, so the test can
-        # only hold at an earlier state if it holds at the last one.
-        if (w_ss - self.state(n - 1)[4]) + penalty > cap:
-            states = map(self.state, range(n))
-            return next(s for s in states if (w_ss - s[4]) + penalty > cap), True
-        return self.state(n - 1), False
+        return self.state(n - 1) if n else None
 
     def state(self, k: int) -> tuple:
         """The ``k``-th state kept, ``(t, y, f, h_abs, low, count)``."""
@@ -525,16 +518,13 @@ class _Prefix:
 
 
 def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
-                settling: _Settling | None = None, cap: float = math.inf,
-                penalty: float = 0.0, shared: dict | None = None,
+                settling: _Settling | None = None, shared: dict | None = None,
                 until: float = -math.inf, hand_off: bool = False):
     """The first ``width`` (4 or 9) state components at every output sample
     of the run through ``pieces``, row after row; ``None`` as soon as a
     sample shows loss of synchronism. With ``settling`` (the last piece's),
     the rows end after the first accepted step of the last piece from which
-    the run has ``_settled``, or after the first accepted step of any piece
-    after which ``(w_ss - low) + penalty > cap`` for the lowest average
-    speed ``low`` so far.
+    the run has ``_settled`` on that piece's own lowest speed (its dip).
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
@@ -548,11 +538,10 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
     piece's start ``(y, f, h_abs, low, count)`` (``None`` after a slip).
 
     The step is written out over nine float locals per vector: the state
-    ``y0..y8``, the stages ``a, b, c, d, e, g, q`` (``k1 .. k7``, one letter
-    each, ``a`` the derivative at the step's start), the solution ``z``, the
-    scaled error ``r`` and the interpolant's ``x**2 .. x**4`` columns ``p2,
-    p3, p4``. Every sum keeps the tableau's term order, so the run is bit for
-    bit that of the step written over 9-element lists.
+    ``y0..y8``, the stages ``a, b, c, d, e, g, q`` (``k1 .. k7``; ``a`` is
+    the derivative at the step's start), the solution ``z``, the scaled error
+    ``r`` and the interpolant's ``x**2 .. x**4`` columns ``p2, p3, p4``. Sums
+    keep the tableau's term order: the run is the 9-element-list step's.
     """
     t_grid = _output_grid(opts)
     t_out = t_grid.tolist()
@@ -561,10 +550,11 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
     y0, y1, y2, y3, y4, y5, y6, y7, y8 = model.equilibrium().tolist()
     rows = array("d")
     low = math.inf          # lowest average speed sampled so far
-    w_ss = math.nan if settling is None else settling.w_ss   # NaN: no cap test
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
         last = n == len(pieces) - 1
         watch = settling if last else None
+        if watch is not None:   # the stop certifies the last piece's own dip
+            low = math.inf
         rhs = dfec_dynamics(model, dp_active, p_motor)
         t = lo
         f = rhs(y0, y1, y2, y3, y4, y5, y6, y7, y8)
@@ -586,13 +576,11 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                 record = shared[key] = _Prefix(min(until, bound), rows)
                 reach = -math.inf
             elif prefix is not None and not last:
-                state, stop = prefix.resume(bound, w_ss, penalty, cap)
+                state = prefix.resume(bound)
                 if state is not None:
                     t, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, h_abs, low, count = state
                     a0, a1, a2, a3, a4, a5, a6, a7, a8 = f
                     rows = prefix.rows[:count * width]
-                    if stop:
-                        return rows
         recording = record is not None
         while True:
             # One step (scipy's RungeKutta._step_impl).
@@ -778,8 +766,6 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                     v7 = h * (a7 * x + p2_7 * x2 + p3_7 * x3 + p4_7 * x4) + y7
                     v8 = h * (a8 * x + p2_8 * x2 + p3_8 * x3 + p4_8 * x4) + y8
                     rows.extend((v0, v1, v2, v3, v4, v5, v6, v7, v8))
-                if (w_ss - low) + penalty > cap:
-                    return rows
                 if end:
                     y0 = h * (((a0 + p2_0) + p3_0) + p4_0) + y0
                     y1 = h * (((a1 + p2_1) + p3_1) + p4_1) + y1
@@ -803,18 +789,16 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
     return rows
 
 
-def _trajectory(model, action, opts, width, settle=False, cap=math.inf, penalty=0.0,
-                shared=None, until=-math.inf) -> DfecTrajectory:
+def _trajectory(model, action, opts, width, settle=False, shared=None,
+                until=-math.inf) -> DfecTrajectory:
     """The run of ``action``; with ``settle`` (a cost run) it ends where the
-    run has ``_settled`` or its cost, plus ``penalty``, is past ``cap``, so
-    ``t`` and ``y`` may stop short of the horizon. ``shared`` and ``until``
-    are ``_dense_rows``'."""
+    run has ``_settled``, so ``t`` and ``y`` may stop short of the horizon.
+    ``shared`` and ``until`` are ``_dense_rows``'."""
     pieces = _pieces(model, action, opts)
     settling = _settling(model, *pieces[-1][2:])      # where it settles
     _require_steps(settling, opts)
     t = _output_grid(opts)
-    rows = _dense_rows(model, pieces, opts, width, settling if settle else None, cap, penalty,
-                       shared, until)
+    rows = _dense_rows(model, pieces, opts, width, settling if settle else None, shared, until)
     if rows is None:
         return DfecTrajectory(t, np.full((len(t), width), np.nan), True, settling.w_ss)
     y = np.frombuffer(rows).reshape(-1, width)
@@ -828,33 +812,26 @@ def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions
 
 
 def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions,
-               cap: float = math.inf, penalty: float = 0.0, shared: dict | None = None,
-               summary: bool = False):
+               shared: dict | None = None, summary: bool = False):
     """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism or
     has no steady state. Only the angles and speeds are interpolated, and
     the run stops once it has ``_settled``.
 
-    A caller that only compares the cost plus ``penalty`` against ``cap``
-    can let the run stop at the first step after which the cost so far,
-    plus ``penalty``, exceeds ``cap``. The value returned then is at most
-    the cost, and it plus ``penalty`` still exceeds ``cap``; a cost whose
-    sum with ``penalty`` is at most ``cap`` is returned exactly.
     ``shared`` (``_Prefix`` records of runs on the same model and options,
     see ``_dense_rows``) lets the run start from states it shares with the
     recording runs; the result is the same bit for bit. With ``summary``
-    the return is the run's ``(w_ss, nadir, cost)`` (see
-    ``DfecTrajectory.summary``)."""
-    run = _trajectory(model, action, opts, 4, settle=True, cap=cap, penalty=penalty,
-                      shared=shared)
-    return run.summary() if summary else run.summary()[2]
+    the return is ``(w_ss, nadir, cost, _dips)`` of the run."""
+    run = _trajectory(model, action, opts, 4, settle=True, shared=shared)
+    if not summary:
+        return run.summary()[2]
+    return (*run.summary(), _dips(run.t, run.avg_speed, _pieces(model, action, opts)))
 
 
-# Lane-batched engine for the last pieces of a batch. Every lane follows the
-# scalar step sequence and ``dfec_dynamics``'s operations. Stage sums are
-# written out term by term in the order ``_dense_rows`` uses (no BLAS, no axis
-# reductions), and the step factor ``err ** _ERR_EXP`` is Python's float power
-# per lane (numpy's SIMD ``np.power`` rounds some inputs differently), so a
-# lane's run is the float loop's, bit for bit.
+# Lane-batched engine for the last pieces of a batch. Stage sums keep
+# ``_dense_rows``' term order (no BLAS, no axis reductions), and the step
+# factor ``err ** _ERR_EXP`` is Python's float power per lane (numpy's SIMD
+# ``np.power`` rounds some inputs differently): a lane is the float loop, bit
+# for bit.
 def _rms(x):
     """RMS over the 9 state rows of ``x``, summed in row order."""
     sq = x * x
@@ -899,16 +876,15 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
     """``nadir_cost`` of every action (``None`` = uncontrolled), bit for bit.
 
     Every piece before an action's last runs on the float loop once per
-    shared history: the actions that share a piece start run one after
-    another, the one with the latest break first, so the first run through
-    a piece start records it up to its break (``_Prefix``), and the later
-    runs that share it resume there and step only to their own break. On a sweep, that steps the uncontrolled run once
-    to the latest switch-on and each row's injection once to its latest
-    switch-off. The last pieces then run together as numpy lanes from their
-    switch-off states and running minima: the state is a ``(9, lanes)``
-    array, each lane keeps its own time and step size, dense output is
-    sampled onto the ``dt_out`` grid, where the loss-of-synchronism check
-    runs, and each lane keeps only the running minimum of its average speed.
+    shared history: actions that share a piece start run one after another,
+    the latest break first, so the first run records the piece up to its
+    break (``_Prefix``) and the later ones resume there. On a sweep, that
+    steps the uncontrolled run once to the latest switch-on and each row's
+    injection once to its latest switch-off. The last pieces then run as
+    numpy lanes from their switch-off states and running minima: the state
+    is a ``(9, lanes)`` array, each lane keeps its own time and step size,
+    and dense output is sampled onto the ``dt_out`` grid, where the
+    loss-of-synchronism check runs.
     """
     n = len(actions)
     t_grid = _output_grid(opts)
@@ -1061,28 +1037,36 @@ class StepResponse:
         lift = np.interp(t - t_on, t, s, left=0.0) - np.interp(t - t_off, t, s, left=0.0)
         return self.uncontrolled + dp * lift
 
-    def cost(self, dp: float, t_on: float, t_off: float) -> float:
+    def dips(self, dp: float, t_on: float, t_off: float):
+        """``(w_ss, _dips)`` of the action's surrogate run."""
         plan = _pieces(self.model, DfecAction(dp, t_on, t_off), self.opts)
-        w_ss = steady_speed(self.model, *plan[-1][2:])
-        return _speed_summary(w_ss, float(self.avg_speed(dp, t_on, t_off).min()))[2]
+        return (steady_speed(self.model, *plan[-1][2:]),
+                _dips(self.t, self.avg_speed(dp, t_on, t_off), plan))
+
+    def cost(self, dp: float, t_on: float, t_off: float) -> float:
+        w_ss, dips = self.dips(dp, t_on, t_off)
+        return _speed_summary(w_ss, min(dips))[2]
 
 
 _NELDER_MEAD = {"xatol": 1e-3, "fatol": 1e-9, "maxiter": 400}
-_POLISH_STEP = 0.005  # edge of the polish's initial simplex, unit-cube units
+# ``_trust_region``'s first half-width and forward-difference step, in
+# unit-cube units.
+_TRUST_RADIUS, _TRUST_STEP = 0.05, 1e-3
 
 
-def _nelder_mead(func, x0, xatol, fatol, maxiter, initial_simplex=None):
+def _nelder_mead(func, x0, xatol, fatol, maxiter, initial_simplex=None,
+                 bounds=(-math.inf, math.inf)):
     """The Nelder-Mead simplex search (Nelder & Mead, Comput. J. 7(4), 1965)
     as ``scipy.optimize.minimize(method="Nelder-Mead")`` runs it without
-    bounds or ``adaptive``, step for step: the same coefficients (reflect 1,
-    expand 2, contract 1/2, shrink 1/2), the same ``np.argsort`` reordering
-    and stop rule, at most ``maxiter - 1`` iterations, so it visits the same
-    points. ``func(v, cap)`` gets copies of the points. Where ``cap`` is
-    finite, the value is only compared against ``cap`` and is kept only if
-    it is not above it, so any value above ``cap`` (at most the true one)
-    does as well. Returns ``(best vertex, best value)``.
+    ``adaptive``, step for step: the same coefficients (reflect 1, expand 2,
+    contract 1/2, shrink 1/2), the same ``np.argsort`` reordering and stop
+    rule, at most ``maxiter - 1`` iterations, so it visits the same points.
+    Every point is clipped into ``bounds = (lower, upper)`` as scipy clips
+    it, and a first simplex beyond ``upper`` is reflected inside. ``func``
+    gets copies of the points. Returns ``(best vertex, best value)``.
     """
-    x0 = np.asarray(x0, dtype=float).flatten()
+    lower, upper = bounds
+    x0 = np.clip(np.asarray(x0, dtype=float).flatten(), lower, upper)
     n = len(x0)
     if initial_simplex is None:
         sim = np.tile(x0, (n + 1, 1))
@@ -1090,9 +1074,10 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter, initial_simplex=None):
             sim[k + 1, k] = 1.05 * v if v != 0 else 0.00025
     else:
         sim = np.array(initial_simplex, dtype=float)
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
 
-    def f(v, cap=math.inf):
-        return func(v.copy(), float(cap))
+    def f(v):
+        return func(v.copy())
 
     fsim = np.array([f(v) for v in sim], dtype=float)
     for _ in range(2):                      # scipy sorts the first simplex twice
@@ -1103,34 +1088,87 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter, initial_simplex=None):
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
             break
         xbar = sim[:-1].sum(0) / n
-        xr = 2 * xbar - sim[-1]
-        # Past the worst vertex, the reflection only picks the inside
-        # contraction; it is kept (and needed exactly) only below it.
-        fxr = f(xr, fsim[-1])
+        xr = np.clip(2 * xbar - sim[-1], lower, upper)
+        fxr = f(xr)
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe, fxr)
+            xe = np.clip(3 * xbar - 2 * sim[-1], lower, upper)
+            fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:              # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc, fxr)
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
+                fxc = f(xc)
                 shrink = not fxc <= fxr
             else:                           # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc, fsim[-1])
+                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
+                fxc = f(xc)
                 shrink = not fxc < fsim[-1]
             if not shrink:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lower, upper)
                     fsim[j] = f(sim[j])
         order = np.argsort(fsim)
         sim, fsim = sim[order], fsim[order]
     return sim[0], fsim.min()
+
+
+def _trust_region(nonlinear, surrogate, x, run, lower, upper):
+    """Polish ``x``, whose nonlinear ``run`` is ``(cost, nadir, dips)``, by
+    a box trust region in ``[lower, upper]`` (Alexandrov, Dennis, Lewis &
+    Torczon, Struct. Optim. 15, 1998); returns the last iterate and its run.
+    ``nonlinear(v)`` is the run at ``v``, ``surrogate(v)`` ``(w_ss, dips)``.
+
+    The optimum sits where the two ``_dips`` cross, a kink that stalls a
+    simplex (McKinnon, SIAM J. Optim. 9(1), 1998), so each dip ``k`` gets
+    its own correction: its gap ``N_k - S_k`` to the surrogate at ``x`` and
+    the gap's slope ``g_k`` by forward differences. Nelder-Mead minimizes
+    the model ``max_k (w_ss - [S_k + (N_k - S_k)(x) + g_k (v - x)])`` within
+    ``r`` of ``x``, and the minimizer's run replaces ``x`` if it costs less.
+    ``r`` shrinks to half the step below a quarter of the predicted
+    decrease and doubles above three quarters at the box's edge. The polish
+    ends where the model predicts at most ``fatol``, ``r < xatol`` (both
+    ``_NELDER_MEAD``'s), or a forward-difference run is unstable.
+    """
+    radius = _TRUST_RADIUS
+    while radius >= _NELDER_MEAD["xatol"]:
+        cost, _, dips = run
+        gap = dips - surrogate(x)[1]
+        slopes = np.empty((len(x), len(dips)))
+        for i in range(len(x)):
+            v = x.copy()
+            v[i] += _TRUST_STEP if x[i] + _TRUST_STEP <= upper[i] else -_TRUST_STEP
+            slopes[i] = (nonlinear(v)[2] - surrogate(v)[1] - gap) / (v[i] - x[i])
+        if not np.isfinite(slopes).all():
+            break
+
+        def model(v):
+            w_ss, s = surrogate(v)
+            return _speed_summary(w_ss, min(s + gap + (v - x) @ slopes))[2]
+
+        while radius >= _NELDER_MEAD["xatol"]:
+            box = np.maximum(lower, x - radius), np.minimum(upper, x + radius)
+            steps = np.where(x + 0.5 * radius <= box[1], 0.5 * radius, -0.5 * radius)
+            trial, predicted = _nelder_mead(
+                model, x, xatol=0.01 * radius, fatol=0.01 * _NELDER_MEAD["fatol"],
+                maxiter=_NELDER_MEAD["maxiter"], bounds=box,
+                initial_simplex=np.vstack([x, x + np.diag(steps)]))
+            if not cost - predicted > _NELDER_MEAD["fatol"]:
+                return x, run
+            trial_run = nonlinear(trial)
+            ratio = (cost - trial_run[0]) / (cost - predicted)
+            size = np.abs(trial - x).max()
+            if ratio < 0.25:
+                radius = 0.5 * size
+            elif ratio > 0.75 and size > 0.99 * radius:
+                radius *= 2.0
+            if trial_run[0] < cost:
+                x, run = trial, trial_run
+                break
+    return x, run
 
 
 def optimize_action(
@@ -1143,25 +1181,16 @@ def optimize_action(
 ) -> DfecResult:
     """Derivative-free search for the best injection block.
 
-    The cost comes from an event-driven simulation with a nonsmooth ``min``,
-    so a penalized Nelder-Mead simplex is used (variables scaled to the unit
-    cube; the window is parameterized as ``(dp, t_on, length)`` so
-    ``t_on < t_off`` holds by construction). A ``StepResponse`` surrogate,
-    built from the uncontrolled run and one step run at ``dp_max / 2``,
-    decides where to look: it ranks the initial guess and a ``grid_starts^3``
-    grid of starts and is minimized from the best ``refine_starts`` of them.
-    The nonlinear model decides the answer: the surrogate optima are costed
-    on it, and Nelder-Mead on the nonlinear cost polishes the best one from a
-    small simplex. The reported ``cost`` is the ``nadir_cost`` of the
-    reported action.
-
-    The polish pays only for what each comparison needs: a cost run that
-    Nelder-Mead only compares against a bound stops once it is past it,
-    and a cost run that switches on after the uncontrolled run's first step
-    starts from that run's last state before its switch-on (``_Prefix``).
-    Neither changes a result bit.
+    The variables are scaled to the unit cube; the window is parameterized
+    as ``(dp, t_on, length)`` so ``t_on < t_off`` holds by construction. A
+    ``StepResponse`` surrogate, built from the uncontrolled run and one step
+    run at ``dp_max / 2``, ranks the initial guess and a ``grid_starts^3``
+    grid of starts, and Nelder-Mead in the cube minimizes it from the best
+    ``refine_starts``. The nonlinear model decides the answer: the surrogate
+    optima are costed on it, and ``_trust_region`` polishes the best one.
+    The reported ``cost`` and nadir are the reported action's own run's.
     """
-    shared = {}     # the uncontrolled run's states up to the latest switch-on
+    shared = {}     # the uncontrolled run's states up to the latest switch-on (``_Prefix``)
     uncontrolled_run = _trajectory(model, None, opts, 4, shared=shared, until=bounds.t_on_max)
     _, nadir0, uncontrolled = uncontrolled_run.summary()
     if uncontrolled_run.unstable:
@@ -1170,76 +1199,47 @@ def optimize_action(
     if math.isnan(uncontrolled_run.w_ss):
         raise OptimizationError(f"uncontrolled run: {NO_STEADY_STATE}")
     surrogate = StepResponse.measure(model, uncontrolled_run, 0.5 * bounds.dp_max, opts)
+    lower, upper = np.array([0.0, 0.0, 1e-3]), np.ones(3)
 
     def unpack(v):
-        dp = float(np.clip(v[0], 0.0, 1.0)) * bounds.dp_max
-        t_on = float(np.clip(v[1], 0.0, 1.0)) * bounds.t_on_max
-        length = float(np.clip(v[2], 1e-3, 1.0)) * (bounds.t_off_max - t_on)
-        return dp, t_on, t_on + max(length, 1e-3)
+        dp, t_on = float(v[0]) * bounds.dp_max, float(v[1]) * bounds.t_on_max
+        return dp, t_on, t_on + max(float(v[2]) * (bounds.t_off_max - t_on), 1e-3)
 
-    def penalty(v):
-        return float(np.sum(np.clip(np.abs(v - 0.5) - 0.5, 0.0, None) ** 2)) * 10.0
-
-    def objective(cost):
-        def cost_of(v, cap=math.inf):
-            dp, t_on, t_off = unpack(v)
-            extra = penalty(v)
-            return (cost(dp, t_on, t_off, cap, extra) if dp > 0.0 else uncontrolled) + extra
-        return cost_of
+    def surrogate_of(v):
+        return surrogate.cost(*unpack(v))
 
     nonlinear_evals = 0
-    exact = {}      # (nadir, cost) of each action whose cost run was not cut short
 
-    def nonlinear(dp, t_on, t_off, cap, extra):
+    def nonlinear(v):
         nonlocal nonlinear_evals
         nonlinear_evals += 1
-        action = DfecAction(dp, t_on, t_off)
-        _, nadir, cost = nadir_cost(model, action, opts, cap, extra, shared, summary=True)
-        if not cost + extra > cap:
-            exact[action] = nadir, cost
-        return cost
+        _, nadir, cost, dips = nadir_cost(model, DfecAction(*unpack(v)), opts, shared, summary=True)
+        return cost, nadir, dips
 
     starts = []
-    if initial_guess is not None:
-        starts.append(np.array([
-            initial_guess.dp / bounds.dp_max,
-            initial_guess.t_on / bounds.t_on_max,
-            (initial_guess.t_off - initial_guess.t_on)
-            / max(bounds.t_off_max - initial_guess.t_on, 1e-9),
-        ]))
+    if (g := initial_guess) is not None:    # ranked where Nelder-Mead would start it
+        starts.append(np.clip([g.dp / bounds.dp_max, g.t_on / bounds.t_on_max,
+                               (g.t_off - g.t_on) / max(bounds.t_off_max - g.t_on, 1e-9)],
+                              lower, upper))
     grid = (np.arange(grid_starts) + 0.5) / grid_starts
     starts += [np.array([gd, gon, glen]) for gd in grid for gon in grid for glen in grid]
 
     # Rank the starts and descend on the surrogate.
-    surrogate_of = objective(lambda dp, t_on, t_off, cap, extra: surrogate.cost(dp, t_on, t_off))
     ranked = sorted(starts, key=surrogate_of)[:refine_starts]
-    optima = [_nelder_mead(surrogate_of, v0, **_NELDER_MEAD)[0] for v0 in ranked]
+    optima = [_nelder_mead(surrogate_of, v0, **_NELDER_MEAD, bounds=(lower, upper))[0]
+              for v0 in ranked]
 
-    # The surrogate optima on the nonlinear model.
-    windows = [unpack(v) for v in optima]
-    nonlinear_of = objective(nonlinear)
-    costs = [nonlinear_of(v) for v in optima]
-    history = list(zip(windows, costs))
-    finite = [k for k, c in enumerate(costs) if np.isfinite(c)]
-    if not finite:
+    # The surrogate optima on the nonlinear model; the best one is polished.
+    runs = [nonlinear(v) for v in optima]
+    history = [(unpack(v), run[0]) for v, run in zip(optima, runs)]
+    best = min(range(len(runs)), key=lambda k: runs[k][0])
+    start_v, start_c = optima[best], runs[best][0]
+    if not np.isfinite(start_c):
         raise OptimizationError("all optimizer starts diverged", history=history)
-    best = min(finite, key=costs.__getitem__)
-    start_v, start_c = optima[best], costs[best]
+    x, (cost, nadir_c, _) = _trust_region(nonlinear, lambda v: surrogate.dips(*unpack(v)),
+                                          start_v, runs[best], lower, upper)
 
-    # Polish on the nonlinear cost from a small simplex pointing into the cube;
-    # its first vertex, start_v, is already costed.
-    steps = np.where(start_v < 0.5, _POLISH_STEP, -_POLISH_STEP)
-    simplex = np.vstack([start_v, start_v + np.diag(steps)])
-    polish_v, polish_c = _nelder_mead(
-        lambda v, cap: start_c if np.array_equal(v, start_v) else nonlinear_of(v, cap),
-        start_v, **_NELDER_MEAD, initial_simplex=simplex)
-    best_v = polish_v if polish_c < start_c else start_v
-
-    # Report the reported action's own cost, without the cube penalty, from
-    # its exact run (every vertex Nelder-Mead keeps was costed exactly). With
-    # dp = 0 no run was made: the action is none.
-    action = DfecAction(*unpack(best_v))
-    nadir_c, cost = exact[action] if action.dp > 0.0 else (nadir0, uncontrolled)
+    action = DfecAction(*unpack(x))
     if not cost < uncontrolled:
         # dp = 0 is always feasible; an action no better than none is none.
         action, nadir_c, cost = DfecAction(0.0, 0.0, 1e-3), nadir0, uncontrolled

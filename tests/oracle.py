@@ -103,15 +103,15 @@ def nadir_cost(model, action, opts) -> float:
     return simulate(model, action, opts).summary()[2]
 
 
-def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0.0,
-              shared=None, until=-math.inf, hand_off=False):
+def list_rows(model, pieces, opts, width, settling=None, shared=None, until=-math.inf,
+              hand_off=False):
     """``frequency._dense_rows`` with its step written over 9-element lists,
     list comprehensions and ``zip``: the first ``width`` state components at
     every output sample of the run through ``pieces``, row after row; ``None``
     as soon as a sample shows loss of synchronism. With ``settling`` (the
     last piece's), the rows end after the first accepted step of the last
-    piece from which the run has ``_settled``, or after the first accepted
-    step of any piece after which ``(w_ss - low) + penalty > cap``.
+    piece from which the run has ``_settled`` on that piece's own lowest
+    average speed.
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
@@ -125,10 +125,11 @@ def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0
     y = model.equilibrium().tolist()
     rows = array("d")
     low = math.inf          # lowest average speed sampled so far
-    w_ss = math.nan if settling is None else settling.w_ss
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
         last = n == len(pieces) - 1
         watch = settling if last else None
+        if watch is not None:
+            low = math.inf
         rhs = dfec_dynamics(model, dp_active, p_motor)
         k_start, k_end = _sample_range(t_grid, lo, hi, last)
         t_samples = np.clip(t_grid[k_start:k_end], lo, hi).tolist()
@@ -146,13 +147,11 @@ def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0
                 record = shared[key] = fq._Prefix(min(until, bound), rows)
                 reach = -math.inf
             elif prefix is not None and not last:
-                state, stop = prefix.resume(bound, w_ss, penalty, cap)
+                state = prefix.resume(bound)
                 if state is not None:
                     t, y, f, h_abs, low, count = state
                     y = list(y)
                     rows = prefix.rows[:count * width]
-                    if stop:
-                        return rows
         recording = record is not None
         while True:
             # One step (scipy's RungeKutta._step_impl).
@@ -220,8 +219,6 @@ def list_rows(model, pieces, opts, width, settling=None, cap=math.inf, penalty=0
                     if avg < low:
                         low = avg
                     rows.extend(row)
-                if (w_ss - low) + penalty > cap:
-                    return rows
                 if end:
                     y = [h * (((q0 + q1) + q2) + q3) + y_ for (q0, q1, q2, q3), y_ in zip(Q, y)]
                     break

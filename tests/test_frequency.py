@@ -109,24 +109,24 @@ class TestNadirCost:
         predicted = 1.0 - opts.disturbance / (model.gov.k1 + model.d1 + model.d2)
         assert w_ss == pytest.approx(predicted, rel=0.0, abs=4e-16)
 
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(step=st.floats(0.10, 0.15), share=st.floats(0.0, 1.0), t_on=st.floats(0.0, 5.0),
+           length=st.floats(0.1, 35.0))
+    def test_doubled_step_and_injection_double_the_cost(self, model, step, share, t_on,
+                                                        length):
+        # On the symmetric model the average speed is linear in the load step
+        # and the injection but for the sine in the governor's input: doubling
+        # both doubles the cost, which catches a scaling error anywhere in the
+        # cost path.
+        costs = [fq.nadir_cost(model, fq.DfecAction(k * share * step, t_on, t_on + length),
+                               replace(FAST, disturbance=k * step)) for k in (1, 2)]
+        assert abs(costs[1] - 2.0 * costs[0]) <= 1e-5 * costs[1]
+
 
 class TestCappedAndResumedRuns:
-    """A cost run stopped at a cap and one started from a recorded prefix
-    change nothing a caller reads."""
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(dp=st.floats(0.0, 0.25), t_on=st.floats(0.0, 5.0), length=st.floats(0.1, 40.0),
-           cap=st.floats(0.0, 0.05), penalty=st.sampled_from([0.0, 1e-3]))
-    def test_capped_cost_compares_as_the_cost(self, model, dp, t_on, length, cap, penalty):
-        action = fq.DfecAction(dp, t_on, t_on + length) if dp else None
-        cost = fq.nadir_cost(model, action, FAST)
-        capped = fq.nadir_cost(model, action, FAST, cap, penalty)
-        if cost + penalty <= cap:
-            assert capped == cost
-        else:
-            assert capped + penalty > cap and capped <= cost
-        # A cost at the cap itself is not past it: that run goes to its end.
-        assert fq.nadir_cost(model, action, FAST, cost + penalty, penalty) == cost
+    """A run started from a recorded prefix changes nothing a caller reads,
+    whether it records its own pieces or not (``until``, the cap on what it
+    records) and wherever it stops."""
 
     @pytest.fixture(scope="class")
     def shared(self, model):
@@ -134,48 +134,60 @@ class TestCappedAndResumedRuns:
         fq._trajectory(model, None, FAST, 4, shared=shared, until=3.0)
         return shared
 
+    @pytest.fixture
+    def states(self, shared, monkeypatch):
+        """The states the recorded prefix hands out, in order."""
+        (prefix,) = shared.values()
+        states = []
+
+        def resume(bound):
+            state = fq._Prefix.resume(prefix, bound)
+            states.append(state)
+            return state
+
+        monkeypatch.setattr(prefix, "resume", resume)
+        return states
+
     @pytest.mark.parametrize("t_on, resumes", [
         (0.0, False),           # the first piece injects
         (1e-4, False),          # shorter than the first step
         (1.0, True),            # on an output sample
         (5.0, True),            # past the last kept state
     ], ids=["t_on-0", "before-first-step", "on-sample", "past-last-state"])
-    @pytest.mark.parametrize("cap", [math.inf, 0.02, 1e-4])
-    def test_resumed_run_is_the_fresh_run(self, model, shared, monkeypatch, t_on, resumes,
-                                          cap):
+    @pytest.mark.parametrize("until", [-math.inf, math.inf])
+    def test_resumed_run_is_the_fresh_run(self, model, shared, states, t_on, resumes, until):
         (prefix,) = shared.values()
         assert 1.0 in fq._output_grid(FAST).tolist() and prefix.reach[0] > 1e-4
         assert prefix.reach[-1] < prefix.until < 5.0
-        states = []
-
-        def resume(*args):
-            state, stop = fq._Prefix.resume(prefix, *args)
-            states.append(state)
-            return state, stop
-
-        monkeypatch.setattr(prefix, "resume", resume)
         action = fq.DfecAction(0.08, t_on, 12.0)
-        fresh = fq._trajectory(model, action, FAST, 4, settle=True, cap=cap)
-        resumed = fq._trajectory(model, action, FAST, 4, settle=True, cap=cap, shared=shared)
+        fresh = fq._trajectory(model, action, FAST, 4, settle=True)
+        recorded = dict(shared)
+        resumed = fq._trajectory(model, action, FAST, 4, settle=True, shared=recorded,
+                                 until=until)
         assert resumed.t.tobytes() == fresh.t.tobytes()
         assert resumed.y.tobytes() == fresh.y.tobytes()
+        # Only a run that records keeps the pieces it does not resume.
+        assert (len(recorded) > 1) == (until > 0)
         # A first piece whose start differs from the recorded one's is not
         # looked up at all.
         assert (bool(states) and states[0] is not None) == resumes
-        if resumes and cap == math.inf:
+        if resumes:
             # The last state whose attempts all aimed before t_on.
             k = list(map(prefix.state, range(len(prefix.reach)))).index(states[0])
             assert prefix.reach[k] < t_on
             assert k == len(prefix.reach) - 1 or prefix.reach[k + 1] >= t_on
 
-    def test_stop_inside_the_prefix(self, model, shared):
-        # The cap is passed before switch-on: the resumed run stops at the
-        # recorded state where the fresh run stops.
-        action = fq.DfecAction(0.08, 2.9, 12.0)
-        fresh = fq._trajectory(model, action, FAST, 4, settle=True, cap=1e-4)
-        assert fresh.t[-1] < 2.9
-        resumed = fq._trajectory(model, action, FAST, 4, settle=True, cap=1e-4, shared=shared)
-        assert resumed.y.tobytes() == fresh.y.tobytes()
+    def test_stop_inside_the_prefix(self, model, shared, states):
+        # The injection runs past the horizon, so the last piece starts at
+        # switch-on, before the recorded prefix ends: the resumed run hands
+        # off there the fresh run's state.
+        (prefix,) = shared.values()
+        pieces = fq._pieces(model, fq.DfecAction(0.08, 2.9, 50.0), FAST)
+        assert len(pieces) == 2 and pieces[1][0] == 2.9 < prefix.until
+        fresh = fq._dense_rows(model, pieces, FAST, 4, hand_off=True)
+        resumed = fq._dense_rows(model, pieces, FAST, 4, shared=shared, hand_off=True)
+        assert states and states[0] is not None and states[0][0] < 2.9
+        assert resumed == fresh
 
 
 GOVERNORS = st.fixed_dictionaries({
@@ -385,11 +397,10 @@ class TestScalarStepper:
         with pytest.MonkeyPatch.context() as patch:
             for rows in (fq._dense_rows, oracle.list_rows):
                 patch.setattr(fq, "_dense_rows", rows)
-                # A capped run started from the uncontrolled run's prefix.
+                # A cost run started from the uncontrolled run's prefix.
                 shared = {}
                 fq._trajectory(model, None, FAST, 4, shared=shared, until=t_on + 0.5)
-                capped = fq._trajectory(model, action, FAST, 4, settle=True, cap=0.02,
-                                        shared=shared)
+                resumed = fq._trajectory(model, action, FAST, 4, settle=True, shared=shared)
                 # The whole injection resumes every piece before its last
                 # from the records the half-length one leaves, and steps on.
                 later = {}
@@ -397,8 +408,8 @@ class TestScalarStepper:
                                             shared=later, until=math.inf, hand_off=True)
                              for a in (half, action)]
                 runs.append((fq.simulate(model, action, FAST), fq.nadir_cost(model, action, FAST),
-                             capped, _records(shared), hand_offs, _records(later)))
-        (run, cost, capped, *kept), (ref, ref_cost, ref_capped, *ref_kept) = runs
+                             resumed, _records(shared), hand_offs, _records(later)))
+        (run, cost, resumed, *kept), (ref, ref_cost, ref_resumed, *ref_kept) = runs
         assert kept[1] == [fq._dense_rows(model, fq._pieces(model, a, FAST), FAST, 4,
                                           hand_off=True) for a in (half, action)]
         assert run.unstable == ref.unstable and run.t.tobytes() == ref.t.tobytes()
@@ -406,7 +417,7 @@ class TestScalarStepper:
         assert cost == ref_cost
         assert not ref.unstable or cost == fq.INSTABILITY_COST
         assert kept == ref_kept
-        assert capped.y.tobytes() == ref_capped.y.tobytes()
+        assert resumed.y.tobytes() == ref_resumed.y.tobytes()
 
 
 def _records(shared):
@@ -485,10 +496,10 @@ class TestBatchedCosts:
         # all six cells share the uncontrolled run, each row its injection.
         resumed, plain = [], fq._Prefix.resume
 
-        def resume(prefix, *args):
-            state, stop = plain(prefix, *args)
+        def resume(prefix, bound):
+            state = plain(prefix, bound)
             resumed.append(state is not None)
-            return state, stop
+            return state
 
         monkeypatch.setattr(fq._Prefix, "resume", resume)
         actions = [fq.DfecAction(0.1, a, b) for a in (1.0, 2.0) for b in (10.0, 12.0, 14.0)]
@@ -532,6 +543,9 @@ class TestStepResponse:
         (0.116, 0.0, 29.6),                 # near the bundled optimum
         (0.12, 2.0, 30.0),
         (0.08, 0.5, 39.99),
+        # the switch-off dip is the shallower, and the stop must still reach it
+        (0.05, 2.1, 28.5),
+        (0.0726, 6.31, 17.27),
     )
 
     def test_exact_on_symmetric_calibration(self, model):
@@ -547,6 +561,37 @@ class TestStepResponse:
             run = fq._trajectory(model, fq.DfecAction(*action), FAST, 4)
             assert np.abs(surrogate.avg_speed(*action) - run.avg_speed).max() <= 1e-7
             assert abs(surrogate.cost(*action) - run.summary()[2]) <= 1e-6 * c0
+
+    def test_dips_split_at_the_last_piece(self, model):
+        run = fq.simulate(model, fq.DfecAction(0.1, 1.0, 12.0), FAST)
+        plan = fq._pieces(model, fq.DfecAction(0.1, 1.0, 12.0), FAST)
+        before = run.t < 12.0 - 1e-12
+        assert fq._dips(run.t, run.avg_speed, plan).tolist() == [
+            run.avg_speed[before].min(), run.avg_speed[~before].min()]
+        # One piece: the first dip is the first sample, the rest the second.
+        run = fq.simulate(model, None, FAST)
+        plan = fq._pieces(model, None, FAST)
+        assert fq._dips(run.t, run.avg_speed, plan).tolist() == [1.0, run.avg_speed.min()]
+
+    def test_dips_match_the_nonlinear_run(self, model):
+        # Each of the two dips alone, as the trust region corrects them; a
+        # cost run's dips are the full-horizon run's, as its stop certifies
+        # the switch-off dip even where the other one is deeper.
+        uncontrolled = fq._trajectory(model, None, FAST, 4)
+        c0 = uncontrolled.summary()[2]
+        surrogate = fq.StepResponse.measure(model, uncontrolled, 0.1, FAST)
+        for action in self.ACTIONS:
+            w_ss, nadir, _, dips = fq.nadir_cost(model, fq.DfecAction(*action), FAST,
+                                                 summary=True)
+            full = fq.simulate(model, fq.DfecAction(*action), FAST)
+            plan = fq._pieces(model, fq.DfecAction(*action), FAST)
+            assert dips.tolist() == fq._dips(full.t, full.avg_speed, plan).tolist()
+            assert 1.0 - min(dips) == nadir
+            s_w_ss, s_dips = surrogate.dips(*action)
+            # A "dip" above w_ss (switched off 10 ms before the horizon)
+            # cannot set the cost: it is one sample, held to the bound above.
+            bound = np.where(dips < w_ss, 1e-6 * c0, 1e-7)
+            assert s_w_ss == w_ss and np.all(np.abs(s_dips - dips) <= bound)
 
 
 @pytest.fixture(scope="module")
@@ -588,7 +633,7 @@ class TestOptimize:
         asym = replace(model, h2=1.5, d2=0.0)
         bounds = fq.ActionBounds(dp_max=0.2, t_on_max=4.0, t_off_max=25.0)
         res = fq.optimize_action(asym, bounds, FAST)
-        assert res.cost == fq.nadir_cost(asym, res.action, FAST)   # no cube penalty
+        assert res.cost == fq.nadir_cost(asym, res.action, FAST)
         # The surrogate is far off here: its optimum's cost reads ~14 % low.
         assert res.start_cost - res.start_surrogate_cost > 0.1 * res.start_cost
         actions = [fq.DfecAction(dp, t_on, t_off)
@@ -597,48 +642,90 @@ class TestOptimize:
                    for t_off in np.linspace(0.0, bounds.t_off_max, 11) if t_on < t_off]
         assert res.cost <= 1.02 * fq.nadir_costs(asym, actions, FAST).min()
 
-    @pytest.mark.parametrize("case", ["bench", "bundled"])
-    def test_lazy_polish_changes_nothing(self, dfec_scenario, case):
-        """Capped and resumed cost runs against plain ones: the same result
-        and the same actions costed, in the same order."""
+    # Each case's cost with Nelder-Mead on the nonlinear cost as the polish,
+    # and its count of nonlinear cost runs there: the trust region must not
+    # cost more (beyond 1e-6 relative) and must make fewer runs.
+    NELDER_MEAD = {"bench": (0.021891088680891513, 78), "bundled": (0.016653121092773837, 79),
+                   "asymmetric": (0.028859780337511687, 198)}
+
+    @pytest.mark.parametrize("case", ["bench", "bundled", "asymmetric"])
+    def test_trust_region_polish(self, dfec_scenario, case):
         scn = dfec_scenario
-        if case == "bench":      # the benchmark's dfec-optimize case
+        if case == "bench":         # the benchmark's dfec-optimize case
             args = (scn.model, fq.ActionBounds(0.1, 3.0, 15.0), FAST)
             kwargs = dict(grid_starts=2, refine_starts=1)
-        else:
+        elif case == "bundled":
             args = (scn.model, scn.bounds, scn.sim)
             kwargs = dict(initial_guess=scn.action, grid_starts=scn.grid_starts,
                           refine_starts=scn.refine_starts)
-        plain, plain_resume = fq.nadir_cost, fq._Prefix.resume
+        else:                       # test_polish_absorbs_surrogate_error_... 's
+            args = (replace(scn.model, h2=1.5, d2=0.0), fq.ActionBounds(0.2, 4.0, 25.0), FAST)
+            kwargs = {}
+        res = fq.optimize_action(*args, **kwargs)
+        # Every run is exact: the reported cost is its action's cost.
+        assert res.cost == fq.nadir_cost(args[0], res.action, args[2])
+        assert res.cost <= res.start_cost
+        cost, evals = self.NELDER_MEAD[case]
+        assert res.cost <= cost * (1.0 + 1e-6)
+        assert res.nonlinear_evals < evals
+        if case == "bench":
+            assert fq.optimize_action(*args, **kwargs).to_dict() == res.to_dict()
+
+    def test_trust_region_finds_the_kink(self):
+        # Two dips whose crossing is the optimum, (4/7, 0.3, 0.6) at cost
+        # 1 - (0.95 + 0.03 * 4/7), seen through a surrogate that is off in
+        # value and slope, nonlinearly for the first dip.
+        def dips(v):
+            return np.array([0.95 + 0.03 * v[0] - 0.01 * (v[1] - 0.3) ** 2,
+                             0.99 - 0.04 * v[0] - 0.02 * (v[2] - 0.6) ** 2])
+
+        costs = []
+
+        def nonlinear(v):
+            costs.append(1.0 - dips(v).min())
+            return costs[-1], costs[-1], dips(v)
+
+        def surrogate(v):
+            return 1.0, dips(v) + [-0.002 + 0.004 * v[0] ** 2, 0.003 - 0.005 * v[2]]
+
+        x0 = np.array([0.2, 0.5, 0.5])
+        x, (cost, _, _) = fq._trust_region(nonlinear, surrogate, x0, nonlinear(x0),
+                                           np.zeros(3), np.ones(3))
+        assert cost == min(costs) and cost == 1.0 - dips(x).min()
+        assert cost - (1.0 - (0.95 + 0.03 * 4.0 / 7.0)) <= 1e-9
+        assert np.abs(x - [4.0 / 7.0, 0.3, 0.6]).max() <= 1e-3
+
+    def test_trust_region_stops_at_an_unstable_difference(self):
+        # A forward-difference run that slips gives no slope: the polish
+        # keeps its start after the three difference runs.
+        def nonlinear(v):
+            runs.append(v)
+            if v[0] > 0.25:
+                return math.inf, math.nan, np.full(2, math.nan)
+            return 1.0 - v[0], 1.0 - v[0], np.array([v[0], 2.0])
+
         runs = []
-        for lazy in (True, False):
-            costed, cut, resumed = [], [], []
+        x0 = np.array([0.2495, 0.5, 0.5])
+        start = nonlinear(x0)
+        x, run = fq._trust_region(nonlinear, lambda v: (1.0, np.array([v[0], 2.0])), x0, start,
+                                  np.zeros(3), np.ones(3))
+        assert x is x0 and run is start and len(runs) == 4
 
-            def cost(model, action, opts, cap=math.inf, penalty=0.0, shared=None,
-                     summary=False):
-                costed.append(action)
-                if not lazy:
-                    cap, penalty, shared = math.inf, 0.0, None
-                out = plain(model, action, opts, cap, penalty, shared, summary)
-                cut.append(out[2] + penalty > cap)
-                return out
+    def test_initial_guess_is_ranked_inside_the_bounds(self, model, monkeypatch):
+        # A guess beyond every bound is ranked at the box's corner, where
+        # Nelder-Mead would start it, and no surrogate cost leaves the box.
+        costed, plain = [], fq.StepResponse.cost
 
-            def resume(prefix, *args):
-                state, stop = plain_resume(prefix, *args)
-                resumed.append(state is not None)
-                return state, stop
+        def cost(surrogate, *action):
+            costed.append(action)
+            return plain(surrogate, *action)
 
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(fq, "nadir_cost", cost)
-                patch.setattr(fq._Prefix, "resume", resume)
-                result = fq.optimize_action(*args, **kwargs)
-            runs.append((result.to_dict(), costed))
-            if lazy:    # the mechanism was at work (the bundled polish switches
-                # on at about 6 ms, inside the uncontrolled run's first step)
-                assert any(cut) and any(resumed) == (case == "bench")
-            else:
-                assert not any(cut)
-        assert runs[0] == runs[1]
+        monkeypatch.setattr(fq.StepResponse, "cost", cost)
+        bounds = fq.ActionBounds(dp_max=0.05, t_on_max=2.0, t_off_max=10.0)
+        fq.optimize_action(model, bounds, FAST, fq.DfecAction(0.3, 5.0, 30.0), grid_starts=1,
+                           refine_starts=1)
+        assert costed[0] == (0.05, 2.0, 10.0)
+        assert all(dp <= 0.05 and t_on <= 2.0 and t_off <= 10.0 for dp, t_on, t_off in costed)
 
     def test_result_serializes(self, small_result):
         doc = small_result.to_dict()
@@ -646,7 +733,7 @@ class TestOptimize:
         assert doc["cost"] <= doc["uncontrolled_cost"]
 
 
-def _rosenbrock(v, cap=None):
+def _rosenbrock(v):
     return float(np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (1.0 - v[:-1]) ** 2))
 
 
@@ -661,44 +748,60 @@ class TestNelderMead:
     """``_nelder_mead`` against ``scipy.optimize.minimize``, bit for bit."""
 
     POLISH_START = np.array([0.2, 0.7, 0.4])
+    UNIT = (np.zeros(2), np.ones(2))
+    TRUST_BOX = (POLISH_START - 0.05, np.minimum(POLISH_START + 0.05, [1.0, 0.72, 1.0]))
 
-    @pytest.mark.parametrize("func, x0, simplex, maxiter", [
-        (_rosenbrock, np.array([-1.2, 1.0]), None, 400),
-        (_rosenbrock, np.array([-1.2, 1.0]), None, 20),
+    @pytest.mark.parametrize("func, x0, simplex, maxiter, bounds", [
+        (_rosenbrock, np.array([-1.2, 1.0]), None, 400, None),
+        (_rosenbrock, np.array([-1.2, 1.0]), None, 20, None),
         # every vertex of the first simplex costs 12, and later values tie too
-        (lambda v: float(np.floor(4.0 * np.abs(v).sum())), np.array([1.0, 2.0]), None, 400),
-        (_notch, np.array([1.0]), None, 400),
-        # the polish's simplex: start plus 0.005 steps pointing into the cube
+        (lambda v: float(np.floor(4.0 * np.abs(v).sum())), np.array([1.0, 2.0]), None, 400,
+         None),
+        (_notch, np.array([1.0]), None, 400, None),
+        # a given first simplex: start plus 0.005 steps pointing into the cube
         (_rosenbrock, POLISH_START, np.vstack([POLISH_START, POLISH_START + np.diag(
-            np.where(POLISH_START < 0.5, 0.005, -0.005))]), 400),
-    ], ids=["rosenbrock", "maxiter", "tied", "shrink", "initial-simplex"])
-    def test_matches_scipy(self, func, x0, simplex, maxiter):
-        from scipy.optimize import minimize
+            np.where(POLISH_START < 0.5, 0.005, -0.005))]), 400, None),
+        # the optimum (1, 1) lies outside the box: points are clipped onto it
+        (_rosenbrock, np.array([-1.2, 1.0]), None, 400, (np.array([-2.0, -1.0]),
+                                                         np.array([0.5, 2.0]))),
+        # the first simplex's vertex at 1.05 * 0.99 is reflected inside
+        (_rosenbrock, np.array([0.99, 0.5]), None, 400, UNIT),
+        # the trust region's call: a box around the start and a given simplex
+        (_rosenbrock, POLISH_START, np.vstack([POLISH_START, POLISH_START + np.diag(
+            np.where(POLISH_START + 0.025 <= TRUST_BOX[1], 0.025, -0.025))]), 400, TRUST_BOX),
+    ], ids=["rosenbrock", "maxiter", "tied", "shrink", "initial-simplex", "bounded",
+            "reflected", "trust-box"])
+    def test_matches_scipy(self, func, x0, simplex, maxiter, bounds):
+        from scipy.optimize import Bounds, minimize
 
         options = dict(fq._NELDER_MEAD, maxiter=maxiter, initial_simplex=simplex)
         runs = []
         for search in ("scipy", "port"):
             calls = []
 
-            def counted(v, cap=None):
+            def counted(v):
                 calls.append(v)
                 return func(v)
 
             if search == "scipy":
-                res = minimize(counted, x0, method="Nelder-Mead", options=options)
+                res = minimize(counted, x0, method="Nelder-Mead", options=options,
+                               bounds=None if bounds is None else Bounds(*bounds))
                 runs.append((res.x, res.fun, res.nfev, calls))
             else:
-                x, fun = fq._nelder_mead(counted, x0, **options)
+                box = {} if bounds is None else dict(bounds=bounds)
+                x, fun = fq._nelder_mead(counted, x0, **options, **box)
                 runs.append((x, fun, len(calls), calls))
         (x_ref, f_ref, n_ref, ref_calls), (x, fun, n, port_calls) = runs
         assert x.tobytes() == x_ref.tobytes() and fun == f_ref and n == n_ref
         assert np.array_equal(np.array(port_calls), np.array(ref_calls))
         if func is _notch:     # reflect, contract, then the shrunk vertex
             assert port_calls[4][0] == 1.0 + 0.5 * (1.05 - 1.0)
+        if bounds is not None:
+            assert np.all((bounds[0] <= ref_calls) & (ref_calls <= bounds[1]))
 
     def test_func_gets_copies(self):
         """A ``func`` that overwrites its argument changes nothing."""
-        def scribbling(v, cap=None):
+        def scribbling(v):
             value = _rosenbrock(v)
             v[:] = np.nan
             return value
