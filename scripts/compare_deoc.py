@@ -5,6 +5,7 @@ Run from the root of the repository:
 
     python3 scripts/compare_deoc.py --parent <commit> [--out report.json]
     python3 scripts/compare_deoc.py --parent <commit> --workload dfec-sweep
+    python3 scripts/compare_deoc.py --parent <commit> --workload dfec-costs
 
 The inputs are the commands of a bench workload (``deoc-mixed`` unless
 ``--workload`` names another) for bench seeds 1-10 and 4242, written once by
@@ -33,6 +34,17 @@ else 0.
 For a DFEC workload the report lists instead the commands whose exit code,
 stdout, stderr or output files differ, and each printed sweep cell that
 moves; the exit code is 1 when any command differs or does not repeat.
+
+``dfec-costs`` runs no command: on the bundled DFEC model, under three
+option sets (the bundled 100 s horizon, 40 s, and 40 s with the load step
+at 0.7 s), each side costs a seeded set of actions with
+``nadir_cost(..., summary=True)``, once alone and once on one shared record
+set, and runs the bundled ``contour_sweep``. The set holds the uncontrolled
+run, ``dp`` 0, an injection past the horizon, the slipping
+``(4.0, 1, 10)`` and families of actions that differ only in ``t_off``.
+The report lists each cost, steady speed, nadir, dip or sweep cell whose
+float differs from the parent's, bit for bit (no CLI output prints the
+dips); the exit code is 1 when any differs or does not repeat.
 """
 
 from __future__ import annotations
@@ -55,6 +67,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = [*range(1, 11), 4242]
 WORKLOADS = ("deoc-mixed", "dfec-sweep", "dfec-optimize")
+COSTS = "dfec-costs"
+COST_OPTIONS = {"100 s": {}, "40 s": {"horizon": 40.0},
+                "40 s, load step at 0.7 s": {"horizon": 40.0, "t_disturbance": 0.7}}
 BUNDLED_DFEC = {"dfec-sweep": ("sweep",), "dfec-optimize": ("simulate", "optimize")}
 # A skip reason's "min |h| = ..." is the smallest sampled |h|; near a
 # cancellation its digits follow rounding, so skips compare without it.
@@ -96,6 +111,41 @@ def write_inputs(work: Path, seeds, workload: str = "deoc-mixed") -> list[dict]:
     return commands
 
 
+def cost_inputs() -> list[dict]:
+    """One ``dfec-costs`` record request per option set, all with the same
+    seeded actions (``None`` = uncontrolled, else ``[dp, t_on, t_off]``)."""
+    rng = random.Random(COSTS)
+    actions = [None, [0.0, 1.0, 5.0], [0.2, 3.0, 1e3], [4.0, 1.0, 10.0], [0.08, 12.0, 50.0],
+               [0.08, 12.0, 16.0]]
+    for _ in range(20):
+        dp, t_on = rng.uniform(0.0, 0.25), rng.choice([0.0, rng.uniform(0.0, 10.0)])
+        actions += [[dp, t_on, t_on + rng.uniform(0.01, 40.0)] for _ in range(3)]
+    scenario = str(bench_module().DATA / "dfec_twomachine.json")
+    return [{"id": name, "scenario": scenario, "sim": sim, "actions": actions}
+            for name, sim in COST_OPTIONS.items()]
+
+
+def cost_record(cmd: dict) -> dict:
+    """The floats of one ``dfec-costs`` request as hex strings, by what they are."""
+    from dataclasses import replace
+
+    from gridstep import frequency as fq
+    from gridstep.scenario import load_scenario
+
+    scn = load_scenario(Path(cmd["scenario"]))
+    opts = replace(scn.sim, **cmd["sim"])
+    values, shared = {}, {}
+    for action in cmd["actions"]:
+        dfec_action = None if action is None else fq.DfecAction(*action)
+        for how, records in (("alone", None), ("shared", shared)):
+            run = fq.nadir_cost(scn.model, dfec_action, opts, records, summary=True)
+            values[f"{action} {how}: w_ss, nadir, cost, dips"] = [
+                float(v).hex() for v in (*run[:3], *run[3])]
+    grid = fq.contour_sweep(scn.model, scn.sweep_dp, scn.sweep_t_on, scn.sweep_t_off, opts)
+    values["bundled sweep cells"] = [float(v).hex() for v in grid.ravel()]
+    return {"id": cmd["id"], "values": values}
+
+
 def worker(src: Path, commands_path: Path, out_dir: Path) -> None:
     """Run the commands with the gridstep of ``src``; print one JSON record each."""
     sys.path.insert(0, str(src))
@@ -104,6 +154,9 @@ def worker(src: Path, commands_path: Path, out_dir: Path) -> None:
     if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"imported gridstep from {cli.__file__}, not {src}")
     for cmd in json.loads(commands_path.read_text()):
+        if "actions" in cmd:
+            print(json.dumps(cost_record(cmd)), flush=True)
+            continue
         out = out_dir / "o" if cmd["out_is_dir"] else out_dir / "o.json"
         argv, at = cmd["argv"], cmd["out_at"]
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -208,12 +261,27 @@ def compare_outputs(parent: dict, change: dict) -> dict:
     return {"commands": len(parent), "differ": differ, "moved_cells": moved}
 
 
+def compare_costs(parent: dict, change: dict) -> dict:
+    """Each list of floats whose bits differ, with the positions that do."""
+    differ, compared = [], 0
+    for cid, old in parent.items():
+        new = change[cid]["values"]
+        for what, values in old["values"].items():
+            compared += len(values)
+            moved = [i for i, (a, b) in enumerate(zip(values, new.get(what, []))) if a != b]
+            if moved or len(values) != len(new.get(what, [])):
+                differ.append({"id": cid, "what": what, "at": moved,
+                               "parent": values, "change": new.get(what)})
+    return {"option_sets": len(parent), "floats_compared": compared, "differ": differ}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="commit to compare against")
     parser.add_argument("--out", default=None, help="also write the report to this file")
-    parser.add_argument("--workload", choices=WORKLOADS, default="deoc-mixed",
-                        help="bench workload whose commands are compared (default deoc-mixed)")
+    parser.add_argument("--workload", choices=(*WORKLOADS, COSTS), default="deoc-mixed",
+                        help="bench workload whose commands are compared (default "
+                             "deoc-mixed), or dfec-costs")
     parser.add_argument("--worker", nargs=3, metavar=("SRC", "COMMANDS", "SCRATCH"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -234,7 +302,9 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
         (tmp / "inputs").mkdir()
         commands_path = tmp / "commands.json"
-        commands_path.write_text(json.dumps(write_inputs(tmp / "inputs", SEEDS, args.workload)))
+        commands_path.write_text(json.dumps(
+            cost_inputs() if args.workload == COSTS
+            else write_inputs(tmp / "inputs", SEEDS, args.workload)))
 
         parent = run_side(parent_tree, commands_path, tmp / "run_parent")
         change = run_side(ROOT, commands_path, tmp / "run_change")
@@ -242,12 +312,13 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
+    kept = ("code", "stdout", "stderr", "sha256", "values")
     not_repeated = [cid for cid, rec in change.items()
-                    if {k: rec.get(k) for k in ("code", "stdout", "stderr", "sha256")}
-                    != {k: repeat[cid].get(k) for k in ("code", "stdout", "stderr", "sha256")}]
+                    if [rec.get(k) for k in kept] != [repeat[cid].get(k) for k in kept]]
     deoc = args.workload == "deoc-mixed"
-    report = {"parent_commit": commit, "seeds": SEEDS,
-              "parent_vs_change": (compare if deoc else compare_outputs)(parent, change),
+    sides = {"deoc-mixed": compare, COSTS: compare_costs}.get(args.workload, compare_outputs)
+    report = {"parent_commit": commit, "seeds": None if args.workload == COSTS else SEEDS,
+              "parent_vs_change": sides(parent, change),
               "change_repeat_not_identical": not_repeated}
     if not deoc:
         report = {"workload": args.workload, **report}

@@ -19,8 +19,10 @@ class InputFormatError(GridStepError):
 
 
 class DegenerateSpectrumError(GridStepError):
-    """Repeated or zero eigenvalue: the closed-form orbit machinery needs a
-    distinct, nonzero spectrum."""
+    """A zero or negative modal frequency, or an orbit matrix with a
+    non-negligible imaginary part: the closed-form orbit machinery needs
+    real orbit matrices of a spectrum with every frequency above zero
+    (repeated frequencies are fine)."""
 
 
 class NoSwitchOpportunityError(GridStepError):

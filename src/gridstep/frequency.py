@@ -366,7 +366,7 @@ def _speed_summary(w_ss, low):
 @dataclass
 class DfecTrajectory:
     t: np.ndarray
-    y: np.ndarray          # (n, 9); nadir_cost keeps the first 4 columns
+    y: np.ndarray          # (n, 9) at every output sample; all NaN if unstable
     unstable: bool
     w_ss: float            # ``steady_speed`` of the last piece
 
@@ -401,10 +401,10 @@ def _pieces(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions)
 
 
 def _dips(t_grid: np.ndarray, avg: np.ndarray, pieces) -> np.ndarray:
-    """The lowest average speed ``avg`` (sampled on ``t_grid``, perhaps cut
-    short) before the last of ``pieces`` starts (``_sample_range``; at least
-    the first sample) and from there on: the disturbance's and the
-    switch-off's dip."""
+    """The lowest average speed ``avg`` (sampled on ``t_grid``) before the
+    last of ``pieces`` starts (``_sample_range``; at least the first sample)
+    and from there on: the disturbance's and the switch-off's dip. A cost
+    run keeps the same two minima as it steps (``_dense_rows``)."""
     k = _sample_range(t_grid, *pieces[-1][:2], True)[0]
     return np.array([avg[:max(k, 1)].min(), avg[k:].min()])
 
@@ -491,18 +491,17 @@ class _Prefix:
     farthest time any of its attempts has aimed at (``reach``) and the next
     step's start ``(t, y, f, h_abs, low, count)``: derivative ``f`` (first
     same as last), step size, lowest average speed and the count of output
-    rows so far, which ``rows`` holds; ``states`` keeps them flat, 22 numbers
-    each, until ``reach`` gets to ``until``. A later run whose pieces before
-    this one are the recording run's, and whose piece starts with the same
-    injection, load and initial step, attempts the same steps, bit for bit,
-    up to the first attempt that aims at its own break or past a sample that
-    belongs to its next piece."""
+    samples so far; ``states`` keeps them flat, 22 numbers each, until
+    ``reach`` gets to ``bound``, the piece's break or its next piece's first
+    sample. A later run whose pieces before this one are the recording
+    run's, and whose piece starts with the same injection, load and initial
+    step, attempts the same steps, bit for bit, up to the first attempt that
+    aims at its own break or past a sample that belongs to its next piece."""
 
-    def __init__(self, until: float, rows: array):
-        self.until = until
+    def __init__(self, bound: float):
+        self.bound = bound
         self.reach: list[float] = []
         self.states = array("d")
-        self.rows = rows
 
     def resume(self, bound):
         """The last state kept before the first attempt that aims at
@@ -517,25 +516,26 @@ class _Prefix:
         return s[0], tuple(s[1:10]), tuple(s[10:19]), s[19], s[20], int(s[21])
 
 
-def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
+def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions,
                 settling: _Settling | None = None, shared: dict | None = None,
-                until: float = -math.inf, hand_off: bool = False):
-    """The first ``width`` (4 or 9) state components at every output sample
-    of the run through ``pieces``, row after row; ``None`` as soon as a
-    sample shows loss of synchronism. With ``settling`` (the last piece's),
-    the rows end after the first accepted step of the last piece from which
-    the run has ``_settled`` on that piece's own lowest speed (its dip).
+                hand_off: bool = False):
+    """The run through ``pieces``; ``None`` once an output sample shows loss
+    of synchronism. A cost run (``settling``, the last piece's, given) keeps
+    no rows and returns its two ``_dips``, its running minima: the lowest
+    average speed before the last piece starts (that start's average where
+    no sample precedes it) and the lowest in the last piece, up to the
+    first accepted step from which the run has ``_settled`` on it. A
+    ``hand_off`` run returns its last piece's start ``(y, f, h_abs, low,
+    count)``; any other run all 9 state components at every output sample.
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
-    accepted step's dense output. ``shared`` maps the start of a piece (the
-    pieces before it, its injection, load and initial step) to the
-    ``_Prefix`` a run on the same model and options recorded there: a piece
-    that is not the run's last starts from the last state it shares with
-    that run. A piece that starts before ``until`` and is not in ``shared``
-    gets a ``_Prefix``, kept up to ``until`` or its own break. With
-    ``hand_off`` the run stops where its last piece starts and returns that
-    piece's start ``(y, f, h_abs, low, count)`` (``None`` after a slip).
+    accepted step's dense output. ``shared`` maps a piece start (the pieces
+    before it, its injection, load and initial step) to the ``_Prefix`` a
+    run on the same model and options recorded there. A cost or hand-off
+    run starts a piece that is not its last from the last state it shares
+    with that run. A piece not in ``shared`` gets a ``_Prefix``, but for a
+    cost run's last piece, whose lowest speed restarts.
 
     The step is written out over nine float locals per vector: the state
     ``y0..y8``, the stages ``a, b, c, d, e, g, q`` (``k1 .. k7``; ``a`` is
@@ -546,22 +546,22 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
     t_grid = _output_grid(opts)
     t_out = t_grid.tolist()
     rtol, atol = opts.rtol, opts.atol
-    full = width == 9
     y0, y1, y2, y3, y4, y5, y6, y7, y8 = model.equilibrium().tolist()
-    rows = array("d")
+    rows = array("d") if settling is None and not hand_off else None
     low = math.inf          # lowest average speed sampled so far
+    k = 0                   # samples taken so far
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
         last = n == len(pieces) - 1
         watch = settling if last else None
         if watch is not None:   # the stop certifies the last piece's own dip
-            low = math.inf
+            first, low = low if k else 0.5 * (y1 + y3), math.inf
         rhs = dfec_dynamics(model, dp_active, p_motor)
         t = lo
         f = rhs(y0, y1, y2, y3, y4, y5, y6, y7, y8)
         h_abs = _initial_step(rhs, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, hi - lo,
                               rtol, atol)
         if last and hand_off:
-            return (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, h_abs, low, len(rows) // width
+            return (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, h_abs, low, k
         k_start, k_end = _sample_range(t_grid, lo, hi, last)
         t_samples = np.clip(t_grid[k_start:k_end], lo, hi).tolist()
         a0, a1, a2, a3, a4, a5, a6, a7, a8 = f
@@ -570,17 +570,16 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
             # Attempts that aim at the break or past the next piece's first
             # sample differ from those of a run with a later break.
             bound = min(hi, t_out[k_end]) if k_end < len(t_out) else hi
-            key = (width, tuple(pieces[:n]), lo, dp_active, p_motor, h_abs)
+            key = (tuple(pieces[:n]), lo, dp_active, p_motor, h_abs)
             prefix = shared.get(key)
-            if prefix is None and lo < until:
-                record = shared[key] = _Prefix(min(until, bound), rows)
+            if prefix is None and watch is None:
+                record = shared[key] = _Prefix(bound)
                 reach = -math.inf
-            elif prefix is not None and not last:
+            elif prefix is not None and rows is None and not last:
                 state = prefix.resume(bound)
                 if state is not None:
-                    t, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, h_abs, low, count = state
+                    t, (y0, y1, y2, y3, y4, y5, y6, y7, y8), f, h_abs, low, k = state
                     a0, a1, a2, a3, a4, a5, a6, a7, a8 = f
-                    rows = prefix.rows[:count * width]
         recording = record is not None
         while True:
             # One step (scipy's RungeKutta._step_impl).
@@ -588,7 +587,7 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
             h_abs = max(h_abs, min_step)
             if recording:       # a retried attempt aims short of the first one
                 reach = max(reach, t + h_abs)
-                recording = reach < record.until
+                recording = reach < record.bound
             rejected = False
             while True:
                 if h_abs < min_step:
@@ -697,7 +696,6 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
             # Dense output of the step, sampled onto the grid; at a break all
             # 9 components are needed to start the next piece.
             end = t_new >= hi
-            k = len(rows) // width
             k_stop = k_end if end else bisect.bisect_right(t_out, t_new, k, k_end)
             if k_stop > k or end:
                 p2_0 = a0 * _P1x2 + c0 * _P3x2 + d0 * _P4x2 + e0 * _P5x2 + g0 * _P6x2 + q0 * _P7x2
@@ -712,7 +710,7 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                 p2_3 = a3 * _P1x2 + c3 * _P3x2 + d3 * _P4x2 + e3 * _P5x2 + g3 * _P6x2 + q3 * _P7x2
                 p3_3 = a3 * _P1x3 + c3 * _P3x3 + d3 * _P4x3 + e3 * _P5x3 + g3 * _P6x3 + q3 * _P7x3
                 p4_3 = a3 * _P1x4 + c3 * _P3x4 + d3 * _P4x4 + e3 * _P5x4 + g3 * _P6x4 + q3 * _P7x4
-                if full or end:
+                if rows is not None or end:
                     p2_4 = (a4 * _P1x2 + c4 * _P3x2 + d4 * _P4x2 + e4 * _P5x2 + g4 * _P6x2
                             + q4 * _P7x2)
                     p3_4 = (a4 * _P1x3 + c4 * _P3x3 + d4 * _P4x3 + e4 * _P5x3 + g4 * _P6x3
@@ -757,8 +755,7 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                     avg = 0.5 * (v1 + v3)
                     if avg < low:
                         low = avg
-                    if not full:
-                        rows.extend((v0, v1, v2, v3))
+                    if rows is None:
                         continue
                     v4 = h * (a4 * x + p2_4 * x2 + p3_4 * x3 + p4_4 * x4) + y4
                     v5 = h * (a5 * x + p2_5 * x2 + p3_5 * x3 + p4_5 * x4) + y5
@@ -766,6 +763,7 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                     v7 = h * (a7 * x + p2_7 * x2 + p3_7 * x3 + p4_7 * x4) + y7
                     v8 = h * (a8 * x + p2_8 * x2 + p3_8 * x3 + p4_8 * x4) + y8
                     rows.extend((v0, v1, v2, v3, v4, v5, v6, v7, v8))
+                k = k_stop
                 if end:
                     y0 = h * (((a0 + p2_0) + p3_0) + p4_0) + y0
                     y1 = h * (((a1 + p2_1) + p3_1) + p4_1) + y1
@@ -778,53 +776,56 @@ def _dense_rows(model: TwoMachineModel, pieces, opts: SimOptions, width: int,
                     y8 = h * (((a8 + p2_8) + p3_8) + p4_8) + y8
                     break
             if watch is not None and _settled(watch, (z0, z1, z2, z3, z4, z5, z6, z7, z8), low):
-                return rows
+                return first, low
             t = t_new
             y0, y1, y2, y3, y4, y5, y6, y7, y8 = z0, z1, z2, z3, z4, z5, z6, z7, z8
             a0, a1, a2, a3, a4, a5, a6, a7, a8 = k7
             if recording:
                 record.reach.append(reach)
                 record.states.extend((t, y0, y1, y2, y3, y4, y5, y6, y7, y8, *k7, h_abs,
-                                      low, len(rows) // width))
-    return rows
+                                      low, k))
+    return rows if settling is None else (first, low)
 
 
-def _trajectory(model, action, opts, width, settle=False, shared=None,
-                until=-math.inf) -> DfecTrajectory:
-    """The run of ``action``; with ``settle`` (a cost run) it ends where the
-    run has ``_settled``, so ``t`` and ``y`` may stop short of the horizon.
-    ``shared`` and ``until`` are ``_dense_rows``'."""
+def _plan(model, action, opts):
+    """``action``'s pieces and its last piece's ``_settling`` (``_require_steps``)."""
     pieces = _pieces(model, action, opts)
-    settling = _settling(model, *pieces[-1][2:])      # where it settles
+    settling = _settling(model, *pieces[-1][2:])
     _require_steps(settling, opts)
+    return pieces, settling
+
+
+def _trajectory(model, action, opts, shared=None) -> DfecTrajectory:
+    """The run of ``action`` over the whole horizon, all 9 state components
+    at every output sample; ``shared`` is ``_dense_rows``'."""
+    pieces, settling = _plan(model, action, opts)
     t = _output_grid(opts)
-    rows = _dense_rows(model, pieces, opts, width, settling if settle else None, shared, until)
-    if rows is None:
-        return DfecTrajectory(t, np.full((len(t), width), np.nan), True, settling.w_ss)
-    y = np.frombuffer(rows).reshape(-1, width)
-    return DfecTrajectory(t[:len(y)], y, False, settling.w_ss)
+    rows = _dense_rows(model, pieces, opts, shared=shared)
+    y = np.full((len(t), 9), np.nan) if rows is None else np.frombuffer(rows).reshape(-1, 9)
+    return DfecTrajectory(t, y, rows is None, settling.w_ss)
 
 
 def simulate(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions) -> DfecTrajectory:
     """Integrate the disturbance response over the whole horizon, restarting
     at every power step."""
-    return _trajectory(model, action, opts, 9)
+    return _trajectory(model, action, opts)
 
 
 def nadir_cost(model: TwoMachineModel, action: DfecAction | None, opts: SimOptions,
                shared: dict | None = None, summary: bool = False):
     """``w_ss - min((w1 + w2) / 2)``; +inf when the run loses synchronism or
-    has no steady state. Only the angles and speeds are interpolated, and
-    the run stops once it has ``_settled``.
+    has no steady state. The run keeps its ``_dips`` alone, up to ``_settled``.
 
     ``shared`` (``_Prefix`` records of runs on the same model and options,
     see ``_dense_rows``) lets the run start from states it shares with the
-    recording runs; the result is the same bit for bit. With ``summary``
-    the return is ``(w_ss, nadir, cost, _dips)`` of the run."""
-    run = _trajectory(model, action, opts, 4, settle=True, shared=shared)
-    if not summary:
-        return run.summary()[2]
-    return (*run.summary(), _dips(run.t, run.avg_speed, _pieces(model, action, opts)))
+    recording runs, and gets its own records; the result is the same bit
+    for bit. With ``summary`` the return is ``(w_ss, nadir, cost, _dips)``
+    of the run, ``(nan, nan, inf, [nan, nan])`` after a slip."""
+    pieces, settling = _plan(model, action, opts)
+    dips = _dense_rows(model, pieces, opts, settling, shared)
+    run = ((math.nan, math.nan, INSTABILITY_COST, np.full(2, math.nan)) if dips is None
+           else (*_speed_summary(settling.w_ss, min(dips)), np.array(dips)))
+    return run if summary else run[2]
 
 
 # Lane-batched engine for the last pieces of a batch. Stage sums keep
@@ -904,9 +905,8 @@ def nadir_costs(model: TwoMachineModel, actions, opts: SimOptions) -> np.ndarray
     for i in sorted(range(n), key=lambda i: [(lo, dp, pm, -hi) for lo, hi, dp, pm in plans[i]]):
         plan = plans[i]
         path = {(tuple(plan[:m]), lo, dp, pm) for m, (lo, _, dp, pm) in enumerate(plan)}
-        shared = {key: record for key, record in shared.items() if key[1:5] in path}
-        starts[i] = _dense_rows(model, plan, opts, 4, shared=shared, until=math.inf,
-                                hand_off=True)
+        shared = {key: record for key, record in shared.items() if key[:4] in path}
+        starts[i] = _dense_rows(model, plan, opts, shared=shared, hand_off=True)
     del shared
     unstable = np.array([start is None for start in starts], dtype=bool)
     run_min = np.array([math.inf if start is None else start[3] for start in starts])
@@ -1025,7 +1025,7 @@ class StepResponse:
         """Step response at ``dp_ref``, halved until the step run keeps
         synchronism; ``uncontrolled`` must be a stable run."""
         while True:
-            step = _trajectory(model, DfecAction(dp_ref, 0.0, math.inf), opts, 4)
+            step = simulate(model, DfecAction(dp_ref, 0.0, math.inf), opts)
             if not step.unstable:
                 break
             dp_ref *= 0.5
@@ -1190,8 +1190,8 @@ def optimize_action(
     optima are costed on it, and ``_trust_region`` polishes the best one.
     The reported ``cost`` and nadir are the reported action's own run's.
     """
-    shared = {}     # the uncontrolled run's states up to the latest switch-on (``_Prefix``)
-    uncontrolled_run = _trajectory(model, None, opts, 4, shared=shared, until=bounds.t_on_max)
+    shared = {}     # the ``_Prefix`` records of the uncontrolled run and every cost run
+    uncontrolled_run = _trajectory(model, None, opts, shared)
     _, nadir0, uncontrolled = uncontrolled_run.summary()
     if uncontrolled_run.unstable:
         raise OptimizationError("the uncontrolled run loses synchronism, so there "

@@ -25,6 +25,7 @@ from .simulate import Disturbance
 
 _DISTURBANCE_SCHEMA = {
     "type": "object",
+    "additionalProperties": False,
     "required": ["kind"],
     "properties": {
         "kind": {"enum": ["initial-state", "power-pulse"]},
@@ -39,6 +40,7 @@ _DISTURBANCE_SCHEMA = {
 
 DEOC_SCENARIO_SCHEMA = {
     "type": "object",
+    "additionalProperties": False,
     "required": ["kind", "disturbance", "t_end"],
     "properties": {
         "schema_version": {"type": "integer"},
@@ -78,6 +80,7 @@ def _section(cls, skip=(), **number) -> dict:
 
 DFEC_SCENARIO_SCHEMA = {
     "type": "object",
+    "additionalProperties": False,
     "required": ["kind", "model", "governor"],
     "properties": {
         "schema_version": {"type": "integer"},

@@ -103,33 +103,36 @@ def nadir_cost(model, action, opts) -> float:
     return simulate(model, action, opts).summary()[2]
 
 
-def list_rows(model, pieces, opts, width, settling=None, shared=None, until=-math.inf,
-              hand_off=False):
+def list_rows(model, pieces, opts, settling=None, shared=None, hand_off=False):
     """``frequency._dense_rows`` with its step written over 9-element lists,
-    list comprehensions and ``zip``: the first ``width`` state components at
-    every output sample of the run through ``pieces``, row after row; ``None``
-    as soon as a sample shows loss of synchronism. With ``settling`` (the
-    last piece's), the rows end after the first accepted step of the last
-    piece from which the run has ``_settled`` on that piece's own lowest
-    average speed.
+    list comprehensions and ``zip``; ``None`` as soon as a sample shows loss
+    of synchronism. A cost run (``settling``, the last piece's, given) keeps
+    no rows and returns its two dips: the lowest average speed before the
+    last piece starts (that start's average where no sample precedes it)
+    and the lowest within the last piece, up to the first accepted step of
+    the last piece from which the run has ``_settled`` on that dip. Any
+    other run returns all 9 state components at every output sample, row
+    after row.
 
     Each piece between power steps is a fresh solver that starts from the
     previous piece's interpolant at the break. Samples are read off each
-    accepted step's dense output. ``shared`` and ``until`` keep and resume
-    the states of any piece, and ``hand_off`` ends the run at its last
-    piece's start, as ``_dense_rows`` does (see ``_Prefix``).
+    accepted step's dense output. ``shared`` keeps and resumes the states of
+    a piece, and ``hand_off`` ends the run at its last piece's start, as
+    ``_dense_rows`` does (see ``_Prefix``).
     """
     t_grid = _output_grid(opts)
     t_out = t_grid.tolist()
     rtol, atol = opts.rtol, opts.atol
     y = model.equilibrium().tolist()
-    rows = array("d")
+    rows = array("d") if settling is None and not hand_off else None
+    width = 4 if rows is None else 9    # the components a sample needs
     low = math.inf          # lowest average speed sampled so far
+    k = 0                   # samples taken so far
     for n, (lo, hi, dp_active, p_motor) in enumerate(pieces):
         last = n == len(pieces) - 1
         watch = settling if last else None
         if watch is not None:
-            low = math.inf
+            first, low = low if k else 0.5 * (y[1] + y[3]), math.inf
         rhs = dfec_dynamics(model, dp_active, p_motor)
         k_start, k_end = _sample_range(t_grid, lo, hi, last)
         t_samples = np.clip(t_grid[k_start:k_end], lo, hi).tolist()
@@ -137,21 +140,20 @@ def list_rows(model, pieces, opts, width, settling=None, shared=None, until=-mat
         f = rhs(*y)
         h_abs = _initial_step(rhs, y, f, hi - lo, rtol, atol)
         if last and hand_off:
-            return tuple(y), f, h_abs, low, len(rows) // width
+            return tuple(y), f, h_abs, low, k
         record = None
         if shared is not None:
             bound = min(hi, t_out[k_end]) if k_end < len(t_out) else hi
-            key = (width, tuple(pieces[:n]), lo, dp_active, p_motor, h_abs)
+            key = (tuple(pieces[:n]), lo, dp_active, p_motor, h_abs)
             prefix = shared.get(key)
-            if prefix is None and lo < until:
-                record = shared[key] = fq._Prefix(min(until, bound), rows)
+            if prefix is None and watch is None:
+                record = shared[key] = fq._Prefix(bound)
                 reach = -math.inf
-            elif prefix is not None and not last:
+            elif prefix is not None and rows is None and not last:
                 state = prefix.resume(bound)
                 if state is not None:
-                    t, y, f, h_abs, low, count = state
+                    t, y, f, h_abs, low, k = state
                     y = list(y)
-                    rows = prefix.rows[:count * width]
         recording = record is not None
         while True:
             # One step (scipy's RungeKutta._step_impl).
@@ -159,7 +161,7 @@ def list_rows(model, pieces, opts, width, settling=None, shared=None, until=-mat
             h_abs = max(h_abs, min_step)
             if recording:
                 reach = max(reach, t + h_abs)
-                recording = reach < record.until
+                recording = reach < record.bound
             rejected = False
             while True:
                 if h_abs < min_step:
@@ -197,7 +199,6 @@ def list_rows(model, pieces, opts, width, settling=None, shared=None, until=-mat
             # Dense output of the step, sampled onto the grid; at a break all
             # 9 components are needed to start the next piece.
             end = t_new >= hi
-            k = len(rows) // width
             k_stop = k_end if end else bisect.bisect_right(t_out, t_new, k, k_end)
             if k_stop > k or end:
                 Q = [(a,
@@ -218,17 +219,19 @@ def list_rows(model, pieces, opts, width, settling=None, shared=None, until=-mat
                     avg = 0.5 * (row[1] + row[3])
                     if avg < low:
                         low = avg
-                    rows.extend(row)
+                    if rows is not None:
+                        rows.extend(row)
+                k = k_stop
                 if end:
                     y = [h * (((q0 + q1) + q2) + q3) + y_ for (q0, q1, q2, q3), y_ in zip(Q, y)]
                     break
             if watch is not None and _settled(watch, y_new, low):
-                return rows
+                return first, low
             t, y, f = t_new, y_new, k7
             if recording:
                 record.reach.append(reach)
-                record.states.extend((t, *y, *f, h_abs, low, len(rows) // width))
-    return rows
+                record.states.extend((t, *y, *f, h_abs, low, k))
+    return rows if settling is None else (first, low)
 
 
 # Reference writers: the package's writers must match them byte for byte.

@@ -71,6 +71,29 @@ def dfec_optimum(dfec_scenario):
     )
 
 
+@pytest.fixture(scope="module")
+def dfec_best_windows(dfec_scenario):
+    """The best window's length on the narrowing grid (9 x 13 cells) at
+    dp = 0.08, 0.12 and 0.16."""
+    model, opts = dfec_scenario.model, dfec_scenario.sim
+    t_on_grid = np.arange(0.0, 4.01, 0.5)
+    t_off_grid = np.arange(12.0, 36.01, 2.0)
+    lengths = []
+    for dp in (0.08, 0.12, 0.16):
+        grid = fq.contour_sweep(model, dp, t_on_grid, t_off_grid, opts)
+        i, j = np.unravel_index(np.nanargmin(grid), grid.shape)
+        lengths.append(t_off_grid[j] - t_on_grid[i])
+    return lengths
+
+
+@pytest.fixture(scope="module")
+def dfec_extended_cost(dfec_scenario, dfec_optimum):
+    """The cost of the optimum with its switch-off 20 s later."""
+    a = dfec_optimum.action
+    return fq.nadir_cost(dfec_scenario.model, fq.DfecAction(a.dp, a.t_on, a.t_off + 20.0),
+                         dfec_scenario.sim)
+
+
 def _energy_ratio(model, basis, disturbance, schedule, t_end=10.0, dt=0.005):
     """Post-control peak oscillation energy over post-disturbance peak."""
     uncontrolled = simulate_deoc(
@@ -217,18 +240,24 @@ def test_perturbed_switch_on_still_reduces_energy(wscc9_case, wscc9_auto_schedul
 # 5b. README headline numbers
 
 def test_readme_headline_numbers(wscc9_case, wscc9_auto_schedule, dfec_uncontrolled_cost,
-                                 dfec_optimum):
+                                 dfec_optimum, dfec_best_windows, dfec_extended_cost):
     """Each computed number README quotes appears there to its printed digits."""
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     model, basis, scn, _, _ = wscc9_case
     ratio = _energy_ratio(model, basis, scn.disturbance, wscc9_auto_schedule)
     c0, a, cost = dfec_uncontrolled_cost, dfec_optimum.action, dfec_optimum.cost
+    windows = " → ".join(f"{length:g}" for length in dfec_best_windows)
     for quoted in (
         f"`({a.dp:.5f}, {a.t_on:.5f}, {a.t_off:.3f})` at cost {cost:.7f}",
         f"cuts the excursion cost by {100.0 * (1.0 - cost / c0):.1f} % "
         f"({c0:.6f} → {cost:.6f})",
         f"the second inter-machine mode sits at {basis.modes[1].frequency:.2f} rad/s",
         f"actual result ≈ {100.0 * ratio:.1f} %",
+        f"the best window over the calibration grid is {windows} s long for "
+        "dp = 0.08 / 0.12 / 0.16",
+        f"the best windows on its grid are {windows} s long for dp = 0.08 / 0.12 / 0.16",
+        f"the change is {100.0 * (dfec_extended_cost / cost - 1.0):+.1f} % "
+        f"({cost:.6f} → {dfec_extended_cost:.6f}",
     ):
         assert quoted in readme
 
@@ -267,7 +296,7 @@ def test_dfec_calibration_and_optimizer_parity(
 REF_DFEC_OPTIMUM = (0.1282, 2.77, 22.25)
 
 
-def test_dfec_delayed_injection_and_window_narrowing(dfec_scenario, dfec_optimum):
+def test_dfec_delayed_injection_and_window_narrowing(dfec_optimum, dfec_best_windows):
     """The best injection starts strictly after the disturbance, and the best
     injection window narrows as the magnitude grows.
 
@@ -279,7 +308,6 @@ def test_dfec_delayed_injection_and_window_narrowing(dfec_scenario, dfec_optimum
     check would fail as well (see README, "known deviations"). The landing
     checks below do hold.
     """
-    model, opts = dfec_scenario.model, dfec_scenario.sim
     a = dfec_optimum.action
 
     # The best injection starts strictly after the disturbance: waiting for
@@ -287,13 +315,7 @@ def test_dfec_delayed_injection_and_window_narrowing(dfec_scenario, dfec_optimum
     assert a.t_on >= 0.5
 
     # The best injection window narrows as the injection magnitude grows.
-    t_on_grid = np.arange(0.0, 4.01, 0.5)
-    t_off_grid = np.arange(12.0, 36.01, 2.0)
-    lengths = []
-    for dp in (0.08, 0.12, 0.16):
-        grid = fq.contour_sweep(model, dp, t_on_grid, t_off_grid, opts)
-        i, j = np.unravel_index(np.nanargmin(grid), grid.shape)
-        lengths.append(t_off_grid[j] - t_on_grid[i])
+    lengths = dfec_best_windows
     assert lengths[0] > lengths[1] > lengths[2]
 
     # Informative landing check against the externally reported optimum.
@@ -304,7 +326,7 @@ def test_dfec_delayed_injection_and_window_narrowing(dfec_scenario, dfec_optimum
 
 
 def test_dfec_extending_injection_past_optimum_changes_little(
-    dfec_scenario, dfec_optimum
+    dfec_optimum, dfec_extended_cost
 ):
     """Injecting long after the frequency minimum should buy (almost)
     nothing: +20 s on the switch-off time should move the cost by < 1%.
@@ -314,12 +336,8 @@ def test_dfec_extending_injection_past_optimum_changes_little(
     same overshoot makes the cost rise by several percent when the window is
     stretched past it (see README, "known deviations").
     """
-    model, opts = dfec_scenario.model, dfec_scenario.sim
-    a = dfec_optimum.action
     c_opt = dfec_optimum.cost
-    c_ext = fq.nadir_cost(
-        model, fq.DfecAction(a.dp, a.t_on, a.t_off + 20.0), opts
-    )
+    c_ext = dfec_extended_cost
     assert abs(c_ext - c_opt) / c_opt < 0.01
 
 

@@ -94,6 +94,32 @@ class TestValidate:
             code, _, err = run(capsys, "validate", flag, str(path))
             assert (code, err) == (2, f"input error: {where}: {expected.value.message}\n")
 
+    @pytest.mark.parametrize("argv, name, schema, edit, message", [
+        (["deoc", "--system", str(DATA / "ieee39.json")], "scenario_ieee39.json",
+         DEOC_SCENARIO_SCHEMA, lambda d: d.update(n_target=d.pop("n_targets")),
+         "Additional properties are not allowed ('n_target' was unexpected)"),
+        (["deoc", "--system", str(DATA / "wscc9.json")], "scenario_wscc9.json",
+         DEOC_SCENARIO_SCHEMA,
+         lambda d: d["disturbance"].update(magnitde=d["disturbance"].pop("magnitude")),
+         "disturbance: Additional properties are not allowed ('magnitde' was unexpected)"),
+        (["dfec", "optimize"], "dfec_twomachine.json", DFEC_SCENARIO_SCHEMA,
+         lambda d: d.update(optimise={"grid_starts": 2}),
+         "Additional properties are not allowed ('optimise' was unexpected)"),
+    ], ids=["n_target", "magnitde", "optimise"])
+    def test_misspelled_key_is_input_error(self, capsys, tmp_path, argv, name, schema, edit,
+                                           message):
+        # Read as absent, each typo would run its default in silence: 2 of
+        # ieee39's 5 stages, a 0 pu pulse, the default start grid.
+        doc = json.loads((DATA / name).read_text())
+        edit(doc)
+        with pytest.raises(jsonschema.ValidationError, match="was unexpected"):
+            jsonschema.validate(doc, schema)
+        scn = write_json(tmp_path / name, doc)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--scenario", str(scn), "--out", str(out))
+        assert (code, err) == (2, f"input error: {message}\n")
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("content,message", [
         (b"[]", "scenario file must hold a JSON object, got []"),
@@ -329,7 +355,8 @@ class TestFuzz:
 
 class TestDeepNesting:
     """An unknown member nested past what the JSON parser can read is an
-    input error naming the file; one the parser reads still validates."""
+    input error naming the file; one the parser reads is validated: a
+    system file keeps it, a scenario file refuses it by name."""
 
     @staticmethod
     def _nested(tmp_path, name, depth):
@@ -359,8 +386,11 @@ class TestDeepNesting:
     def test_readable_depth_validates(self, capsys, tmp_path):
         grid, scn = (self._nested(tmp_path, name, 900)
                      for name in ("wscc9.json", "scenario_wscc9.json"))
-        code, out, err = run(capsys, "validate", "--system", grid, "--scenario", scn)
-        assert (code, out, err) == (0, f"system ok: {grid}\nscenario ok: {scn}\n", "")
+        code, out, err = run(capsys, "validate", "--system", grid)
+        assert (code, out, err) == (0, f"system ok: {grid}\n", "")
+        code, out, err = run(capsys, "validate", "--scenario", scn)
+        assert (code, out, err) == (2, "", "input error: Additional properties are not "
+                                           "allowed ('deep' was unexpected)\n")
 
 
 class TestModes:

@@ -123,15 +123,17 @@ class TestNadirCost:
         assert abs(costs[1] - 2.0 * costs[0]) <= 1e-5 * costs[1]
 
 
-class TestCappedAndResumedRuns:
+class TestResumedRuns:
     """A run started from a recorded prefix changes nothing a caller reads,
-    whether it records its own pieces or not (``until``, the cap on what it
-    records) and wherever it stops."""
+    wherever it stops, and records each piece it does not resume but a cost
+    run's last."""
 
     @pytest.fixture(scope="class")
     def shared(self, model):
+        # A hand-off run records its first piece, [0, 3), and stops there.
         shared = {}
-        fq._trajectory(model, None, FAST, 4, shared=shared, until=3.0)
+        fq._dense_rows(model, fq._pieces(model, fq.DfecAction(0.08, 3.0, 50.0), FAST), FAST,
+                       shared=shared, hand_off=True)
         return shared
 
     @pytest.fixture
@@ -154,20 +156,20 @@ class TestCappedAndResumedRuns:
         (1.0, True),            # on an output sample
         (5.0, True),            # past the last kept state
     ], ids=["t_on-0", "before-first-step", "on-sample", "past-last-state"])
-    @pytest.mark.parametrize("until", [-math.inf, math.inf])
-    def test_resumed_run_is_the_fresh_run(self, model, shared, states, t_on, resumes, until):
+    def test_resumed_run_is_the_fresh_run(self, model, shared, states, t_on, resumes):
         (prefix,) = shared.values()
         assert 1.0 in fq._output_grid(FAST).tolist() and prefix.reach[0] > 1e-4
-        assert prefix.reach[-1] < prefix.until < 5.0
+        assert prefix.reach[-1] < prefix.bound < 5.0
         action = fq.DfecAction(0.08, t_on, 12.0)
-        fresh = fq._trajectory(model, action, FAST, 4, settle=True)
-        recorded = dict(shared)
-        resumed = fq._trajectory(model, action, FAST, 4, settle=True, shared=recorded,
-                                 until=until)
-        assert resumed.t.tobytes() == fresh.t.tobytes()
-        assert resumed.y.tobytes() == fresh.y.tobytes()
-        # Only a run that records keeps the pieces it does not resume.
-        assert (len(recorded) > 1) == (until > 0)
+        fresh_records, recorded = {}, dict(shared)
+        fresh = fq.nadir_cost(model, action, FAST, fresh_records, summary=True)
+        resumed = fq.nadir_cost(model, action, FAST, recorded, summary=True)
+        assert _summary_bytes(resumed) == _summary_bytes(fresh)
+        # The resumed run records the pieces it does not resume, state for
+        # state as the fresh run records them.
+        kept = {key: record for key, record in _records(recorded).items() if key not in shared}
+        assert kept and kept == {key: record for key, record in _records(fresh_records).items()
+                                 if key not in shared}
         # A first piece whose start differs from the recorded one's is not
         # looked up at all.
         assert (bool(states) and states[0] is not None) == resumes
@@ -183,11 +185,52 @@ class TestCappedAndResumedRuns:
         # off there the fresh run's state.
         (prefix,) = shared.values()
         pieces = fq._pieces(model, fq.DfecAction(0.08, 2.9, 50.0), FAST)
-        assert len(pieces) == 2 and pieces[1][0] == 2.9 < prefix.until
-        fresh = fq._dense_rows(model, pieces, FAST, 4, hand_off=True)
-        resumed = fq._dense_rows(model, pieces, FAST, 4, shared=shared, hand_off=True)
+        assert len(pieces) == 2 and pieces[1][0] == 2.9 < prefix.bound
+        fresh = fq._dense_rows(model, pieces, FAST, hand_off=True)
+        resumed = fq._dense_rows(model, pieces, FAST, shared=dict(shared), hand_off=True)
         assert states and states[0] is not None and states[0][0] < 2.9
         assert resumed == fresh
+
+    def test_cost_run_keeps_no_record_of_its_last_piece(self, model):
+        # The first injection runs past the horizon: its last piece starts
+        # at switch-on, where its lowest speed restarts. The second one's
+        # injection piece starts there too, but not as its last, so a
+        # record of the first one's last piece would hand it the wrong dip.
+        shared = {}
+        fq.nadir_cost(model, fq.DfecAction(0.08, 12.0, 50.0), FAST, shared)
+        action = fq.DfecAction(0.08, 12.0, 16.0)
+        after = fq.nadir_cost(model, action, FAST, shared, summary=True)
+        assert _summary_bytes(after) == _summary_bytes(fq.nadir_cost(model, action, FAST,
+                                                                     summary=True))
+        assert round(after[2], 6) == 0.040885
+
+    def test_forward_difference_in_t_off_resumes_the_injection(self, model, monkeypatch):
+        # The trust region's difference run in the window length moves only
+        # t_off: it resumes the iterate's run up to the iterate's switch-off.
+        resumed, plain = [], fq._Prefix.resume
+
+        def resume(prefix, bound):
+            state = plain(prefix, bound)
+            resumed.append((prefix, state))
+            return state
+
+        monkeypatch.setattr(fq._Prefix, "resume", resume)
+        shared = {}
+        fq.nadir_cost(model, fq.DfecAction(0.1, 1.0, 12.0), FAST, shared)
+        switch_on, injection = shared.values()
+        action = fq.DfecAction(0.1, 1.0, 12.0 + 1e-3 * (15.0 - 1.0))
+        after = fq.nadir_cost(model, action, FAST, shared, summary=True)
+        assert [(prefix, state is not None) for prefix, state in resumed] == [
+            (switch_on, True), (injection, True)]
+        assert 11.0 < resumed[1][1][0] < 12.0
+        assert _summary_bytes(after) == _summary_bytes(fq.nadir_cost(model, action, FAST,
+                                                                     summary=True))
+
+
+def _summary_bytes(summary):
+    """``nadir_cost(..., summary=True)``'s numbers as bytes."""
+    w_ss, nadir, cost, dips = summary
+    return np.array([w_ss, nadir, cost, *dips]).tobytes()
 
 
 GOVERNORS = st.fixed_dictionaries({
@@ -237,7 +280,7 @@ class TestSteadySpeed:
         assert math.isnan(fq.steady_speed(model, 0.0, model.p_set + FAST.disturbance))
         window = (0.05, 1.0, 10.0)
         action = fq.DfecAction(*window)
-        run = fq._trajectory(model, None, FAST, 4)
+        run = fq.simulate(model, None, FAST)
         assert not run.unstable and run.summary()[2] == fq.INSTABILITY_COST
         assert fq.nadir_cost(model, action, FAST) == fq.INSTABILITY_COST
         assert list(fq.nadir_costs(model, [None, action], FAST)) == [fq.INSTABILITY_COST] * 2
@@ -321,8 +364,10 @@ class TestSettling:
         assert fq._settling(clamped, 0.0, model.p_set + FAST.disturbance).inv_v is None
         stops = _spy_settled(monkeypatch)
         action = fq.DfecAction(0.1, 1.0, 12.0)
-        run = fq._trajectory(clamped, action, FAST, 4, settle=True)
-        assert len(run.t) == len(run.y) == len(fq._output_grid(FAST))
+        dips = fq.nadir_cost(clamped, action, FAST, summary=True)[3]
+        full = fq.simulate(clamped, action, FAST)
+        plan = fq._pieces(clamped, action, FAST)
+        assert dips.tolist() == fq._dips(full.t, full.avg_speed, plan).tolist()
         fq.nadir_costs(clamped, [None, action], FAST)
         assert sum(stops) == 0
 
@@ -397,33 +442,34 @@ class TestScalarStepper:
         with pytest.MonkeyPatch.context() as patch:
             for rows in (fq._dense_rows, oracle.list_rows):
                 patch.setattr(fq, "_dense_rows", rows)
-                # A cost run started from the uncontrolled run's prefix.
+                # A cost run started from the uncontrolled run's records,
+                # recording its own pieces.
                 shared = {}
-                fq._trajectory(model, None, FAST, 4, shared=shared, until=t_on + 0.5)
-                resumed = fq._trajectory(model, action, FAST, 4, settle=True, shared=shared)
+                fq._trajectory(model, None, FAST, shared)
+                resumed = _summary_bytes(fq.nadir_cost(model, action, FAST, shared, summary=True))
                 # The whole injection resumes every piece before its last
                 # from the records the half-length one leaves, and steps on.
                 later = {}
-                hand_offs = [fq._dense_rows(model, fq._pieces(model, a, FAST), FAST, 4,
-                                            shared=later, until=math.inf, hand_off=True)
+                hand_offs = [fq._dense_rows(model, fq._pieces(model, a, FAST), FAST,
+                                            shared=later, hand_off=True)
                              for a in (half, action)]
                 runs.append((fq.simulate(model, action, FAST), fq.nadir_cost(model, action, FAST),
                              resumed, _records(shared), hand_offs, _records(later)))
         (run, cost, resumed, *kept), (ref, ref_cost, ref_resumed, *ref_kept) = runs
-        assert kept[1] == [fq._dense_rows(model, fq._pieces(model, a, FAST), FAST, 4,
+        assert kept[1] == [fq._dense_rows(model, fq._pieces(model, a, FAST), FAST,
                                           hand_off=True) for a in (half, action)]
         assert run.unstable == ref.unstable and run.t.tobytes() == ref.t.tobytes()
         assert run.y.tobytes() == ref.y.tobytes()
         assert cost == ref_cost
         assert not ref.unstable or cost == fq.INSTABILITY_COST
         assert kept == ref_kept
-        assert resumed.y.tobytes() == ref_resumed.y.tobytes()
+        assert resumed == ref_resumed
+        assert resumed == _summary_bytes(fq.nadir_cost(model, action, FAST, summary=True))
 
 
 def _records(shared):
     """The ``_Prefix`` records of ``shared`` as plain lists, by start."""
-    return {key: (list(p.reach), p.states.tolist(), p.rows[:].tolist())
-            for key, p in shared.items()}
+    return {key: (p.bound, list(p.reach), p.states.tolist()) for key, p in shared.items()}
 
 
 def test_tableau_is_scipys_rk45():
@@ -488,7 +534,7 @@ class TestBatchedCosts:
     def test_slip_while_on_is_found_before_the_lanes(self, model):
         action = fq.DfecAction(4.0, 1.0, 10.0)
         pieces = fq._pieces(model, action, FAST)
-        assert fq._dense_rows(model, pieces, FAST, 4, hand_off=True) is None
+        assert fq._dense_rows(model, pieces, FAST, hand_off=True) is None
         assert fq.nadir_costs(model, [action], FAST)[0] == fq.INSTABILITY_COST
 
     def test_rows_share_their_history(self, model, monkeypatch):
@@ -553,12 +599,12 @@ class TestStepResponse:
         # model's nonlinearity reaches the average speed only through the
         # governor's input). The cost error is measured against the
         # uncontrolled cost, the scale of every cost here.
-        uncontrolled = fq._trajectory(model, None, FAST, 4)
+        uncontrolled = fq.simulate(model, None, FAST)
         c0 = uncontrolled.summary()[2]
         surrogate = fq.StepResponse.measure(model, uncontrolled, 0.1, FAST)
         assert surrogate.dp_ref == 0.1
         for action in self.ACTIONS:
-            run = fq._trajectory(model, fq.DfecAction(*action), FAST, 4)
+            run = fq.simulate(model, fq.DfecAction(*action), FAST)
             assert np.abs(surrogate.avg_speed(*action) - run.avg_speed).max() <= 1e-7
             assert abs(surrogate.cost(*action) - run.summary()[2]) <= 1e-6 * c0
 
@@ -577,7 +623,7 @@ class TestStepResponse:
         # Each of the two dips alone, as the trust region corrects them; a
         # cost run's dips are the full-horizon run's, as its stop certifies
         # the switch-off dip even where the other one is deeper.
-        uncontrolled = fq._trajectory(model, None, FAST, 4)
+        uncontrolled = fq.simulate(model, None, FAST)
         c0 = uncontrolled.summary()[2]
         surrogate = fq.StepResponse.measure(model, uncontrolled, 0.1, FAST)
         for action in self.ACTIONS:
