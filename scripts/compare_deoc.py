@@ -42,9 +42,16 @@ at 0.7 s), each side costs a seeded set of actions with
 set, and runs the bundled ``contour_sweep``. The set holds the uncontrolled
 run, ``dp`` 0, an injection past the horizon, the slipping
 ``(4.0, 1, 10)`` and families of actions that differ only in ``t_off``.
-The report lists each cost, steady speed, nadir, dip or sweep cell whose
-float differs from the parent's, bit for bit (no CLI output prints the
-dips); the exit code is 1 when any differs or does not repeat.
+Each side also costs one action (or none) on each of a seeded set of
+random models around the bundled one: governor lags x0.3-3, ``k1``
+x0.5-2, ``p_max`` and ``p_min`` 0.05-0.6 pu from the load, ``h`` 0.5-8 s,
+``d`` 0-4, ``x`` 0.2-0.6, load step 0.05-0.5 pu, ``dp`` up to 0.3 and a
+40 or 100 s horizon. The report lists each cost, steady speed, nadir, dip
+or sweep cell whose float differs from the parent's, bit for bit (no CLI
+output prints the dips), and per side the accepted last-piece steps of the
+cost runs and of the sweep: the lanes ``_settled`` is asked about, counted
+by wrapping it in the worker. The exit code is 1 when any float differs or
+does not repeat.
 """
 
 from __future__ import annotations
@@ -70,6 +77,8 @@ WORKLOADS = ("deoc-mixed", "dfec-sweep", "dfec-optimize")
 COSTS = "dfec-costs"
 COST_OPTIONS = {"100 s": {}, "40 s": {"horizon": 40.0},
                 "40 s, load step at 0.7 s": {"horizon": 40.0, "t_disturbance": 0.7}}
+RANDOM_MODELS = 300
+LAGS = ("t1", "t2", "t3", "t4", "t5", "t6")
 BUNDLED_DFEC = {"dfec-sweep": ("sweep",), "dfec-optimize": ("simulate", "optimize")}
 # A skip reason's "min |h| = ..." is the smallest sampled |h|; near a
 # cancellation its digits follow rounding, so skips compare without it.
@@ -113,37 +122,104 @@ def write_inputs(work: Path, seeds, workload: str = "deoc-mixed") -> list[dict]:
 
 def cost_inputs() -> list[dict]:
     """One ``dfec-costs`` record request per option set, all with the same
-    seeded actions (``None`` = uncontrolled, else ``[dp, t_on, t_off]``)."""
+    seeded actions (``None`` = uncontrolled, else ``[dp, t_on, t_off]``),
+    and one with the ``random_models``."""
     rng = random.Random(COSTS)
     actions = [None, [0.0, 1.0, 5.0], [0.2, 3.0, 1e3], [4.0, 1.0, 10.0], [0.08, 12.0, 50.0],
                [0.08, 12.0, 16.0]]
     for _ in range(20):
         dp, t_on = rng.uniform(0.0, 0.25), rng.choice([0.0, rng.uniform(0.0, 10.0)])
         actions += [[dp, t_on, t_on + rng.uniform(0.01, 40.0)] for _ in range(3)]
-    scenario = str(bench_module().DATA / "dfec_twomachine.json")
-    return [{"id": name, "scenario": scenario, "sim": sim, "actions": actions}
-            for name, sim in COST_OPTIONS.items()]
+    scenario = bench_module().DATA / "dfec_twomachine.json"
+    return [*({"id": name, "scenario": str(scenario), "sim": sim, "actions": actions}
+              for name, sim in COST_OPTIONS.items()),
+            {"id": "random models", "scenario": str(scenario),
+             "models": random_models(scenario, RANDOM_MODELS)}]
+
+
+def random_models(scenario: Path, count: int) -> list[dict]:
+    """``count`` seeded models around the bundled one, as overrides of its
+    ``model``, ``governor`` and ``sim``, each with one action or ``None``."""
+    doc = json.loads(scenario.read_text())
+    rng = random.Random(f"{COSTS}/models")
+
+    def scaled(value, lo, hi):
+        return value * lo * (hi / lo) ** rng.random()
+
+    models = []
+    for _ in range(count):
+        disturbance = rng.uniform(0.05, 0.5)
+        load = doc["model"]["p_set"] + disturbance
+        governor = {k: scaled(doc["governor"][k], 0.3, 3.0) for k in LAGS}
+        governor.update(k1=scaled(doc["governor"]["k1"], 0.5, 2.0),
+                        p_max=load + rng.uniform(0.05, 0.6), p_min=load - rng.uniform(0.05, 0.6))
+        model = {"h1": rng.uniform(0.5, 8.0), "h2": rng.uniform(0.5, 8.0),
+                 "d1": rng.uniform(0.0, 4.0), "d2": rng.uniform(0.0, 4.0),
+                 "x": rng.uniform(0.2, 0.6)}
+        sim = {"horizon": rng.choice([40.0, 100.0]), "disturbance": disturbance}
+        action = None
+        if rng.random() >= 0.15:
+            t_on = rng.choice([0.0, rng.uniform(0.0, 10.0)])
+            action = [rng.uniform(0.0, 0.3), t_on, t_on + rng.uniform(0.01, 40.0)]
+        models.append({"model": model, "governor": governor, "sim": sim, "action": action})
+    return models
+
+
+@contextlib.contextmanager
+def counting_settled(fq):
+    """Within, ``fq._settled`` counts the lanes it is asked about, one per
+    accepted last-piece step of a cost run (a float run is one lane), in the
+    yielded dict's ``"steps"``."""
+    import numpy as np
+
+    real, counter = fq._settled, {"steps": 0}
+
+    def settled(settling, y, low):
+        counter["steps"] += int(np.size(low))
+        return real(settling, y, low)
+
+    fq._settled = settled
+    try:
+        yield counter
+    finally:
+        fq._settled = real
 
 
 def cost_record(cmd: dict) -> dict:
-    """The floats of one ``dfec-costs`` request as hex strings, by what they are."""
+    """The floats of one ``dfec-costs`` request as hex strings, by what they
+    are, and the accepted last-piece steps of its cost runs and its sweep."""
     from dataclasses import replace
 
     from gridstep import frequency as fq
     from gridstep.scenario import load_scenario
 
+    def summary_hex(run):
+        return [float(v).hex() for v in (*run[:3], *run[3])]
+
     scn = load_scenario(Path(cmd["scenario"]))
-    opts = replace(scn.sim, **cmd["sim"])
-    values, shared = {}, {}
-    for action in cmd["actions"]:
-        dfec_action = None if action is None else fq.DfecAction(*action)
-        for how, records in (("alone", None), ("shared", shared)):
-            run = fq.nadir_cost(scn.model, dfec_action, opts, records, summary=True)
-            values[f"{action} {how}: w_ss, nadir, cost, dips"] = [
-                float(v).hex() for v in (*run[:3], *run[3])]
-    grid = fq.contour_sweep(scn.model, scn.sweep_dp, scn.sweep_t_on, scn.sweep_t_off, opts)
-    values["bundled sweep cells"] = [float(v).hex() for v in grid.ravel()]
-    return {"id": cmd["id"], "values": values}
+    values = {}
+    with counting_settled(fq) as counter:
+        if "models" in cmd:
+            for k, spec in enumerate(cmd["models"]):
+                model = replace(scn.model, gov=replace(scn.model.gov, **spec["governor"]),
+                                **spec["model"])
+                action = None if spec["action"] is None else fq.DfecAction(*spec["action"])
+                run = fq.nadir_cost(model, action, replace(scn.sim, **spec["sim"]), summary=True)
+                values[f"model {k} {spec['action']}: w_ss, nadir, cost, dips"] = summary_hex(run)
+            steps = {"costs": counter["steps"]}
+        else:
+            opts, shared = replace(scn.sim, **cmd["sim"]), {}
+            for action in cmd["actions"]:
+                dfec_action = None if action is None else fq.DfecAction(*action)
+                for how, records in (("alone", None), ("shared", shared)):
+                    run = fq.nadir_cost(scn.model, dfec_action, opts, records, summary=True)
+                    values[f"{action} {how}: w_ss, nadir, cost, dips"] = summary_hex(run)
+            steps, counter["steps"] = {"costs": counter["steps"]}, 0
+            grid = fq.contour_sweep(scn.model, scn.sweep_dp, scn.sweep_t_on, scn.sweep_t_off,
+                                    opts)
+            values["bundled sweep cells"] = [float(v).hex() for v in grid.ravel()]
+            steps["sweep"] = counter["steps"]
+    return {"id": cmd["id"], "values": values, "steps": steps}
 
 
 def worker(src: Path, commands_path: Path, out_dir: Path) -> None:
@@ -154,7 +230,7 @@ def worker(src: Path, commands_path: Path, out_dir: Path) -> None:
     if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"imported gridstep from {cli.__file__}, not {src}")
     for cmd in json.loads(commands_path.read_text()):
-        if "actions" in cmd:
+        if "scenario" in cmd:
             print(json.dumps(cost_record(cmd)), flush=True)
             continue
         out = out_dir / "o" if cmd["out_is_dir"] else out_dir / "o.json"
@@ -272,7 +348,9 @@ def compare_costs(parent: dict, change: dict) -> dict:
             if moved or len(values) != len(new.get(what, [])):
                 differ.append({"id": cid, "what": what, "at": moved,
                                "parent": values, "change": new.get(what)})
-    return {"option_sets": len(parent), "floats_compared": compared, "differ": differ}
+    return {"requests": len(parent), "floats_compared": compared, "differ": differ,
+            "last_piece_steps": {side: {cid: rec["steps"] for cid, rec in runs.items()}
+                                 for side, runs in (("parent", parent), ("change", change))}}
 
 
 def main(argv=None) -> int:
@@ -312,7 +390,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    kept = ("code", "stdout", "stderr", "sha256", "values")
+    kept = ("code", "stdout", "stderr", "sha256", "values", "steps")
     not_repeated = [cid for cid, rec in change.items()
                     if [rec.get(k) for k in kept] != [repeat[cid].get(k) for k in kept]]
     deoc = args.workload == "deoc-mixed"

@@ -27,10 +27,6 @@ from .fileio import require_grid
 INSTABILITY_COST = float("inf")
 NO_STEADY_STATE = "the frequency does not settle: no stable speed balances the final load"
 _ANGLE_SLIP = math.pi  # |delta1 - delta2| beyond this flags loss of synchronism
-# A cost run stops once the linear bound on every later excursion from the
-# final equilibrium, times this margin, stays inside the room left (see
-# ``_settled``); the margin covers the model's nonlinearity.
-_SETTLE_MARGIN = 2.0
 _MAX_MODE_COND = 1e8   # an eigenvector basis worse conditioned than this bounds nothing
 # RK45 takes about ``horizon * max |lambda|`` steps on this model (1540 for a
 # bundled 100 s run, max |lambda| = 16.1 1/s); a run that would take more than
@@ -336,21 +332,21 @@ def _settled(settling: _Settling, y, low):
     With every ``Re lambda < 0``, ``|c (z(t) - z*)|`` stays below
     ``B_c = sum_i |(c V)_i (V^-1 (z - z*))_i|`` for all later ``t`` on the
     linearization (Khalil, Nonlinear Systems, 3rd ed., sec. 4.3). The run has
-    settled once ``_SETTLE_MARGIN`` times ``B_c`` fits in the room below
-    ``w_ss`` down to ``low``, before a slip, and inside the governor limits
-    (where the linearization holds)."""
+    settled once ``B_c`` fits in the room below ``w_ss`` down to ``low``,
+    before a slip, and inside the governor limits (where the linearization
+    holds)."""
     if settling.inv_v is None:
         return False
     room = settling.w_ss - low
     # B_c is at least the excursion now, |c (z - z*)|: a run whose average
     # speed is still that far off has not settled (a cheap first test).
-    near = _SETTLE_MARGIN * abs(0.5 * (y[1] + y[3]) - settling.w_ss) < room
+    near = abs(0.5 * (y[1] + y[3]) - settling.w_ss) < room
     if near is False:
         return False
     y = np.asarray(y)
     e = y[_REDUCED] - settling.z_eq.reshape((8,) + (1,) * (y.ndim - 1))
     e[0] -= y[2]
-    speed, angle, command = _SETTLE_MARGIN * (settling.weights @ np.abs(settling.inv_v @ e))
+    speed, angle, command = settling.weights @ np.abs(settling.inv_v @ e)
     return (near & (speed < room) & (angle < settling.angle_room)
             & (command < settling.command_room))
 

@@ -339,13 +339,24 @@ class TestSettling:
         assert lam.real.max() == pytest.approx(0.0058, abs=1e-4)
 
     @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(gov=GOVERNORS, h1=st.floats(1.0, 6.0), h2=st.floats(1.0, 6.0),
-           d1=st.floats(0.0, 3.0), d2=st.floats(0.0, 3.0), dp=st.floats(0.0, 0.25),
-           t_on=st.floats(0.0, 5.0), length=st.floats(0.1, 40.0))
-    def test_stopped_cost_is_full_cost(self, model, gov, h1, h2, d1, d2, dp, t_on, length):
-        model = replace(model, gov=replace(model.gov, **gov), h1=h1, h2=h2, d1=d1, d2=d2)
+    @given(gov=GOVERNORS, h1=st.floats(0.5, 8.0), h2=st.floats(0.5, 8.0),
+           d1=st.floats(0.0, 4.0), d2=st.floats(0.0, 4.0), x=st.floats(0.2, 0.6),
+           disturbance=st.floats(0.05, 0.5), above=st.floats(0.05, 0.6),
+           below=st.floats(0.05, 0.6), dp=st.floats(0.0, 0.3), t_on=st.floats(0.0, 5.0),
+           length=st.floats(0.1, 40.0))
+    def test_stopped_cost_is_full_cost(self, model, gov, h1, h2, d1, d2, x, disturbance,
+                                       above, below, dp, t_on, length):
+        # The governor limits sit near the load, where the runs meet them.
+        load = model.p_set + disturbance
+        gov = {**gov, "p_max": load + above, "p_min": load - below}
+        model = replace(model, gov=replace(model.gov, **gov), h1=h1, h2=h2, d1=d1, d2=d2, x=x)
+        opts = replace(FAST, disturbance=disturbance)
         action = fq.DfecAction(dp, t_on, t_on + length) if dp else None
-        assert fq.nadir_cost(model, action, FAST) == fq.simulate(model, action, FAST).summary()[2]
+        stopped = fq.nadir_cost(model, action, opts, summary=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fq, "_settled", lambda settling, y, low: False)
+            full = fq.nadir_cost(model, action, opts, summary=True)
+        assert _summary_bytes(stopped) == _summary_bytes(full)
 
     def test_bundled_sweep_is_unchanged_by_the_stop(self, dfec_scenario, monkeypatch):
         scn = dfec_scenario
