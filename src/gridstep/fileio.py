@@ -3,11 +3,12 @@ readers and writers.
 
 Input documents are checked against the schema dicts ``network.GRID_SCHEMA``,
 ``scenario.DEOC_SCENARIO_SCHEMA`` and ``scenario.DFEC_SCENARIO_SCHEMA`` by a
-small walker that knows the JSON Schema keywords those use. It reports the
-error, in the words, that ``jsonschema.validate`` (Draft 2020-12, jsonschema
-4.26) reports, except that a document value's ``repr`` is cut to
-``_SHOWN_CHARS`` characters (:func:`shown`); the tests keep jsonschema as its
-oracle."""
+small walker that knows the eight JSON Schema keywords those use: ``type``,
+``required``, ``properties``, ``additionalProperties: false``, ``items``,
+``enum``, ``minimum`` and ``exclusiveMinimum``. It reports the error, in the
+words, that ``jsonschema.validate`` (Draft 2020-12, jsonschema 4.26) reports,
+except that a document value's ``repr`` is cut to ``_SHOWN_CHARS``
+characters (:func:`shown`); the tests keep jsonschema as its oracle."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import json
 import math
 import numbers
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,13 +66,16 @@ def validate(doc, schema: dict) -> None:
     NaN or infinity in ``doc`` (JSON readers accept both).
 
     ``schema`` may use the keywords ``type``, ``required``, ``properties``,
-    ``additionalProperties: false``, ``items``, ``enum``, ``const``,
-    ``minimum``, ``exclusiveMinimum``, ``anyOf`` and ``$ref`` to its own
-    ``$defs``; any other keyword raises ``ValueError`` when it is reached."""
-    error = _best(_schema_errors(doc, schema, schema))
-    if error is not None:
-        where = field_name(error.path)
-        raise InputFormatError(f"{where}: {error.message}" if where else error.message)
+    ``additionalProperties: false``, ``items``, ``enum`` (of strings),
+    ``minimum`` and ``exclusiveMinimum``; any other keyword raises
+    ``ValueError`` when it is reached. Each value of the document then has
+    one schema, so jsonschema's ``best_match`` picks the shallowest error,
+    the greatest path among those, the first error on that path."""
+    errors = _schema_errors(doc, schema)
+    if errors:
+        path, message = max(errors, key=lambda error: (-len(error[0]), error[0]))
+        where = field_name(path)
+        raise InputFormatError(f"{where}: {message}" if where else message)
     _require_finite(doc)
 
 
@@ -100,15 +103,6 @@ def field_name(path) -> str:
     return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path).removeprefix(".")
 
 
-class _Error(NamedTuple):
-    """One schema error, as jsonschema describes it."""
-    path: tuple           # of the value in the document
-    keyword: str
-    message: str
-    matches_type: bool    # the value has the type its schema names
-    context: tuple | list  # the branches' errors, for ``anyOf``
-
-
 _TYPES = {
     "array": lambda v: isinstance(v, list),
     "boolean": lambda v: isinstance(v, bool),
@@ -121,40 +115,23 @@ _TYPES = {
 }
 
 
-def _is_type(value, types) -> bool:
-    return any(_TYPES[t](value) for t in ([types] if isinstance(types, str) else types))
-
-
-def _equal(a, b) -> bool:
-    """JSON equality of scalars: a bool equals only a bool."""
-    return a == b and isinstance(a, bool) == isinstance(b, bool)
-
-
-def _schema_errors(doc, schema: dict, root: dict, path: tuple = ()) -> list[_Error]:
-    """The errors jsonschema's Draft 2020-12 validator yields for ``doc`` (at
-    ``path``) under ``schema``, in its order: depth first, each schema's
-    keywords in turn. ``root`` holds the ``$defs`` a ``$ref`` names."""
+def _schema_errors(doc, schema: dict) -> list[tuple[tuple, str]]:
+    """``(path, message)`` of each error jsonschema's Draft 2020-12 validator
+    yields for ``doc`` under ``schema``; a value's errors come in its
+    schema's keyword order."""
     errors = []
-    todo = [(doc, schema, path)]        # values still to check, and errors found, last first
+    todo = [(doc, schema, ())]
     while todo:
-        item = todo.pop()
-        if isinstance(item, _Error):
-            errors.append(item)
-            continue
-        value, schema, path = item
-        found = []
+        value, schema, path = todo.pop()
         for key, arg in schema.items():
-            message, context = None, ()
+            message = None
             if key == "type":
-                if not _is_type(value, arg):
-                    names = ", ".join(map(repr, [arg] if isinstance(arg, str) else arg))
-                    message = f"{shown(value)} is not of type {names}"
+                types = [arg] if isinstance(arg, str) else arg
+                if not any(_TYPES[t](value) for t in types):
+                    message = f"{shown(value)} is not of type {', '.join(map(repr, types))}"
             elif key == "enum":
-                if not any(_equal(option, value) for option in arg):
+                if value not in arg:            # the options are strings
                     message = f"{shown(value)} is not one of {arg!r}"
-            elif key == "const":
-                if not _equal(value, arg):
-                    message = f"{arg!r} was expected"
             elif key == "minimum":
                 if _TYPES["number"](value) and value < arg:
                     message = f"{shown(value)} is less than the minimum of {arg!r}"
@@ -163,12 +140,12 @@ def _schema_errors(doc, schema: dict, root: dict, path: tuple = ()) -> list[_Err
                     message = f"{shown(value)} is less than or equal to the minimum of {arg!r}"
             elif key == "required":
                 if isinstance(value, dict):
-                    found += [_error(value, schema, path, key, f"{name!r} is a required property")
-                              for name in arg if name not in value]
+                    errors += [(path, f"{name!r} is a required property")
+                               for name in arg if name not in value]
             elif key == "properties":
                 if isinstance(value, dict):
-                    found += [(value[name], sub, path + (name,))
-                              for name, sub in arg.items() if name in value]
+                    todo += [(value[name], sub, path + (name,))
+                             for name, sub in arg.items() if name in value]
             elif key == "additionalProperties" and arg is False:
                 if isinstance(value, dict):
                     extras = sorted((name for name in value if name not in
@@ -179,49 +156,12 @@ def _schema_errors(doc, schema: dict, root: dict, path: tuple = ()) -> list[_Err
                                    f"{'was' if len(extras) == 1 else 'were'} unexpected)")
             elif key == "items" and isinstance(arg, dict):
                 if isinstance(value, list):
-                    found += [(item, arg, path + (i,)) for i, item in enumerate(value)]
-            elif key == "anyOf":
-                context = []
-                for branch in arg:
-                    branch_errors = _schema_errors(value, branch, root, path)
-                    if not branch_errors:
-                        break
-                    context += branch_errors
-                else:
-                    message = f"{shown(value)} is not valid under any of the given schemas"
-            elif key == "$ref" and arg.startswith("#/$defs/"):
-                found.append((value, root["$defs"][arg.removeprefix("#/$defs/")], path))
-            elif key != "$defs":
+                    todo += [(item, arg, path + (i,)) for i, item in enumerate(value)]
+            else:
                 raise ValueError(f"schema keyword {key!r}: {arg!r} is not supported")
             if message is not None:
-                found.append(_error(value, schema, path, key, message, context))
-        todo.extend(reversed(found))
+                errors.append((path, message))
     return errors
-
-
-def _error(value, schema, path, keyword, message, context=()) -> _Error:
-    matches = "type" in schema and _is_type(value, schema["type"])
-    return _Error(path, keyword, message, matches, context)
-
-
-def _relevance(error: _Error) -> tuple:
-    """jsonschema's ``relevance`` key: the shallower error ranks higher, then
-    the greater sibling path, then not ``anyOf``, then a value that is not of
-    its schema's type."""
-    return (-len(error.path), error.path, error.keyword != "anyOf", not error.matches_type)
-
-
-def _best(errors: list[_Error]) -> _Error | None:
-    """The error ``jsonschema.exceptions.best_match`` picks: the most relevant
-    one (the first of equals); from a failed ``anyOf``, the least relevant
-    of its branches' errors, when no other ties with it."""
-    best = max(errors, key=_relevance, default=None)
-    while best is not None and best.context:
-        first, *rest = sorted(best.context, key=_relevance)[:2]
-        if rest and _relevance(rest[0]) == _relevance(first):
-            break
-        best = first
-    return best
 
 
 def _require_finite(doc) -> None:

@@ -344,6 +344,7 @@ def equilibrium_shifted(model: ReducedModel, dp: np.ndarray) -> np.ndarray:
 
 GRID_SCHEMA = {
     "type": "object",
+    "additionalProperties": False,
     "required": ["base_mva", "buses", "branches", "generators", "units"],
     "properties": {
         "schema_version": {"type": "integer"},
@@ -355,6 +356,7 @@ GRID_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
+                "additionalProperties": False,
                 "required": ["id", "type"],
                 "properties": {
                     "id": {"type": "integer"},
@@ -366,6 +368,7 @@ GRID_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
+                "additionalProperties": False,
                 "required": ["from", "to", "x"],
                 "properties": {
                     "from": {"type": "integer"},
@@ -378,6 +381,7 @@ GRID_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
+                "additionalProperties": False,
                 "required": ["bus", "inertia", "pm"],
                 "properties": {
                     "bus": {"type": "integer"},
@@ -392,6 +396,7 @@ GRID_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
+                "additionalProperties": False,
                 "required": ["bus", "p"],
                 "properties": {"bus": {"type": "integer"}, "p": {"type": "number"}},
             },
@@ -400,6 +405,7 @@ GRID_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
+                "additionalProperties": False,
                 "required": ["bus"],
                 "properties": {"bus": {"type": "integer"}, "p0": {"type": "number"}},
             },

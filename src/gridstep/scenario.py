@@ -44,7 +44,7 @@ DEOC_SCENARIO_SCHEMA = {
     "required": ["kind", "disturbance", "t_end"],
     "properties": {
         "schema_version": {"type": "integer"},
-        "kind": {"const": "deoc"},
+        "kind": {"enum": ["deoc"]},
         "name": {"type": "string"},
         "disturbance": _DISTURBANCE_SCHEMA,
         "t_end": {"type": "number", "exclusiveMinimum": 0},
@@ -55,12 +55,7 @@ DEOC_SCENARIO_SCHEMA = {
         "scale": {"type": "number"},
         "dp_overrides_mw": {
             "type": "array",
-            "items": {
-                "anyOf": [
-                    {"type": "null"},
-                    {"type": "array", "items": {"type": "number"}},
-                ]
-            },
+            "items": {"type": ["null", "array"], "items": {"type": "number"}},
         },
     },
 }
@@ -78,13 +73,24 @@ def _section(cls, skip=(), **number) -> dict:
     return section
 
 
+_AXIS = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["start", "stop", "count"],
+    "properties": {
+        "start": {"type": "number"},
+        "stop": {"type": "number"},
+        "count": {"type": "integer", "minimum": 1},
+    },
+}
+
 DFEC_SCENARIO_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["kind", "model", "governor"],
     "properties": {
         "schema_version": {"type": "integer"},
-        "kind": {"const": "dfec"},
+        "kind": {"enum": ["dfec"]},
         "name": {"type": "string"},
         "model": _section(TwoMachineModel, skip=("gov",)),
         "governor": _section(GovernorParams),
@@ -105,21 +111,10 @@ DFEC_SCENARIO_SCHEMA = {
             "required": ["dp", "t_on", "t_off"],
             "properties": {
                 "dp": {"type": "number", "minimum": 0},
-                "t_on": {"$ref": "#/$defs/axis"},
-                "t_off": {"$ref": "#/$defs/axis"},
+                "t_on": _AXIS,
+                "t_off": _AXIS,
             },
         },
-    },
-    "$defs": {
-        "axis": {
-            "type": "object",
-            "required": ["start", "stop", "count"],
-            "properties": {
-                "start": {"type": "number"},
-                "stop": {"type": "number"},
-                "count": {"type": "integer", "minimum": 1},
-            },
-        }
     },
 }
 

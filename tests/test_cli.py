@@ -54,6 +54,36 @@ class TestValidate:
         assert code == 0
         assert "ok" in out
 
+    def test_no_file_is_input_error(self, capsys):
+        code, out, err = run(capsys, "validate")
+        assert (code, out, err) == (2, "", "input error: validate requires --system and/or "
+                                           "--scenario\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: [g.update(xd_p=g.pop("xdp")) for g in d["generators"]],
+         "generators[2]: Additional properties are not allowed ('xd_p' was unexpected)"),
+        (lambda d: d.update(load=d.pop("loads")),
+         "Additional properties are not allowed ('load' was unexpected)"),
+        (lambda d: d.update(bogus=1),
+         "Additional properties are not allowed ('bogus' was unexpected)"),
+    ], ids=["xd_p", "load", "bogus"])
+    def test_unknown_system_key_is_input_error(self, capsys, tmp_path, edit, message):
+        # Read as absent, each typo would change the model in silence: xd_p on
+        # every generator gives b_red[0, 0] = 5.16 instead of 2.70, and load
+        # drops all 3.15 pu of load.
+        doc = json.loads((DATA / "wscc9.json").read_text())
+        edit(doc)
+        with pytest.raises(jsonschema.ValidationError, match="was unexpected"):
+            jsonschema.validate(doc, GRID_SCHEMA)
+        system = str(write_json(tmp_path / "typo.json", doc))
+        out = tmp_path / "out"
+        for argv in (["validate", "--system", system], ["modes", "--system", system],
+                     ["deoc", "--system", system, "--scenario",
+                      str(DATA / "scenario_wscc9.json"), "--out", str(out)]):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout, err) == (2, "", f"input error: {message}\n")
+        assert not out.exists()
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "validate", "--system", "/nonexistent.json")
         assert code == 2
@@ -355,8 +385,8 @@ class TestFuzz:
 
 class TestDeepNesting:
     """An unknown member nested past what the JSON parser can read is an
-    input error naming the file; one the parser reads is validated: a
-    system file keeps it, a scenario file refuses it by name."""
+    input error naming the file; one the parser reads is validated, and
+    system and scenario files both refuse it by name."""
 
     @staticmethod
     def _nested(tmp_path, name, depth):
@@ -386,11 +416,10 @@ class TestDeepNesting:
     def test_readable_depth_validates(self, capsys, tmp_path):
         grid, scn = (self._nested(tmp_path, name, 900)
                      for name in ("wscc9.json", "scenario_wscc9.json"))
-        code, out, err = run(capsys, "validate", "--system", grid)
-        assert (code, out, err) == (0, f"system ok: {grid}\n", "")
-        code, out, err = run(capsys, "validate", "--scenario", scn)
-        assert (code, out, err) == (2, "", "input error: Additional properties are not "
-                                           "allowed ('deep' was unexpected)\n")
+        for flag, path in (("--system", grid), ("--scenario", scn)):
+            code, out, err = run(capsys, "validate", flag, path)
+            assert (code, out, err) == (2, "", "input error: Additional properties are not "
+                                               "allowed ('deep' was unexpected)\n")
 
 
 class TestModes:
@@ -432,7 +461,9 @@ class TestModes:
         """A machine tied through 1e15 pu has a modal frequency of 2e-7 rad/s."""
         path = write_json(tmp_path / "loose.json", self._twins(1e15))
         code, _, err = run(capsys, "modes", "--system", str(path))
-        assert code == 1 and "zero (or negative) modal frequency" in err
+        head, sigma_min = err.rsplit(" = ", 1)
+        assert (code, head) == (1, "error: zero (or negative) modal frequency: sigma_min")
+        assert sigma_min.endswith("\n") and float(sigma_min) < 1e-12
 
     def test_repeated_frequency_is_reported(self, capsys, tmp_path):
         path = write_json(tmp_path / "twins.json", self._twins(0.5))
@@ -604,7 +635,8 @@ class TestDeoc:
             "--scenario", str(DATA / "dfec_twomachine.json"),
             "--out", str(tmp_path / "o"),
         )
-        assert code == 2
+        assert (code, err) == (2, "input error: scenario file is not a 'deoc' scenario\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestSystemCache:
@@ -678,7 +710,7 @@ class TestDfec:
         doc["sim"]["horizon"] = 30.0
         scn = write_json(tmp_path / "severe.json", doc)
         code, _, err = run(capsys, "dfec", "simulate", "--scenario", str(scn))
-        assert code == 1
+        assert (code, err) == (1, "loss of synchronism: machine angles separated beyond pi\n")
 
     def test_sweep_writes_scaled_grid(self, capsys, tmp_path, small_dfec_scenario):
         out = tmp_path / "sweep.csv"
@@ -742,8 +774,25 @@ class TestDfec:
         scn = write_json(tmp_path / "overflow.json", doc)
         code, _, err = run(capsys, "dfec", command, "--scenario", str(scn),
                            "--out", str(tmp_path / "out"))
-        assert code == 1
-        assert "state derivative is not finite" in err
+        assert (code, err) == (1, "error: DFEC integration failed: the state derivative is not "
+                                  "finite, so no initial step size exists.\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "optimize"])
+    def test_wrong_scenario_kind_is_input_error(self, capsys, tmp_path, command):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "dfec", command, "--scenario",
+                           str(DATA / "scenario_wscc9.json"), "--out", str(out))
+        assert (code, err) == (2, "input error: scenario file is not a 'dfec' scenario\n")
+        assert not out.exists()
+
+    def test_sweep_without_sweep_section_is_input_error(self, capsys, tmp_path):
+        doc = json.loads((DATA / "dfec_twomachine.json").read_text())
+        del doc["sweep"]
+        scn = write_json(tmp_path / "no_sweep.json", doc)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "dfec", "sweep", "--scenario", str(scn), "--out", str(out))
+        assert (code, err) == (2, "input error: scenario has no 'sweep' section\n")
+        assert not out.exists()
 
     def test_sweep_workers_flag_is_gone(self, capsys, tmp_path, small_dfec_scenario):
         with pytest.raises(SystemExit) as exc:
@@ -794,8 +843,9 @@ class TestDfec:
             scn = write_json(tmp_path / "unsettled.json", doc)
             code, _, err = run(capsys, "dfec", command, "--scenario", str(scn),
                                "--out", str(tmp_path / "out"))
-            assert code == 1
-            assert "the frequency does not settle" in err and "synchronism" not in err
+            run_name = "uncontrolled run: " if command == "optimize" else ""
+            assert (code, err) == (1, f"error: {run_name}the frequency does not settle: no "
+                                      f"stable speed balances the final load\n")
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section,content", [
