@@ -165,12 +165,9 @@ def cmd_dfec_simulate(args) -> int:
         )
     traj = frequency.simulate(scn.model, scn.action, sim)
     if traj.unstable:
-        print("loss of synchronism: machine angles separated beyond pi",
-              file=sys.stderr)
-        return EXIT_NUMERIC
+        raise GridStepError("loss of synchronism: machine angles separated beyond pi")
     if math.isnan(traj.w_ss):
-        print(f"error: {frequency.NO_STEADY_STATE}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise GridStepError(frequency.NO_STEADY_STATE)
     if args.out is not None:
         _dfec_trajectory_csv(args.out, traj)
     w_ss, nadir, cost = traj.summary()

@@ -19,10 +19,8 @@ class InputFormatError(GridStepError):
 
 
 class DegenerateSpectrumError(GridStepError):
-    """A zero or negative modal frequency, or an orbit matrix with a
-    non-negligible imaginary part: the closed-form orbit machinery needs
-    real orbit matrices of a spectrum with every frequency above zero
-    (repeated frequencies are fine)."""
+    """A zero or negative modal frequency: the closed-form orbit machinery
+    needs every frequency above zero (repeated frequencies are fine)."""
 
 
 class NoSwitchOpportunityError(GridStepError):

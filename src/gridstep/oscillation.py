@@ -2,14 +2,15 @@
 switch-time search and multi-stage scheduling.
 
 The controller damps swing oscillations by stepping CC injections so the
-equilibrium temporarily shifts from ``x_e`` to ``x_c``. The switch-on instant
-is the root of a closed-form switching function (the orbit around ``x_c``
-through the current state then contains ``x_e``); the switch-off instant is
-the first minimum of the kinetic oscillation energy afterwards, where its
-closed-form rate rises through zero. Both are found by one rule, ``_roots``:
-sign changes on a 1 ms sample grid, each bracket finished by ``_newton``, a
-safeguarded Newton iteration on the exact value and slope of the closed form
-(Press et al., *Numerical Recipes*, 3rd ed., section 9.4, ``rtsafe``).
+equilibrium temporarily shifts from ``x_e`` to ``x_c``, chosen in the pair
+coordinates of ``modal``. The switch-on instant is the root of ``V(x_e) -
+V(x)``, ``V`` the orbit value about ``x_c`` (the orbit around ``x_c`` through
+the current state then contains ``x_e``); the switch-off instant is the first
+minimum of the kinetic oscillation energy afterwards, where its closed-form
+rate rises through zero. Both are found by one rule, ``_roots``: sign changes
+on a 1 ms sample grid, each bracket finished by ``_newton``, a safeguarded
+Newton iteration on the exact value and slope of the closed form (Press et
+al., *Numerical Recipes*, 3rd ed., section 9.4, ``rtsafe``).
 """
 
 from __future__ import annotations
@@ -87,11 +88,11 @@ class DeocSchedule:
 def switching_function(
     basis: ModalBasis, x_e: np.ndarray, x_c: np.ndarray, x: np.ndarray
 ) -> float | np.ndarray:
-    """Closed-form switch-on indicator; its zero marks the switching instant.
-    Takes one ``(2m,)`` state or a ``(k, 2m)`` stack (one value per state)."""
-    shift = x_e - x_c
-    dx = np.asarray(x, dtype=float) - x_c
-    return 2.0 * shift @ basis.d @ shift - ((dx @ basis.g) * dx).sum(-1)
+    """Closed-form switch-on indicator ``V(x_e) - V(x)``, ``V`` the orbit
+    value about ``x_c``: its zero marks the instant from which the orbit
+    about ``x_c`` passes through ``x_e``. Takes one ``(2m,)`` state or a
+    ``(k, 2m)`` stack (one value per state)."""
+    return orbit_value(basis, x_c, x_e) - orbit_value(basis, x_c, x)
 
 
 def oscillation_energy(model: ReducedModel, x: np.ndarray) -> float | np.ndarray:
@@ -151,39 +152,37 @@ def design_dp(
 
 
 def _target_direction(basis, model, x0, target_modes):
-    """Normalized angle-space direction of the targeted modal components."""
-    z = basis.modal_coords(model.x_eq, x0)
-    m = model.n_machines
-    v_full = np.zeros(2 * m)
-    for p in target_modes:
-        v_full += 2.0 * (basis.m[:, 2 * p] * z[2 * p]).real
-    v = v_full[:m]
+    """Normalized angle-space direction of the targeted pairs' part of
+    ``x0 - x_e``."""
+    rows = _pair_rows(target_modes)
+    v = basis.from_pairs[:model.n_machines, rows] @ (basis.pairs[rows] @ (x0 - model.x_eq))
     norm = np.linalg.norm(v)
     if norm < 1e-14:
         return None
     return v / norm
 
 
+def _pair_rows(target_modes):
+    return [i for p in target_modes for i in (2 * p, 2 * p + 1)]
+
+
 def auto_scale(basis, model, x0, target_modes) -> float:
     """Shift magnitude that guarantees a switching-function root.
 
-    A root exists when the targeted pair's modal shift exceeds (half of) the
-    total squared modal excitation divided by the pair amplitude; a factor-2
-    margin is applied.
+    A root exists when the targeted pairs' part of the shift exceeds (half
+    of) the total squared pair amplitude divided by the targeted pairs'
+    amplitude; a factor-2 margin is applied.
     """
-    z = basis.modal_coords(model.x_eq, x0)
-    rho_sq = float(np.abs(z) ** 2 @ np.ones(len(z)))
-    amp = basis.pair_amplitudes(model.x_eq, x0)
-    pair_mag = np.sqrt(sum(amp[p] ** 2 for p in target_modes))
+    y = basis.pairs @ (x0 - model.x_eq)
+    rows = _pair_rows(target_modes)
+    pair_mag = np.linalg.norm(y[rows])
     if pair_mag < 1e-14:
         return 0.0
     v = _target_direction(basis, model, x0, target_modes)
-    w_unit = basis.m_inv @ np.concatenate([v, np.zeros(model.n_machines)])
-    idx = [i for p in target_modes for i in (2 * p, 2 * p + 1)]
-    w_pair = np.linalg.norm(w_unit[idx])
+    w_pair = np.linalg.norm(basis.pairs[rows, :model.n_machines] @ v)
     if w_pair < 1e-14:
         return 0.0
-    return rho_sq / (pair_mag * w_pair)
+    return (y @ y) / (pair_mag * w_pair)
 
 
 def find_switch_on(
@@ -218,10 +217,13 @@ def find_switch_on(
     def h_at(t):
         return switching_function(basis, x_e, x_c, states(t - t0))
 
-    def h_and_slope(t):      # h' = -2 (x - x_c)^T G xdot
+    # h' = 4 sum_i w_i (p_i q_e,i - q_i p_e,i), with (p, q) the pairs of x - x_c
+    # and (p_e, q_e) those of x_e - x_c: one product with a fixed vector.
+    slope = 4.0 * basis.pairs.T @ (basis.pairs @ (basis.a @ (x_e - x_c)))
+
+    def h_and_slope(t):
         x = states(t - t0)
-        return (switching_function(basis, x_e, x_c, x),
-                -2.0 * ((x - x_c) @ basis.g) @ (basis.a @ (x - x_e)))
+        return switching_function(basis, x_e, x_c, x), (x - x_c) @ slope
 
     ts = np.arange(max(t_arm, t0), t_max + 0.5 * SAMPLE_DT, SAMPLE_DT)
     hs = np.empty(len(ts))

@@ -179,40 +179,30 @@ def scenario_kind(doc) -> str:
     return kind
 
 
-def _int(value):
-    """An ``integer`` field as ``int``: JSON Schema also admits ``1.0``."""
-    return None if value is None else int(value)
-
-
 def deoc_scenario_from_dict(doc: dict) -> DeocScenario:
+    """The scenario of a DEOC document; a key the document does not hold
+    takes the dataclass default. ``integer`` fields are converted with
+    ``int``: JSON Schema also admits ``1.0``."""
     validate(doc, DEOC_SCENARIO_SCHEMA)
-    d = doc["disturbance"]
-    dist = Disturbance(
-        kind=d["kind"],
-        x0=np.asarray(d["x0"], dtype=float) if d.get("x0") is not None else None,
-        t0=d.get("t0", 0.0),
-        bus=_int(d.get("bus")),
-        magnitude=d.get("magnitude", 0.0),
-        start=d.get("start", 0.0),
-        duration=d.get("duration", 0.0),
-    )
+    dist = dict(doc["disturbance"])
+    if "x0" in dist:
+        dist["x0"] = np.asarray(dist["x0"], dtype=float)
+    if "bus" in dist:
+        dist["bus"] = int(dist["bus"])
+    disturbance = Disturbance(**dist)
     targets = doc.get("targets")
     overrides = doc.get("dp_overrides_mw")
     if overrides is not None and targets is not None and len(overrides) != len(targets):
         raise ModelError("dp_overrides_mw must have one entry per target")
-    return DeocScenario(
-        disturbance=dist,
-        t_end=doc["t_end"],
-        dt_out=doc.get("dt_out", 0.005),
-        stage_window=doc.get("stage_window", 10.0),
-        targets=tuple(map(_int, targets)) if targets is not None else None,
-        n_targets=_int(doc.get("n_targets", 2)),
-        scale=doc.get("scale"),
-        dp_overrides_mw=tuple(tuple(v) if v is not None else None for v in overrides)
-        if overrides is not None
-        else None,
-        name=doc.get("name", ""),
-    )
+    fields = {key: doc[key] for key in ("t_end", "dt_out", "stage_window", "scale", "name")
+              if key in doc}
+    if targets is not None:
+        fields["targets"] = tuple(map(int, targets))
+    if "n_targets" in doc:
+        fields["n_targets"] = int(doc["n_targets"])
+    if overrides is not None:
+        fields["dp_overrides_mw"] = tuple(None if v is None else tuple(v) for v in overrides)
+    return DeocScenario(disturbance=disturbance, **fields)
 
 
 def _axis(spec: dict) -> np.ndarray:
@@ -220,23 +210,24 @@ def _axis(spec: dict) -> np.ndarray:
 
 
 def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
+    """The scenario of a DFEC document; a key the document does not hold
+    takes the dataclass default."""
     validate(doc, DFEC_SCENARIO_SCHEMA)
     gov = GovernorParams(**doc["governor"])
-    model = TwoMachineModel(gov=gov, **doc["model"])
-    sim = SimOptions(**doc.get("sim", {}))
-    bounds = ActionBounds(**doc.get("bounds", {}))
-    action = DfecAction(**doc["action"]) if "action" in doc else None
-    opt = doc.get("optimize", {})
-    grid_starts = _int(opt.get("grid_starts", 5))
-    if grid_starts**3 > MAX_SAMPLES:
-        raise DimensionError(f"optimize.grid_starts = {grid_starts} gives {grid_starts}^3 "
-                             f"starts, more than {MAX_SAMPLES}")
-    sweep = doc.get("sweep", {})
-    if sweep and sweep["t_on"]["count"] * sweep["t_off"]["count"] > MAX_SAMPLES:
-        raise DimensionError(f"sweep.t_on.count x sweep.t_off.count gives more than "
-                             f"{MAX_SAMPLES} cells")
-    sweep_t_on = sweep_t_off = None
-    if sweep:
+    fields = dict(model=TwoMachineModel(gov=gov, **doc["model"]),
+                  sim=SimOptions(**doc.get("sim", {})),
+                  bounds=ActionBounds(**doc.get("bounds", {})))
+    if "action" in doc:
+        fields["action"] = DfecAction(**doc["action"])
+    fields.update((key, int(value)) for key, value in doc.get("optimize", {}).items())
+    if fields.get("grid_starts", 0) ** 3 > MAX_SAMPLES:
+        raise DimensionError(f"optimize.grid_starts = {fields['grid_starts']} gives "
+                             f"{fields['grid_starts']}^3 starts, more than {MAX_SAMPLES}")
+    sweep = doc.get("sweep")
+    if sweep is not None:
+        if sweep["t_on"]["count"] * sweep["t_off"]["count"] > MAX_SAMPLES:
+            raise DimensionError(f"sweep.t_on.count x sweep.t_off.count gives more than "
+                                 f"{MAX_SAMPLES} cells")
         sweep_t_on, sweep_t_off = _axis(sweep["t_on"]), _axis(sweep["t_off"])
         if sweep_t_on.min() < 0.0:
             raise DimensionError(f"sweep.t_on must be >= 0: its earliest value is "
@@ -245,18 +236,10 @@ def dfec_scenario_from_dict(doc: dict) -> DfecScenario:
             raise DimensionError(f"no sweep cell has t_on < t_off: the earliest sweep.t_on "
                                  f"is {sweep_t_on.min():g} s, the latest sweep.t_off "
                                  f"{sweep_t_off.max():g} s")
-    return DfecScenario(
-        model=model,
-        sim=sim,
-        bounds=bounds,
-        action=action,
-        grid_starts=grid_starts,
-        refine_starts=_int(opt.get("refine_starts", 3)),
-        sweep_dp=sweep.get("dp", 0.1),
-        sweep_t_on=sweep_t_on,
-        sweep_t_off=sweep_t_off,
-        name=doc.get("name", ""),
-    )
+        fields.update(sweep_dp=sweep["dp"], sweep_t_on=sweep_t_on, sweep_t_off=sweep_t_off)
+    if "name" in doc:
+        fields["name"] = doc["name"]
+    return DfecScenario(**fields)
 
 
 def load_scenario(path):

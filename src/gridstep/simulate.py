@@ -120,7 +120,9 @@ def _injection_column(model: ReducedModel, bus: int) -> np.ndarray:
 
 
 def _segments(model, schedule: DeocSchedule, t0: float, t_end: float):
-    """(t_start, center, stage_id) pieces covering [t0, t_end]."""
+    """``(t_start, center, stage_id, x_h)`` pieces covering ``[t0, t_end]``;
+    ``x_h`` is the ``x_c`` of the ``h`` column: the active stage's, else the
+    next stage's, else ``None``."""
     if t_end < t0:
         raise ScheduleError(f"t_end = {t_end:.6g} s is before the disturbance ends at {t0:.6g} s")
     stages = schedule.stages  # ordered and disjoint (DeocSchedule checks)
@@ -130,9 +132,10 @@ def _segments(model, schedule: DeocSchedule, t0: float, t_end: float):
     if stages and stages[-1].t_off > t_end + 1e-9:
         raise ScheduleError(
             f"schedule ends at {stages[-1].t_off:.6g} s, after t_end = {t_end:.6g} s")
-    segs = [(t0, model.x_eq, -1)]
+    x_cs = [st.x_c for st in stages] + [None]
+    segs = [(t0, model.x_eq, -1, x_cs[0])]
     for k, st in enumerate(stages):
-        segs += [(st.t_on, st.x_c, k), (st.t_off, model.x_eq, -1)]
+        segs += [(st.t_on, st.x_c, k, st.x_c), (st.t_off, model.x_eq, -1, x_cs[k + 1])]
     return segs
 
 
@@ -164,10 +167,10 @@ def simulate_deoc(
     events.append((t0, "fault-clear"))
 
     x_seg = x0
-    for si, (t_start, center, stage_id) in enumerate(segs):
+    for si, (t_start, center, stage_id, x_h) in enumerate(segs):
         if si > 0:
             # advance the running state exactly to this segment boundary
-            prev_start, prev_center, prev_id = segs[si - 1]
+            prev_start, prev_center = segs[si - 1][:2]
             x_seg = propagate(basis, prev_center, x_seg, t_start - prev_start)
             events.append((t_start, "switch-on" if stage_id >= 0 else "switch-off"))
         t_next = segs[si + 1][0] if si + 1 < len(segs) else np.inf
@@ -176,9 +179,8 @@ def simulate_deoc(
         samples[mask] = xs
         orbit[mask] = orbit_value(basis, center, xs)
         stage_ids[mask] = stage_id
-        xc_for_h = _h_reference(schedule, stage_id, t_start)
-        if xc_for_h is not None:
-            h_vals[mask] = switching_function(basis, model.x_eq, xc_for_h, xs)
+        if x_h is not None:
+            h_vals[mask] = switching_function(basis, model.x_eq, x_h, xs)
 
     ek = oscillation_energy(model, samples)
     events.sort(key=lambda ev: ev[0])
@@ -193,12 +195,3 @@ def simulate_deoc(
         machine_buses=model.machine_buses,
     )
 
-
-def _h_reference(schedule: DeocSchedule, stage_id: int, t_start: float):
-    """x_c used for the h diagnostic: active stage, else next upcoming stage."""
-    if stage_id >= 0:
-        return schedule.stages[stage_id].x_c
-    for st in schedule.stages:
-        if st.t_on >= t_start - 1e-12:
-            return st.x_c
-    return None

@@ -3,8 +3,8 @@
 The numerical oracle is ``scipy.integrate.solve_ivp`` run piece by piece, a
 fresh solver for each continuous piece that restarts from the previous
 solver's state at the break. Tests check the closed-form DEOC propagation and
-both DFEC steppers against it, and the real-form ``modal.orbit`` and
-``modal.propagate`` against the complex modal form they replaced.
+both DFEC steppers against it, and the pair coordinates of ``modal`` against
+the complex modal form of ``np.linalg.eig``.
 ``list_rows`` is the DFEC float stepper written over 9-element lists, the
 bit-for-bit reference of the package's straight-line
 ``frequency._dense_rows``. The reference writers are the
@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from array import array
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,14 +30,28 @@ from gridstep.frequency import (
     _output_grid, _sample_range, _settled, dfec_dynamics)
 
 
+def complex_form(basis):
+    """The complex modal form of ``basis.a``, from ``np.linalg.eig`` with its
+    unit-norm eigenvector columns ``M``: the eigenvalues, ``M``, ``M^-1``,
+    ``D = Re(M^-H M^-1)``, ``E = Re(M^-H |Λ|^-2 M^-1)`` and the switching
+    function's form ``G = D + A^T E A = 2 D``. Where frequencies repeat, the
+    eigenbasis (and so ``D``) is not unique."""
+    lam, m = np.linalg.eig(basis.a)
+    m_inv = np.linalg.inv(m)
+    d = (m_inv.conj().T @ m_inv).real
+    e = (m_inv.conj().T @ (m_inv / np.abs(lam)[:, None] ** 2)).real
+    return SimpleNamespace(eigenvalues=lam, m=m, m_inv=m_inv, d=d, e=e, g=2.0 * d)
+
+
 def orbit(basis, center, x_start):
     """``modal.orbit`` in complex modal form: the evaluator of
     ``c + Re(M e^(Λ dt) M^-1 (x_start - c))``, one or many offsets."""
-    z = basis.m_inv @ (np.asarray(x_start, dtype=float) - center)
+    form = complex_form(basis)
+    z = form.m_inv @ (np.asarray(x_start, dtype=float) - center)
 
     def states(dt):
-        phases = np.exp(np.multiply.outer(dt, basis.eigenvalues)) * z
-        return (phases @ basis.m.T).real + center
+        phases = np.exp(np.multiply.outer(dt, form.eigenvalues)) * z
+        return (phases @ form.m.T).real + center
 
     return states
 
@@ -44,6 +59,15 @@ def orbit(basis, center, x_start):
 def propagate(basis, center, x_start, dt):
     """``modal.propagate`` in complex modal form, one or many offsets."""
     return orbit(basis, center, x_start)(dt)
+
+
+def orbit_value(basis, center, x):
+    """``modal.orbit_value`` in complex modal form, ``dx^T D dx + xdot^T E
+    xdot`` with ``xdot = A dx``, one state or a stack."""
+    form = complex_form(basis)
+    dx = np.asarray(x, dtype=float) - center
+    xdot = dx @ basis.a.T
+    return ((dx @ form.d) * dx).sum(-1) + ((xdot @ form.e) * xdot).sum(-1)
 
 
 def piecewise(pieces, y0, t_grid, method, rtol, atol):

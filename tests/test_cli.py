@@ -682,7 +682,7 @@ class TestSystemCache:
         assert cli._system(DATA / "wscc9.json")[2] is basis
         arrays = [value for obj in (model, basis, *basis.modes)
                   for value in vars(obj).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 9 + 8 + len(basis.modes)   # model, basis, one per mode
+        assert len(arrays) == 9 + 4 + len(basis.modes)   # model, basis, one per mode
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -710,7 +710,7 @@ class TestDfec:
         doc["sim"]["horizon"] = 30.0
         scn = write_json(tmp_path / "severe.json", doc)
         code, _, err = run(capsys, "dfec", "simulate", "--scenario", str(scn))
-        assert (code, err) == (1, "loss of synchronism: machine angles separated beyond pi\n")
+        assert (code, err) == (1, "error: loss of synchronism: machine angles separated beyond pi\n")
 
     def test_sweep_writes_scaled_grid(self, capsys, tmp_path, small_dfec_scenario):
         out = tmp_path / "sweep.csv"

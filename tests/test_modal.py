@@ -19,6 +19,14 @@ import oracle
 SMIB_FREQ = math.sqrt(120.0 * math.pi * 2.0 / 7.0)  # sqrt(w_s b / 2H), H=3.5, b=2
 
 
+def _generator(omega):
+    """The block rotation generator ``[[0, w_i], [-w_i, 0]]`` of the pairs."""
+    g = np.zeros((2 * len(omega), 2 * len(omega)))
+    g[0::2, 1::2] = np.diag(omega)
+    g[1::2, 0::2] = -np.diag(omega)
+    return g
+
+
 def _two_smib_grid(h2=1.0, x2=0.3):
     """Two machines tied only to the infinite bus: decoupled SMIB pair."""
     return GridSystem(
@@ -40,18 +48,23 @@ class TestAnalyze:
         assert smib_basis.modes[0].frequency == pytest.approx(SMIB_FREQ, rel=1e-12)
 
     def test_eigenvalues_purely_imaginary_conjugate_pairs(self, wscc9_basis):
-        lam = wscc9_basis.eigenvalues
+        # The spectrum of the state matrix is +-j times the pair frequencies.
+        lam = oracle.complex_form(wscc9_basis).eigenvalues
         assert np.abs(lam.real).max() < 1e-8 * np.abs(lam).max()
-        assert lam[0::2] == pytest.approx(-lam[1::2])
+        assert lam[0::2] == pytest.approx(lam[1::2].conj())
+        assert np.sort(lam.imag[lam.imag > 0.0]) == pytest.approx(wscc9_basis.omega, rel=1e-12)
 
     def test_eigen_residual(self, wscc9_basis):
+        # In pair coordinates the state matrix is the block rotation generator.
         b = wscc9_basis
-        res = np.abs(b.a @ b.m - b.m * b.eigenvalues[None, :]).max()
+        res = np.abs(b.pairs @ b.a @ b.from_pairs - _generator(b.omega)).max()
         assert res < 1e-9 * np.abs(b.a).max()
 
     def test_d_e_positive_definite(self, wscc9_basis):
-        np.linalg.cholesky(wscc9_basis.d)
-        np.linalg.cholesky(wscc9_basis.e)
+        form = oracle.complex_form(wscc9_basis)
+        np.linalg.cholesky(form.d)
+        np.linalg.cholesky(form.e)
+        np.linalg.cholesky(wscc9_basis.pairs.T @ wscc9_basis.pairs)
 
     def test_decoupled_pair_is_union_of_smib_modes(self):
         model = build_reduced_model(_two_smib_grid())
@@ -61,11 +74,13 @@ class TestAnalyze:
         assert freqs == pytest.approx(sorted([f1, f2]), rel=1e-10)
 
     def test_repeated_frequency_accepted(self, twin_model, twin_basis):
-        """Two identical machines share one frequency; the basis still
-        diagonalizes the state matrix and conserves the orbit value."""
+        """Two identical machines share one frequency; the basis still turns
+        each pair at it and conserves the orbit value (the complex eigenbasis
+        of a repeated frequency is not unique, so no oracle form is used)."""
         b, x_e = twin_basis, twin_model.x_eq
         assert b.omega == pytest.approx([SMIB_FREQ] * 2, rel=1e-12)
-        assert np.abs(b.a @ b.m - b.m * b.eigenvalues).max() < 1e-9 * np.abs(b.a).max()
+        res = np.abs(b.pairs @ b.a @ b.from_pairs - _generator(b.omega)).max()
+        assert res < 1e-9 * np.abs(b.a).max()
         x0 = x_e + np.array([0.05, -0.03, 0.002, 0.001])
         v = orbit_value(b, x_e, propagate(b, x_e, x0, np.linspace(0.0, 10.0, 101)))
         assert v == pytest.approx(orbit_value(b, x_e, x0), rel=1e-12)
@@ -77,8 +92,10 @@ class TestAnalyze:
 
     def test_deterministic_bit_identical(self, wscc9_model):
         b1, b2 = analyze(wscc9_model), analyze(wscc9_model)
-        for name in ("m", "m_inv", "eigenvalues", "d", "e"):
+        for name in ("omega", "pairs", "from_pairs"):
             assert getattr(b1, name).tobytes() == getattr(b2, name).tobytes()
+        for m1, m2 in zip(b1.modes, b2.modes):
+            assert m1.participation.tobytes() == m2.participation.tobytes()
 
     def test_participation_sums_to_one(self, ieee39_basis):
         for mode in ieee39_basis.modes:
@@ -89,6 +106,37 @@ class TestAnalyze:
         rep = modal_report(wscc9_model, wscc9_basis)
         assert len(rep["modes"]) == 2
         assert rep["machine_buses"] == [2, 3]
+
+
+@pytest.mark.parametrize("system", ["smib_cc", "wscc9", "ieee39"])
+class TestPairCoordinates:
+    """``pairs`` inverts ``from_pairs``, turns the state matrix into the
+    block rotation generator, and gives the complex form's ``D`` (from
+    ``np.linalg.eig``, unit-norm eigenvectors) as ``pairs^T pairs``."""
+
+    def _basis(self, request, system):
+        return request.getfixturevalue(f"{system}_basis")
+
+    def test_from_pairs_inverts_pairs(self, request, system):
+        b = self._basis(request, system)
+        assert np.abs(b.pairs @ b.from_pairs - np.eye(b.n_states)).max() <= 1e-14
+
+    def test_state_matrix_is_the_rotation_generator(self, request, system):
+        b = self._basis(request, system)
+        g = _generator(b.omega)
+        assert np.abs(b.pairs @ b.a @ b.from_pairs - g).max() <= 1e-14 * np.abs(g).max()
+
+    def test_complex_form_d_is_pairs_gram(self, request, system):
+        b = self._basis(request, system)
+        d = oracle.complex_form(b).d
+        assert np.abs(d - b.pairs.T @ b.pairs).max() <= 1e-12 * np.abs(d).max()
+
+    def test_orbit_value_is_complex_form(self, request, system):
+        b = self._basis(request, system)
+        rng = np.random.default_rng(5)
+        center, xs = rng.normal(size=b.n_states), rng.normal(size=(4, b.n_states))
+        expected = oracle.orbit_value(b, center, xs)
+        assert np.abs(orbit_value(b, center, xs) - expected).max() <= 1e-12 * expected.max()
 
 
 class TestPropagate:
@@ -107,11 +155,12 @@ class TestPropagate:
         assert np.abs(x - x0).max() < 1e-9
 
     def test_modal_coordinate_norm_invariant(self, wscc9_basis, wscc9_model):
+        # Each pair keeps its amplitude along the orbit.
         x0 = wscc9_model.x_eq + np.array([0.05, -0.02, 0.001, 0.0005])
-        n0 = np.linalg.norm(wscc9_basis.m_inv @ (x0 - wscc9_model.x_eq))
-        xs = propagate(wscc9_basis, wscc9_model.x_eq, x0, np.array([0.3, 1.1, 7.7]))
-        n = np.linalg.norm((xs - wscc9_model.x_eq) @ wscc9_basis.m_inv.T, axis=1)
-        assert n == pytest.approx(n0, rel=1e-9)
+        n0 = wscc9_basis.pair_amplitudes(wscc9_model.x_eq, x0)
+        for x in propagate(wscc9_basis, wscc9_model.x_eq, x0, np.array([0.3, 1.1, 7.7])):
+            n = wscc9_basis.pair_amplitudes(wscc9_model.x_eq, x)
+            assert n == pytest.approx(n0, rel=1e-9)
 
     def test_batch_matches_scalar(self, wscc9_basis, wscc9_model):
         # A stack of offsets gives the states reached by single-offset steps.
@@ -150,7 +199,8 @@ class TestOrbitValue:
         dx = np.array([0.05, -0.02, 0.001, 0.0005])
         x0 = wscc9_model.x_eq + dx
         val = orbit_value(wscc9_basis, wscc9_model.x_eq, x0)
-        assert val == pytest.approx(2.0 * dx @ wscc9_basis.d @ dx, rel=1e-9)
+        d = oracle.complex_form(wscc9_basis).d
+        assert val == pytest.approx(2.0 * dx @ d @ dx, rel=1e-9)
 
     @pytest.mark.parametrize("shape", [(3,), (5, 3)])
     def test_wrong_state_length_rejected(self, wscc9_basis, wscc9_model, shape):
@@ -168,7 +218,8 @@ class TestOrbitValue:
         # A stack gives each state's quadratic form 2 dx^T D dx.
         dxs = 0.01 * np.random.default_rng(0).normal(size=(5, 4))
         vals = orbit_value(wscc9_basis, wscc9_model.x_eq, wscc9_model.x_eq + dxs)
-        expected = [2.0 * dx @ wscc9_basis.d @ dx for dx in dxs]
+        d = oracle.complex_form(wscc9_basis).d
+        expected = [2.0 * dx @ d @ dx for dx in dxs]
         assert vals == pytest.approx(expected, rel=1e-9)
 
 

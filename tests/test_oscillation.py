@@ -47,7 +47,7 @@ class TestSwitchingFunction:
         x_e = smib_cc_model.x_eq
         x_c = equilibrium_shifted(smib_cc_model, np.array([0.1]))
         shift = x_e - x_c
-        expected = 2.0 * shift @ smib_cc_basis.d @ shift
+        expected = 2.0 * shift @ oracle.complex_form(smib_cc_basis).d @ shift
         assert expected > 0.0
         assert switching_function(smib_cc_basis, x_e, x_c, x_c) == pytest.approx(expected)
 
@@ -450,13 +450,13 @@ def _landings(basis, model, x0, t0, schedule):
     ``h`` and ``t_off`` from the root of ``dEk/dt``, in seconds (value over
     slope, the slopes written out from the state matrix), and the slope of
     ``dEk/dt`` at ``t_off``."""
-    m, b = model.n_machines, model.b_red
+    m, b, g = model.n_machines, model.b_red, oracle.complex_form(basis).g
     out = []
     for st in schedule.stages:
         x_on = propagate(basis, model.x_eq, x0, st.t_on - t0)
         dx = x_on - st.x_c
         h = switching_function(basis, model.x_eq, st.x_c, x_on)
-        h_slope = -2.0 * (dx @ basis.g) @ (basis.a @ (x_on - model.x_eq))
+        h_slope = -2.0 * (dx @ g) @ (basis.a @ (x_on - model.x_eq))
         x0, t0 = propagate(basis, st.x_c, x_on, st.t_off - st.t_on), st.t_off
         dx, xdot = x0 - st.x_c, basis.a @ (x0 - st.x_c)
         rate = oscillation.energy_rate(model, st.x_c, x0)
