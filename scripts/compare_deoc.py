@@ -46,9 +46,12 @@ Each side also costs one action (or none) on each of a seeded set of
 random models around the bundled one: governor lags x0.3-3, ``k1``
 x0.5-2, ``p_max`` and ``p_min`` 0.05-0.6 pu from the load, ``h`` 0.5-8 s,
 ``d`` 0-4, ``x`` 0.2-0.6, load step 0.05-0.5 pu, ``dp`` up to 0.3 and a
-40 or 100 s horizon. The report lists each cost, steady speed, nadir, dip
-or sweep cell whose float differs from the parent's, bit for bit (no CLI
-output prints the dips), and per side the accepted last-piece steps of the
+40 or 100 s horizon, and records the SHA-256 of its last piece's
+``_settling`` (``inv_v``, ``weights``, ``fastest`` and both rooms), so a
+change to the stop certificate's inputs shows where no cost moves. The
+report lists each cost, steady speed, nadir, dip, sweep cell or fingerprint
+that differs from the parent's, bit for bit (no CLI output prints the
+dips), and per side the accepted last-piece steps of the
 cost runs and of the sweep: the lanes ``_settled`` is asked about, counted
 by wrapping it in the worker. The exit code is 1 when any float differs or
 does not repeat.
@@ -196,6 +199,12 @@ def cost_record(cmd: dict) -> dict:
     def summary_hex(run):
         return [float(v).hex() for v in (*run[:3], *run[3])]
 
+    def settling_sha256(model, action, opts):
+        s = fq._settling(model, *fq._pieces(model, action, opts)[-1][2:])
+        parts = [float(v).hex() for v in (s.fastest, s.angle_room, s.command_room)]
+        parts += ["None" if a is None else a.tobytes().hex() for a in (s.inv_v, s.weights)]
+        return hashlib.sha256(" ".join(parts).encode()).hexdigest()
+
     scn = load_scenario(Path(cmd["scenario"]))
     values = {}
     with counting_settled(fq) as counter:
@@ -204,8 +213,11 @@ def cost_record(cmd: dict) -> dict:
                 model = replace(scn.model, gov=replace(scn.model.gov, **spec["governor"]),
                                 **spec["model"])
                 action = None if spec["action"] is None else fq.DfecAction(*spec["action"])
-                run = fq.nadir_cost(model, action, replace(scn.sim, **spec["sim"]), summary=True)
+                opts = replace(scn.sim, **spec["sim"])
+                run = fq.nadir_cost(model, action, opts, summary=True)
                 values[f"model {k} {spec['action']}: w_ss, nadir, cost, dips"] = summary_hex(run)
+                values[f"model {k} {spec['action']}: last piece's _settling SHA-256"] = [
+                    settling_sha256(model, action, opts)]
             steps = {"costs": counter["steps"]}
         else:
             opts, shared = replace(scn.sim, **cmd["sim"]), {}

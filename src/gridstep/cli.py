@@ -103,7 +103,6 @@ def cmd_deoc(args) -> int:
     schedule = build_schedule(
         basis, model, x0, t0, targets,
         dp_overrides=scn.dp_overrides_pu(model.base_mva),
-        scale=scn.scale,
         stage_window=scn.stage_window,
     )
 

@@ -14,6 +14,7 @@ the phenomenon of interest is governed by the swing and governor dynamics.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import math
 from array import array
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .derivative import value_and_slope
 from .errors import DimensionError, OptimizationError, StiffnessError
 from .fileio import require_grid
 
@@ -254,27 +256,20 @@ class _Settling:
     command_room: float = 0.0
 
 
-def _jacobian(model: TwoMachineModel, angle: float, slope: float) -> np.ndarray:
-    """Jacobian of ``dfec_dynamics`` in the reduced state at the angle
-    difference ``angle``, with the governor limiter's slope ``slope`` (1
-    inside the limits, 0 beyond one); the rest of it is constant."""
-    g = model.gov
-    ws, h1_2, h2_2 = model.omega_s, 2.0 * model.h1, 2.0 * model.h2
-    sync = model.p_sync * math.cos(angle)
-    t2_over_t1 = g.t2 / g.t1
-    blend = (1.0 - g.k2, g.k2 * (1.0 - g.k3), g.k2 * g.k3)
-    jac = np.zeros((8, 8))
-    jac[0, 1], jac[0, 2] = ws, -ws
-    jac[1, 0], jac[1, 1] = -sync / h1_2, -model.d1 / h1_2
-    jac[1, 5:] = [b / h1_2 for b in blend]
-    jac[2, 0], jac[2, 2] = sync / h2_2, -model.d2 / h2_2
-    jac[3, 1], jac[3, 3] = 1.0 / g.t1, -1.0 / g.t1
-    jac[4, 1], jac[4, 3] = g.k1 * t2_over_t1 / g.t3, g.k1 * (1.0 - t2_over_t1) / g.t3
-    jac[4, 4] = -1.0 / g.t3
-    jac[5, 4], jac[5, 5] = -slope / g.t4, -1.0 / g.t4
-    jac[6, 5], jac[6, 6] = 1.0 / g.t5, -1.0 / g.t5
-    jac[7, 6], jac[7, 7] = 1.0 / g.t6, -1.0 / g.t6
-    return jac
+def _jacobian(model: TwoMachineModel, dp_active: float, p_motor: float, y) -> np.ndarray:
+    """Jacobian of ``dfec_dynamics`` in the reduced state at the state ``y``
+    (9 floats), one complex step per reduced coordinate (the angle difference
+    steps ``d1``). The limiter compares real parts, so its slope comes out 1
+    inside the governor limits and 0 on or beyond one."""
+    rhs = dfec_dynamics(model, dp_active, p_motor, cmath.sin,
+                        lambda a, b: a if a.real > b.real else b,
+                        lambda a, b: a if a.real < b.real else b)
+
+    def rate(k, v):     # the reduced state's rates with y[k] set to v
+        r = rhs(*y[:k], v, *y[k + 1:])
+        return np.array([r[0] - r[2], r[1], *r[3:]])
+
+    return np.column_stack([value_and_slope(lambda v: rate(k, v), y[k])[1] for k in _REDUCED])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -291,12 +286,14 @@ def _settling(model: TwoMachineModel, dp_active: float, p_motor: float) -> _Sett
     if not g.p_min <= command <= g.p_max:
         if damping == 0.0:
             return _Settling(math.nan)
-        u = (min(max(command, g.p_min), g.p_max) + surplus) / damping
+        command = min(max(command, g.p_min), g.p_max)
+        u = (command + surplus) / damping
     load = (p_motor + model.d2 * u) / model.p_sync   # sin of the angle difference
     if not -1.0 < load < 1.0:
         return _Settling(math.nan)
     angle = math.asin(load)
-    jac = _jacobian(model, angle, 1.0 if inside else 0.0)
+    y_eq = (angle, 1.0 + u, 0.0, 1.0 + u, u, g.k1 * u, command, command, command)
+    jac = _jacobian(model, dp_active, p_motor, y_eq)
     if not np.isfinite(jac).all():
         return _Settling(math.nan)
     try:
@@ -308,9 +305,9 @@ def _settling(model: TwoMachineModel, dp_active: float, p_motor: float) -> _Sett
         return _Settling(math.nan, fastest)
     if not inside or not np.linalg.cond(v) <= _MAX_MODE_COND:
         return _Settling(1.0 + u, fastest)
-    z_eq = np.array([angle, 1.0 + u, 1.0 + u, u, g.k1 * u, command, command, command])
-    return _Settling(1.0 + u, fastest, z_eq, np.linalg.inv(v), np.abs(_WATCHED @ v),
-                     _ANGLE_SLIP - abs(angle), min(command - g.p_min, g.p_max - command))
+    return _Settling(1.0 + u, fastest, np.array(y_eq)[_REDUCED], np.linalg.inv(v),
+                     np.abs(_WATCHED @ v), _ANGLE_SLIP - abs(angle),
+                     min(command - g.p_min, g.p_max - command))
 
 
 def _require_steps(settling: _Settling, opts: SimOptions) -> None:
@@ -1167,13 +1164,16 @@ def _trust_region(nonlinear, surrogate, x, run, lower, upper):
     return x, run
 
 
+GRID_STARTS, REFINE_STARTS = 5, 3     # the optimizer's default starts: 5^3, 3 descended
+
+
 def optimize_action(
     model: TwoMachineModel,
     bounds: ActionBounds,
     opts: SimOptions,
     initial_guess: DfecAction | None = None,
-    grid_starts: int = 5,
-    refine_starts: int = 3,
+    grid_starts: int = GRID_STARTS,
+    refine_starts: int = REFINE_STARTS,
 ) -> DfecResult:
     """Derivative-free search for the best injection block.
 

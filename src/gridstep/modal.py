@@ -129,7 +129,7 @@ def orbit_value(basis: ModalBasis, center: np.ndarray, x: np.ndarray) -> float |
     """Conserved orbit value ``2 |pairs (x - c)|^2``, twice the squared pair
     amplitudes about ``center`` summed. Takes one ``(2m,)`` state or a ``(k,
     2m)`` stack (one value per state)."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.shape[-1:] != (basis.n_states,):
         raise DimensionError(f"state has shape {x.shape}, expected (..., {basis.n_states})")
     y = (x - center) @ basis.pairs.T

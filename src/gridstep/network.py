@@ -264,12 +264,9 @@ def build_reduced_model(sys: GridSystem) -> ReducedModel:
         b_red = b_gg
     b_red = 0.5 * (b_red + b_red.T)  # symmetrize round-off
 
-    # Bus id per eliminated node (internal machine nodes of non-infinite
-    # machines never land here; the infinite machine's terminal can).
-    elim_keep_idx = [keep[p] for p in elim]
-    load_buses = tuple(
-        nodes[k][1] if isinstance(nodes[k], tuple) else nodes[k] for k in elim_keep_idx
-    )
+    # Bus id per eliminated node: an internal node is a machine's or the
+    # grounded infinite bus's, so every eliminated node is a bus.
+    load_buses = tuple(nodes[keep[p]] for p in elim)
     load_pos = {bus: p for p, bus in enumerate(load_buses)}
 
     m = len(mach)

@@ -9,8 +9,9 @@ the current state then contains ``x_e``); the switch-off instant is the first
 minimum of the kinetic oscillation energy afterwards, where its closed-form
 rate rises through zero. Both are found by one rule, ``_roots``: sign changes
 on a 1 ms sample grid, each bracket finished by ``_newton``, a safeguarded
-Newton iteration on the exact value and slope of the closed form (Press et
-al., *Numerical Recipes*, 3rd ed., section 9.4, ``rtsafe``).
+Newton iteration (Press et al., *Numerical Recipes*, 3rd ed., section 9.4,
+``rtsafe``) on the closed form's value and slope, both read off one complex
+step through the function itself.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .derivative import value_and_slope
 from .errors import (
     DimensionError,
     MaxWindowWarning,
@@ -108,7 +110,7 @@ def energy_rate(model: ReducedModel, x_c: np.ndarray, x: np.ndarray) -> float | 
     of ``A`` are ``-1/2 H^-1 B``, so this is ``-w_s (w - 1)^T B (delta -
     delta_c)``. Takes one ``(2m,)`` state or a ``(k, 2m)`` stack."""
     m = model.n_machines
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     dw = x[..., m:] - 1.0
     return -model.omega_s * (((x[..., :m] - x_c[:m]) @ model.b_red) * dw).sum(-1)
 
@@ -217,18 +219,10 @@ def find_switch_on(
     def h_at(t):
         return switching_function(basis, x_e, x_c, states(t - t0))
 
-    # h' = 4 sum_i w_i (p_i q_e,i - q_i p_e,i), with (p, q) the pairs of x - x_c
-    # and (p_e, q_e) those of x_e - x_c: one product with a fixed vector.
-    slope = 4.0 * basis.pairs.T @ (basis.pairs @ (basis.a @ (x_e - x_c)))
-
-    def h_and_slope(t):
-        x = states(t - t0)
-        return switching_function(basis, x_e, x_c, x), (x - x_c) @ slope
-
     ts = np.arange(max(t_arm, t0), t_max + 0.5 * SAMPLE_DT, SAMPLE_DT)
     hs = np.empty(len(ts))
     roots_rejected = 0
-    for t_on in _roots(h_at, h_and_slope, ts, hs):
+    for t_on in _roots(h_at, ts, hs):
         x_on = states(t_on - t0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", MaxWindowWarning)
@@ -249,11 +243,11 @@ def find_switch_on(
     )
 
 
-def _roots(func, func_and_slope, ts, values, rising=False):
-    """Roots of ``func``, in order: one per bracket that ``_changes(values,
-    rising)`` marks on ``values = func(ts)``, each finished by ``_newton`` on
-    ``func_and_slope``. ``func`` is evaluated ``SEARCH_BLOCK`` samples at a
-    time, into ``values``, and only as far as the caller keeps iterating:
+def _roots(func, ts, values, rising=False):
+    """Roots of ``func``, a function of time, in order: one per bracket that
+    ``_changes(values, rising)`` marks on ``values = func(ts)``, each finished
+    by ``_newton``. ``func`` is evaluated ``SEARCH_BLOCK`` samples at a time,
+    into ``values``, and only as far as the caller keeps iterating:
     ``values`` is complete once the generator is exhausted."""
     done = marked = 0
     while done < len(ts):
@@ -261,7 +255,7 @@ def _roots(func, func_and_slope, ts, values, rising=False):
         values[done:stop] = func(ts[done:stop])
         done = stop
         for k in marked + np.flatnonzero(_changes(values[marked:done], rising)):
-            yield _newton(func_and_slope, ts[k], ts[k + 1], values[k], values[k + 1])
+            yield _newton(func, ts[k], ts[k + 1], values[k], values[k + 1])
         marked = done - 1
 
 
@@ -276,11 +270,11 @@ def _changes(v, rising=False):
     return (v[:-1] == 0.0) | ((neg[:-1] != neg[1:]) & (v[1:] != 0.0))
 
 
-def _newton(func_and_slope, a, b, f_a, f_b):
+def _newton(func, a, b, f_a, f_b):
     """Root in the bracket ``[a, b]`` that ``_changes`` marks on the samples
-    ``f_a`` and ``f_b`` of a function whose value and slope at one time
-    ``func_and_slope`` returns: ``a`` or ``b`` where that sample is zero, else
-    the root of a safeguarded Newton iteration (``rtsafe``).
+    ``f_a`` and ``f_b`` of ``func``: ``a`` or ``b`` where that sample is zero,
+    else the root of a safeguarded Newton iteration (``rtsafe``) on the value
+    and slope that ``value_and_slope`` reads off ``func`` at each iterate.
 
     The iteration starts at the secant point of the bracket and keeps the
     bracket around the root. It bisects where a step would leave the bracket
@@ -294,7 +288,7 @@ def _newton(func_and_slope, a, b, f_a, f_b):
     a, b, f_a = float(a), float(b), float(f_a)
     t = a - f_a * (b - a) / (float(f_b) - f_a)
     for _ in range(100):
-        f, slope = map(float, func_and_slope(t))
+        f, slope = map(float, value_and_slope(func, t))
         if f == 0.0:
             return t
         if (f < 0.0) == (f_a < 0.0):
@@ -327,20 +321,13 @@ def find_switch_off(
     nowhere before ``t_max``, returns the window end and emits
     :class:`MaxWindowWarning`.
     """
-    m, b = model.n_machines, model.b_red
     states = orbit(basis, x_c, x_on)
 
     def rate_at(t):
         return energy_rate(model, x_c, states(t - t_on))
 
-    def rate_and_slope(t):   # -w_s [xdot_delta^T B (w - 1) + (delta - delta_c)^T B xdot_w]
-        x = states(t - t_on)
-        xdot = basis.a @ (x - x_c)
-        return energy_rate(model, x_c, x), -model.omega_s * (
-            (xdot[:m] @ b) @ (x[m:] - 1.0) + ((x[:m] - x_c[:m]) @ b) @ xdot[m:])
-
     ts = np.arange(t_on, t_max + 0.5 * SAMPLE_DT, SAMPLE_DT)
-    for t_off in _roots(rate_at, rate_and_slope, ts, np.empty(len(ts)), rising=True):
+    for t_off in _roots(rate_at, ts, np.empty(len(ts)), rising=True):
         x_off = states(t_off - t_on)
         return t_off, x_off, oscillation_energy(model, x_off)
 
@@ -365,7 +352,6 @@ def build_schedule(
     t0: float,
     targets,
     dp_overrides=None,
-    scale: float | None = None,
     stage_window: float = 10.0,
 ) -> DeocSchedule:
     """Sequential per-mode schedule: design the injection, find the switch-on
@@ -403,7 +389,7 @@ def build_schedule(
                 raise DimensionError(f"dp_overrides[{k}] shifts the equilibrium so far that "
                                      f"the stage's orbit value is beyond the float range")
         else:
-            s = scale if scale is not None else auto_scale(basis, model, x, pair_targets)
+            s = auto_scale(basis, model, x, pair_targets)
             if s == 0.0:
                 skipped.append((target, "target mode not excited"))
                 continue

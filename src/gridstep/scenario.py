@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionError, ModelError
 from .fileio import MAX_SAMPLES, read_json, require_grid, shown, validate
-from .frequency import ActionBounds, DfecAction, GovernorParams, SimOptions, TwoMachineModel
+from .frequency import (GRID_STARTS, REFINE_STARTS, ActionBounds, DfecAction, GovernorParams,
+                        SimOptions, TwoMachineModel)
 from .oscillation import SAMPLE_DT
 from .simulate import Disturbance
 
@@ -52,7 +53,6 @@ DEOC_SCENARIO_SCHEMA = {
         "stage_window": {"type": "number", "exclusiveMinimum": 0},
         "targets": {"type": "array", "items": {"type": "integer", "minimum": 0}},
         "n_targets": {"type": "integer", "minimum": 1},
-        "scale": {"type": "number"},
         "dp_overrides_mw": {
             "type": "array",
             "items": {"type": ["null", "array"], "items": {"type": "number"}},
@@ -127,7 +127,6 @@ class DeocScenario:
     stage_window: float = 10.0
     targets: tuple[int, ...] | None = None   # None = auto by modal excitation
     n_targets: int = 2
-    scale: float | None = None
     dp_overrides_mw: tuple | None = None     # per-stage vector (MW) or None
     name: str = ""
 
@@ -159,8 +158,8 @@ class DfecScenario:
     sim: SimOptions
     bounds: ActionBounds
     action: DfecAction | None = None
-    grid_starts: int = 5
-    refine_starts: int = 3
+    grid_starts: int = GRID_STARTS
+    refine_starts: int = REFINE_STARTS
     sweep_dp: float = 0.1
     sweep_t_on: np.ndarray | None = None
     sweep_t_off: np.ndarray | None = None
@@ -194,7 +193,7 @@ def deoc_scenario_from_dict(doc: dict) -> DeocScenario:
     overrides = doc.get("dp_overrides_mw")
     if overrides is not None and targets is not None and len(overrides) != len(targets):
         raise ModelError("dp_overrides_mw must have one entry per target")
-    fields = {key: doc[key] for key in ("t_end", "dt_out", "stage_window", "scale", "name")
+    fields = {key: doc[key] for key in ("t_end", "dt_out", "stage_window", "name")
               if key in doc}
     if targets is not None:
         fields["targets"] = tuple(map(int, targets))

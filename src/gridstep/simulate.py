@@ -88,23 +88,27 @@ class Trajectory:
 
 
 def apply_disturbance(model: ReducedModel, basis: ModalBasis, dist: Disturbance):
-    """Resolve a disturbance into the post-disturbance ``(t0, x0)``."""
+    """Resolve a disturbance into the post-disturbance ``(t0, x0)``. The state,
+    its oscillation energy and its orbit value about ``x_e`` (conserved, so it
+    bounds every later state) must be finite, else :class:`DimensionError`."""
     if dist.kind == "initial-state":
         x0 = np.asarray(dist.x0, dtype=float)
         if x0.shape != model.x_eq.shape:
             raise DimensionError(f"x0 has shape {x0.shape}, expected {model.x_eq.shape}")
-        return dist.t0, x0
-
-    col = _injection_column(model, dist.bus)
+        t0, cause = dist.t0, "disturbance.x0"
+    else:
+        col = _injection_column(model, dist.bus)
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta_pulse = model.delta_eq - np.linalg.solve(model.b_red, col * dist.magnitude)
+            center = np.concatenate([delta_pulse, np.ones(model.n_machines)])
+            x0 = propagate(basis, center, model.x_eq, dist.duration)
+        t0, cause = dist.start + dist.duration, f"disturbance.magnitude = {dist.magnitude:g} pu"
     with np.errstate(over="ignore", invalid="ignore"):
-        delta_pulse = model.delta_eq - np.linalg.solve(model.b_red, col * dist.magnitude)
-        center = np.concatenate([delta_pulse, np.ones(model.n_machines)])
-        x0 = propagate(basis, center, model.x_eq, dist.duration)
-        energy = oscillation_energy(model, x0)
-    if not (np.isfinite(x0).all() and np.isfinite(energy)):
-        raise DimensionError(f"disturbance.magnitude = {dist.magnitude:g} pu leaves an "
-                             f"oscillation energy beyond the float range")
-    return dist.start + dist.duration, x0
+        energy, orbit = oscillation_energy(model, x0), orbit_value(basis, model.x_eq, x0)
+    if not (np.isfinite(x0).all() and np.isfinite(energy) and np.isfinite(orbit)):
+        what = "an orbit value" if np.isfinite(energy) else "an oscillation energy"
+        raise DimensionError(f"{cause} leaves {what} beyond the float range")
+    return t0, x0
 
 
 def _injection_column(model: ReducedModel, bus: int) -> np.ndarray:

@@ -106,7 +106,7 @@ def bundled_deoc(request):
     targets = scn.targets
     if targets is None:
         targets = default_targets(basis, model, x0, scn.n_targets)
-    kwargs = dict(dp_overrides=scn.dp_overrides_pu(model.base_mva), scale=scn.scale,
+    kwargs = dict(dp_overrides=scn.dp_overrides_pu(model.base_mva),
                   stage_window=scn.stage_window)
     schedule = build_schedule(basis, model, x0, t0, targets, **kwargs)
     return SimpleNamespace(name=name, model=model, basis=basis, scn=scn, t0=t0, x0=x0,

@@ -127,6 +127,49 @@ def nadir_cost(model, action, opts) -> float:
     return simulate(model, action, opts).summary()[2]
 
 
+def equilibrium(model, dp_active, p_motor):
+    """The 9-state rest point of a piece with fixed injection and load (``d2``
+    = 0) by ``frequency._settling``'s droop balance, and the governor
+    limiter's slope there (1 strictly inside the limits, else 0); ``None``
+    where no angle carries the load."""
+    g, damping = model.gov, model.d1 + model.d2
+    u = (model.p_set + dp_active - p_motor) / (g.k1 + damping)
+    command = model.p_set - g.k1 * u
+    slope = 1.0 if g.p_min < command < g.p_max else 0.0
+    if not g.p_min <= command <= g.p_max:
+        command = min(max(command, g.p_min), g.p_max)
+        u = (command + dp_active - p_motor) / damping
+    load = (p_motor + model.d2 * u) / model.p_sync
+    if not -1.0 < load < 1.0:
+        return None
+    angle = math.asin(load)
+    return (angle, 1.0 + u, 0.0, 1.0 + u, u, g.k1 * u, command, command, command), slope
+
+
+def jacobian(model, angle, slope):
+    """The Jacobian of ``dfec_dynamics`` in the reduced state ``(d1 - d2, w1,
+    w2, g1, g2, a1, a2, a3)``, written out by hand: the bit-for-bit reference
+    of ``frequency._jacobian``'s complex steps, at the angle difference
+    ``angle`` with the governor limiter's slope ``slope``."""
+    g = model.gov
+    ws, h1_2, h2_2 = model.omega_s, 2.0 * model.h1, 2.0 * model.h2
+    sync = model.p_sync * math.cos(angle)
+    t2_over_t1 = g.t2 / g.t1
+    blend = (1.0 - g.k2, g.k2 * (1.0 - g.k3), g.k2 * g.k3)
+    jac = np.zeros((8, 8))
+    jac[0, 1], jac[0, 2] = ws, -ws
+    jac[1, 0], jac[1, 1] = -sync / h1_2, -model.d1 / h1_2
+    jac[1, 5:] = [b / h1_2 for b in blend]
+    jac[2, 0], jac[2, 2] = sync / h2_2, -model.d2 / h2_2
+    jac[3, 1], jac[3, 3] = 1.0 / g.t1, -1.0 / g.t1
+    jac[4, 1], jac[4, 3] = g.k1 * t2_over_t1 / g.t3, g.k1 * (1.0 - t2_over_t1) / g.t3
+    jac[4, 4] = -1.0 / g.t3
+    jac[5, 4], jac[5, 5] = -slope / g.t4, -1.0 / g.t4
+    jac[6, 5], jac[6, 6] = 1.0 / g.t5, -1.0 / g.t5
+    jac[7, 6], jac[7, 7] = 1.0 / g.t6, -1.0 / g.t6
+    return jac
+
+
 def list_rows(model, pieces, opts, settling=None, shared=None, hand_off=False):
     """``frequency._dense_rows`` with its step written over 9-element lists,
     list comprehensions and ``zip``; ``None`` as soon as a sample shows loss

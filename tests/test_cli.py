@@ -272,7 +272,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("path,message,positive", [
         (("disturbance", "magnitude"), "disturbance.magnitude", False),
-        (("scale",), "scale", False),
+        (("stage_window",), "stage_window", True),
         (("t_end",), "t_end", True),
     ])
     def test_deoc_scenario_numbers(self, capsys, tmp_path, value, path, message, positive):
@@ -567,6 +567,21 @@ class TestDeoc:
         assert code == 2
         assert err == (f"input error: disturbance.magnitude = {magnitude:g} pu leaves an "
                        f"oscillation energy beyond the float range\n")
+
+    @pytest.mark.parametrize("x0,what", [([0.1, 0.1, 1e200, 1.0], "an oscillation energy"),
+                                         ([1e300, 0.1, 1.0, 1.0], "an orbit value")])
+    def test_overflowing_initial_state_is_input_error(self, capsys, tmp_path, x0, what):
+        # The second state has no speed deviation, so no oscillation energy,
+        # but its orbit value, which bounds every later state, overflows.
+        code, err = self._run_edited(capsys, tmp_path, ("disturbance",),
+                                     {"kind": "initial-state", "x0": x0})
+        assert (code, err) == (2, f"input error: disturbance.x0 leaves {what} beyond the "
+                                  f"float range\n")
+
+    def test_scale_is_an_unknown_key(self, capsys, tmp_path):
+        code, err = self._run_edited(capsys, tmp_path, ("scale",), 2.0)
+        assert (code, err) == (2, "input error: Additional properties are not allowed "
+                                  "('scale' was unexpected)\n")
 
     def test_huge_pulse_runs_silently(self, capsys, tmp_path):
         """A -1e150 pu pulse drives ``|h|`` to ~1e300: the searches read signs

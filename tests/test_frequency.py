@@ -324,19 +324,46 @@ class TestSettling:
                 (_reduced_rate(model, dp_active, p_motor, z + step * unit)
                  - _reduced_rate(model, dp_active, p_motor, z - step * unit)) / (2.0 * step)
                 for unit in np.eye(8)])
-            jac = fq._jacobian(model, z[0], 1.0)
+            jac = fq._jacobian(model, dp_active, p_motor, np.insert(z, 2, 0.0).tolist())
             assert np.abs(numeric - jac).max() <= 1e-6 * np.abs(jac).max()
 
     def test_bundled_and_ringing_spectra(self, model):
         p_motor = model.p_set + FAST.disturbance
-        lam = np.linalg.eigvals(fq._jacobian(model, fq._settling(model, 0.0, p_motor).z_eq[0],
-                                             1.0))
+        y = np.insert(fq._settling(model, 0.0, p_motor).z_eq, 2, 0.0).tolist()
+        lam = np.linalg.eigvals(fq._jacobian(model, 0.0, p_motor, y))
         assert lam.real.max() == pytest.approx(-0.0763, abs=1e-4)
         ringing = replace(model, gov=replace(model.gov, **RINGING), d1=1.0, d2=1.0)
-        u = -FAST.disturbance / (RINGING["k1"] + 2.0)
-        angle = math.asin((p_motor + u) / ringing.p_sync)
-        lam = np.linalg.eigvals(fq._jacobian(ringing, angle, 1.0))
+        y, _ = oracle.equilibrium(ringing, 0.0, p_motor)
+        lam = np.linalg.eigvals(fq._jacobian(ringing, 0.0, p_motor, y))
         assert lam.real.max() == pytest.approx(0.0058, abs=1e-4)
+
+    def test_jacobian_is_the_hand_written_one(self, model):
+        """The complex steps through ``dfec_dynamics`` give the hand-written
+        Jacobian bit for bit at seeded random equilibria, with the governor
+        inside its limits and clamped. The clamped limiter's zero slope is
+        ``0.0`` stepped and ``-0.0`` by hand, so zeros compare unsigned."""
+        rng = np.random.default_rng(32)
+        clamped = inside = 0
+        while min(clamped, inside) < 500:
+            load = model.p_set + float(rng.uniform(0.05, 0.5))
+            gov = dict(zip(("k1", "t1", "t2", "t3", "k2", "k3", "t4", "t5", "t6"),
+                           rng.uniform([5.0, 0.05, 0.0, 0.05, 0.0, 0.0, 0.2, 0.5, 2.0],
+                                       [20.0, 0.3, 0.2, 0.3, 1.0, 1.0, 1.0, 3.0, 12.0]).tolist()),
+                       p_max=load + float(rng.uniform(-0.3, 0.6)),
+                       p_min=load - float(rng.uniform(0.05, 0.6)))
+            if gov["p_min"] >= gov["p_max"]:
+                continue
+            h1, h2, d1, d2, x = rng.uniform([0.5, 0.5, 0.0, 0.0, 0.2],
+                                            [8.0, 8.0, 4.0, 4.0, 0.6]).tolist()
+            case = replace(model, gov=replace(model.gov, **gov), h1=h1, h2=h2, d1=d1, d2=d2, x=x)
+            dp = float(rng.choice([0.0, rng.uniform(0.0, 0.3)]))
+            rest = oracle.equilibrium(case, dp, load)
+            if rest is None:
+                continue
+            y, slope = rest
+            clamped, inside = clamped + (slope == 0.0), inside + (slope == 1.0)
+            jac = fq._jacobian(case, dp, load, y)
+            assert (jac + 0.0).tobytes() == (oracle.jacobian(case, y[0], slope) + 0.0).tobytes()
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(gov=GOVERNORS, h1=st.floats(0.5, 8.0), h2=st.floats(0.5, 8.0),

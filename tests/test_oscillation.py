@@ -1,5 +1,6 @@
 """Switching function, injection design, switch-time search, scheduling."""
 
+import cmath
 import math
 import warnings
 
@@ -517,12 +518,12 @@ class TestNewton:
         ts = np.arange(9) * 0.125
         calls = []
 
-        def value_and_slope(t):
-            calls.append(t)
-            return t - 0.5, 1.0
+        def func(t):
+            if np.iscomplexobj(t):     # a complex step: one Newton iterate
+                calls.append(t)
+            return t - 0.5
 
-        roots = list(oscillation._roots(lambda t: t - 0.5, value_and_slope, ts,
-                                        np.empty(len(ts)), rising))
+        roots = list(oscillation._roots(func, ts, np.empty(len(ts)), rising))
         assert roots == [0.5] and not calls
 
     @pytest.mark.parametrize("slope", [0.0, -1.0])
@@ -531,23 +532,23 @@ class TestNewton:
         bisection, which ends once its step is below ``T_RESOLUTION``."""
         root, calls = 0.3 + 1e-4 / 3.0, []
 
-        def value_and_slope(t):
+        def func(t):      # the value t - root, and the slope ``slope`` on a complex step
             calls.append(t)
-            return t - root, slope
+            return complex(t.real - root, slope * t.imag)
 
-        got = oscillation._newton(value_and_slope, 0.3, 0.301, -1e-4 / 3.0, 2e-3 / 3.0)
+        got = oscillation._newton(func, 0.3, 0.301, -1e-4 / 3.0, 2e-3 / 3.0)
         assert abs(got - root) < 2.0 * oscillation.T_RESOLUTION
         assert 30 < len(calls) < 45          # log2(1e-3 / 1e-14) = 36.5 halvings
 
     def test_newton_converges_from_the_secant_point(self):
         calls = []
 
-        def value_and_slope(t):
-            calls.append(t)
-            return math.sin(t) - 0.5, math.cos(t)
+        def func(t):
+            calls.append(t.real)
+            return cmath.sin(t) - 0.5
 
         a, b = 0.523, 0.524
-        got = oscillation._newton(value_and_slope, a, b, math.sin(a) - 0.5, math.sin(b) - 0.5)
+        got = oscillation._newton(func, a, b, math.sin(a) - 0.5, math.sin(b) - 0.5)
         assert abs(got - math.pi / 6.0) <= math.ulp(got)
         assert calls[0] == pytest.approx(a + (b - a) * (0.5 - math.sin(a))
                                          / (math.sin(b) - math.sin(a)), abs=1e-16)
