@@ -26,10 +26,13 @@ differ; the commands whose skip reasons differ only in ``min |h|``; the
 largest ``|t_on|`` and ``|t_off|`` differences with where they occur; the
 largest ``h_residual`` in ``schedule.json`` on each side; the outputs that no
 schedule feeds (each ``uncontrolled.csv`` and each ``modes`` report) whose
-SHA-256 differs; and the commands whose stdout or stderr differ. It also lists
-the commands whose two change-side runs are not byte-identical. The exit code
-is 1 when stages, skips, schedule-free outputs or the repeated runs differ,
-else 0.
+SHA-256 differs; apart from them, the schedule-fed outputs (each
+``controlled.csv``, ``controlled.json`` and ``schedule.json``) whose SHA-256
+differs; and the commands whose stdout or stderr differ. It also lists the
+commands whose two change-side runs are not byte-identical. The exit code is 1
+when stages, skips, schedule-free outputs or the repeated runs differ, else 0:
+a schedule-fed output moves with any switch time, so its hash is reported,
+not gated.
 
 For a DFEC workload the report lists instead the commands whose exit code,
 stdout, stderr or output files differ, and each printed sweep cell that
@@ -277,8 +280,10 @@ def run_side(tree: Path, commands_path: Path, scratch: Path) -> dict:
     return {r["id"]: r for r in map(json.loads, proc.stdout.splitlines())}
 
 
-# The outputs of a ``deoc-mixed`` command that no schedule feeds.
+# The outputs of a ``deoc-mixed`` command that no schedule feeds, and those
+# that one does.
 SCHEDULE_FREE = {"deoc": ("uncontrolled.csv",), "modes": ("o.json",)}
+SCHEDULE_FED = {"deoc": ("controlled.csv", "controlled.json", "schedule.json")}
 
 
 def largest_h_residual(side: dict) -> dict:
@@ -288,16 +293,25 @@ def largest_h_residual(side: dict) -> dict:
     return {"value": value, "at": at}
 
 
+def differing_outputs(parent: dict, change: dict, outputs: dict) -> tuple[int, list]:
+    """How many of the files ``outputs`` names per command were compared, and
+    those whose SHA-256 differs (or that one side did not write)."""
+    compared, differ = 0, []
+    for cid, old in parent.items():
+        for name in outputs.get(old["command"], ()):
+            compared += 1
+            if name not in old["sha256"] or old["sha256"][name] != change[cid]["sha256"].get(name):
+                differ.append({"id": cid, "file": name})
+    return compared, differ
+
+
 def compare(parent: dict, change: dict) -> dict:
     stage_diff, skip_diff, min_h_diff, stdout_diff, stderr_diff = [], [], [], [], []
-    free_diff, free_compared = [], 0
+    free_compared, free_diff = differing_outputs(parent, change, SCHEDULE_FREE)
+    fed_compared, fed_diff = differing_outputs(parent, change, SCHEDULE_FED)
     worst = {"t_on": (0.0, None), "t_off": (0.0, None)}
     for cid, old in parent.items():
         new = change[cid]
-        for name in SCHEDULE_FREE.get(old["command"], ()):
-            free_compared += 1
-            if name not in old["sha256"] or old["sha256"][name] != new["sha256"].get(name):
-                free_diff.append({"id": cid, "file": name})
         if old["stdout"] != new["stdout"]:
             stdout_diff.append({"id": cid, "parent": old["stdout"], "change": new["stdout"]})
         if old["stderr"] != new["stderr"]:
@@ -327,6 +341,8 @@ def compare(parent: dict, change: dict) -> dict:
                                "change": largest_h_residual(change)},
             "schedule_free_outputs_compared": free_compared,
             "schedule_free_outputs_differ": free_diff,
+            "schedule_fed_outputs_compared": fed_compared,
+            "schedule_fed_outputs_differ": fed_diff,
             "stdout_differs": len(stdout_diff), "stderr_differs": len(stderr_diff),
             "stdout_examples": stdout_diff[:5], "stderr_examples": stderr_diff[:5]}
 

@@ -209,10 +209,13 @@ def _e12_fields(v: np.ndarray) -> np.ndarray:
     ``uint8`` each.
 
     Each ``|x|`` in ``[1e-10, 1e13)`` is scaled by an exact ``10^k``
-    (``0 <= k <= 22``) to ``p + err``, the product and its rounding error, so
-    rounding to 13 significant digits sees the exact value. NaN is written
-    here; zero, subnormals, infinities, values outside that range and exact
-    decimal ties go through Python's ``%`` one at a time."""
+    (``0 <= k <= 22``) to the product ``p``. On ``(1e12, 1e13)`` its ulp is at
+    most ``2^-9``, so halves lie on its grid, and ``p``, within half an ulp of
+    the exact product, rounds to 13 significant digits as the exact product
+    does unless ``p`` is itself a half. NaN is written here; zero, subnormals,
+    infinities, values outside that range, products that are halves and
+    products outside ``(1e12, 1e13)`` (``log10`` one decade off) go through
+    Python's ``%`` one at a time."""
     t = _tables()
     v = v.astype(float, copy=False)
     a = np.abs(v)
@@ -220,21 +223,9 @@ def _e12_fields(v: np.ndarray) -> np.ndarray:
         e = np.floor(np.log10(a))
     fast = (e >= -10.0) & (e <= 12.0)     # False on 0, inf, NaN and out of range
     a[~fast], e[~fast] = 1.0, 0.0
-    p, err = _two_product(a, 12.0 - e)
-
-    # log10 can land one decade off next to a power of ten: move those one
-    # decade, and leave any the move cannot settle to Python.
-    off = np.flatnonzero(_below(p, err, 1e12) | ~_below(p, err, 1e13))
-    if off.size:
-        e[off] -= np.where(_below(p[off], err[off], 1e12), 1.0, -1.0)
-        ok = (e[off] >= -10.0) & (e[off] <= 12.0)
-        e[off[~ok]] = 0.0
-        p[off], err[off] = _two_product(a[off], 12.0 - e[off])
-        ok &= ~_below(p[off], err[off], 1e12) & _below(p[off], err[off], 1e13)
-        fast[off[~ok]] = False
-
-    d, tie = _round(p, err)
-    fast &= ~tie
+    p = a * t.pow10[(12.0 - e).astype(np.intp)]
+    d = np.rint(p)
+    fast &= (p > 1e12) & (p < 1e13) & (np.abs(p - d) != 0.5)
     carry = d == 1e13
     d[carry] = 1e12
     e += carry
@@ -252,15 +243,16 @@ def _e12_fields(v: np.ndarray) -> np.ndarray:
 
 def _f9_fields(v: np.ndarray) -> np.ndarray:
     """``",%.9f" % x`` for each double ``x`` of ``v``, as :func:`_e12_fields`
-    does it: ``|x| < 4e6`` in numpy (``round(|x| 10^9) < 2^52``), the rest
-    and exact ties through Python."""
+    does it: ``|x| < 4e6`` in numpy (``|x| 10^9 < 2^52``, whose ulp is at
+    most 0.5), the rest and products that are halves through Python."""
     t = _tables()
     v = v.astype(float, copy=False)
     a = np.abs(v)
     fast = a < 4e6                        # False on inf and NaN
     a[~fast] = 0.0
-    d, tie = _round(*_two_product(a, np.full(len(a), 9.0)))
-    fast &= ~tie
+    p = a * 1e9
+    d = np.rint(p)
+    fast &= np.abs(p - d) != 0.5
     units = np.floor(d / 1e9)
     d -= units * 1e9
     tenths = np.floor(d / 1e8)
@@ -285,45 +277,6 @@ def _d_fields(v: np.ndarray) -> np.ndarray:
 
 
 _KERNELS = {"%.12e": _e12_fields, "%.9f": _f9_fields, "%d": _d_fields}
-
-
-def _two_product(a, k):
-    """``a * 10^k`` as ``(p, err)``: the rounded product and its exact
-    rounding error (Dekker's TwoProduct, Numer. Math. 18, 1971), for integer
-    ``0 <= k <= 22``, where ``10^k`` is an exact double."""
-    t = _tables()
-    k = k.astype(np.intp)
-    b, b_hi, b_lo = t.pow10[k], t.pow10_hi[k], t.pow10_lo[k]
-    p = a * b
-    a_hi, a_lo = _split(a)
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, err
-
-
-def _split(a):
-    """Veltkamp's split of doubles into two 26-bit halves, ``a = hi + lo``."""
-    c = 134217729.0 * a                   # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _below(p, err, bound):
-    """``p + err < bound`` exactly, for a representable ``bound``."""
-    return (p < bound) | ((p == bound) & (err < 0.0))
-
-
-def _round(p, err):
-    """``(d, tie)``: ``p + err`` (``|err|`` at most half an ulp of ``p``)
-    rounded to the nearest integer, and where it lies exactly halfway.
-
-    ``rint(p)`` is off only when ``p`` is itself a half, where ``err``'s
-    sign decides."""
-    d = np.rint(p)
-    frac = p - d
-    half = np.abs(frac) == 0.5
-    d += half & (frac > 0.0) & (err > 0.0)
-    d -= half & (frac < 0.0) & (err < 0.0)
-    return d, half & (err == 0.0)
 
 
 def _put_digits(n, words, t):
@@ -369,8 +322,8 @@ def _by_python(out, v, slow, fmt):
 
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """Exact doubles ``10^0 .. 10^22`` and their Veltkamp halves, then the
-    little-endian 4-byte words the kernels assemble fields from:
+    """Exact doubles ``10^0 .. 10^22``, the scales of :func:`_e12_fields`,
+    then the little-endian 4-byte words the kernels assemble fields from:
     ``digits[n]`` spells ``0 <= n < 10^4`` in four digits; ``highs[n]`` the
     same with NUL for leading zeros (all NUL for 0); ``lows[n]`` is
     ``highs[n]`` but ``"\\0\\0\\00"`` for 0, and ``lows[10^4 + n]`` is
@@ -394,8 +347,7 @@ def _tables() -> SimpleNamespace:
     exp = np.arange(-10.0, 14.0)
     e_tens = np.floor(np.abs(exp) / 10.0)
     tables = SimpleNamespace(
-        pow10=pow10, pow10_hi=_split(pow10)[0], pow10_lo=_split(pow10)[1],
-        digits=digits, highs=highs, lows=lows,
+        pow10=pow10, digits=digits, highs=highs, lows=lows,
         heads=np.append(_words(ord(","), np.repeat([0.0, ord("-")], 10),
                                np.tile(np.arange(10.0), 2) + ord("0"), ord(".")),
                         _words(*b",nan")),

@@ -278,9 +278,9 @@ def _newton(func, a, b, f_a, f_b):
 
     The iteration starts at the secant point of the bracket and keeps the
     bracket around the root. It bisects where a step would leave the bracket
-    or the slope is zero, and stops at an exact zero, or once a step is below
-    ``T_RESOLUTION``; a hundred iterations (bisection from 1 ms takes about
-    forty) end it where it is."""
+    or the slope is zero or beyond the float range, and stops at an exact
+    zero, or once a step is below ``T_RESOLUTION``; a hundred iterations
+    (bisection from 1 ms takes about forty) end it where it is."""
     if f_a == 0.0:
         return float(a)
     if f_b == 0.0:
@@ -295,7 +295,10 @@ def _newton(func, a, b, f_a, f_b):
             a = t
         else:
             b = t
-        step = t - f / slope if slope != 0.0 else math.nan
+        step = t - f / slope if 0.0 < abs(slope) < math.inf else math.nan
+        # A final step may round onto ``t``, which is now a bracket end.
+        if abs(step - t) < T_RESOLUTION and a <= step <= b:
+            return step
         if not a < step < b:
             step = 0.5 * (a + b)
         if abs(step - t) < T_RESOLUTION:

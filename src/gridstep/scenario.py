@@ -137,6 +137,9 @@ class DeocScenario:
         require_grid(self.t_end, self.dt_out, "t_end", "dt_out")
         require_grid(self.stage_window, SAMPLE_DT, "stage_window", "the switch-time search step")
         d = self.disturbance
+        if d.kind == "initial-state" and not d.t0 < self.t_end:
+            raise DimensionError(f"disturbance.t0 = {d.t0:g} s is not before "
+                                 f"t_end = {self.t_end:g} s")
         end = d.start + d.duration
         if d.kind == "power-pulse" and not end < self.t_end:
             raise DimensionError(f"t_end = {self.t_end:g} s is "

@@ -90,7 +90,9 @@ class Trajectory:
 def apply_disturbance(model: ReducedModel, basis: ModalBasis, dist: Disturbance):
     """Resolve a disturbance into the post-disturbance ``(t0, x0)``. The state,
     its oscillation energy and its orbit value about ``x_e`` (conserved, so it
-    bounds every later state) must be finite, else :class:`DimensionError`."""
+    bounds every later state) times the fastest mode's squared frequency must
+    be finite, else :class:`DimensionError`: the switch-time searches take
+    slopes of functions of time that grow as that product."""
     if dist.kind == "initial-state":
         x0 = np.asarray(dist.x0, dtype=float)
         if x0.shape != model.x_eq.shape:
@@ -105,8 +107,11 @@ def apply_disturbance(model: ReducedModel, basis: ModalBasis, dist: Disturbance)
         t0, cause = dist.start + dist.duration, f"disturbance.magnitude = {dist.magnitude:g} pu"
     with np.errstate(over="ignore", invalid="ignore"):
         energy, orbit = oscillation_energy(model, x0), orbit_value(basis, model.x_eq, x0)
-    if not (np.isfinite(x0).all() and np.isfinite(energy) and np.isfinite(orbit)):
-        what = "an orbit value" if np.isfinite(energy) else "an oscillation energy"
+        reach = orbit * basis.omega.max() ** 2
+    if not (np.isfinite(x0).all() and np.isfinite(energy) and np.isfinite(reach)):
+        what = ("an oscillation energy" if not np.isfinite(energy) else "an orbit value"
+                if not np.isfinite(orbit) else
+                "an orbit value times the fastest mode's squared frequency")
         raise DimensionError(f"{cause} leaves {what} beyond the float range")
     return t0, x0
 

@@ -578,6 +578,35 @@ class TestDeoc:
         assert (code, err) == (2, f"input error: disturbance.x0 leaves {what} beyond the "
                                   f"float range\n")
 
+    @pytest.mark.parametrize("speed,code", [(1e151, 0), (1e152, 2)])
+    def test_initial_speed_beyond_the_search_scale(self, capsys, tmp_path, speed, code):
+        """The switch-time searches take slopes that grow as the orbit value
+        times the fastest mode's squared frequency: 4.9e307 at a 1e151 pu
+        speed on wscc9, which runs without a warning, and beyond the float
+        range at 1e152, which is an input error."""
+        scn = _edited(tmp_path, "scenario_wscc9.json", ("disturbance",),
+                      {"kind": "initial-state", "x0": [0.1, 0.1, speed, 1.0]})
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, _, err = run(capsys, "deoc", "--system", str(DATA / "wscc9.json"),
+                              "--scenario", str(scn), "--out", str(out))
+        assert (got, [str(w.message) for w in caught]) == (code, [])
+        if code:
+            assert err == ("input error: disturbance.x0 leaves an orbit value times the "
+                           "fastest mode's squared frequency beyond the float range\n")
+            assert not out.exists()
+        else:
+            assert err == "" and (out / "controlled.csv").exists()
+
+    @pytest.mark.parametrize("t0", [20.0, 10.0, 1e300])
+    def test_initial_state_at_or_after_t_end_is_input_error(self, capsys, tmp_path, t0):
+        code, err = self._run_edited(capsys, tmp_path, ("disturbance",),
+                                     {"kind": "initial-state", "x0": [0.1, 0.1, 1.0, 1.0],
+                                      "t0": t0})
+        assert (code, err) == (2, f"input error: disturbance.t0 = {t0:g} s is not before "
+                                  f"t_end = 10 s\n")
+
     def test_scale_is_an_unknown_key(self, capsys, tmp_path):
         code, err = self._run_edited(capsys, tmp_path, ("scale",), 2.0)
         assert (code, err) == (2, "input error: Additional properties are not allowed "

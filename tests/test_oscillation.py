@@ -526,9 +526,10 @@ class TestNewton:
         roots = list(oscillation._roots(func, ts, np.empty(len(ts)), rising))
         assert roots == [0.5] and not calls
 
-    @pytest.mark.parametrize("slope", [0.0, -1.0])
+    @pytest.mark.parametrize("slope", [0.0, -1.0, math.inf])
     def test_useless_slope_bisects_and_ends(self, slope):
-        """A zero slope, or one whose step leaves the bracket, falls back to
+        """A zero slope, one whose step leaves the bracket, or one beyond the
+        float range (whose step would stay on the iterate) falls back to
         bisection, which ends once its step is below ``T_RESOLUTION``."""
         root, calls = 0.3 + 1e-4 / 3.0, []
 
@@ -553,6 +554,20 @@ class TestNewton:
         assert calls[0] == pytest.approx(a + (b - a) * (0.5 - math.sin(a))
                                          / (math.sin(b) - math.sin(a)), abs=1e-16)
         assert len(calls) <= 4
+
+    def test_step_onto_a_bracket_end_is_final(self):
+        """A Newton step below ``T_RESOLUTION`` that rounds onto the iterate,
+        which has just become a bracket end, is the root: bisecting from there
+        would halve the bracket about forty times."""
+        calls = []
+
+        def func(t):
+            calls.append(t)
+            return t**3 - t - 1.0
+
+        got = oscillation._newton(func, 1.3, 1.4, 1.3**3 - 2.3, 1.4**3 - 2.4)
+        assert abs(got - 1.3247179572447460) <= math.ulp(got)    # the plastic number
+        assert len(calls) <= 5
 
 
 class TestBuildSchedule:

@@ -22,6 +22,7 @@ from gridstep import (
     build_schedule,
     simulate_deoc,
 )
+from gridstep import fileio
 from gridstep import frequency as fq
 from gridstep.cli import _dfec_trajectory_csv
 from gridstep.modal import propagate
@@ -170,6 +171,33 @@ class TestExport:
         doc = json.loads(json_path.read_text())
         assert doc["columns"] == traj.columns()
         assert len(doc["events"]) == len(traj.events)
+
+    def test_few_values_go_through_python(self, tmp_path, monkeypatch):
+        """The CSV kernels hand a value to Python's ``%`` only when its
+        scaled product is a half or lands outside the decade ``log10`` gave:
+        well under 1 % of a trajectory's speeds near 1, angles, energies and
+        ``h`` (NaN where no stage is next)."""
+        rng = np.random.default_rng(5)
+        n = 10**5
+        h = rng.normal(0.0, 1e-3, n)
+        h[: n // 2] = np.nan
+        traj = Trajectory(t=np.arange(n) * 1e-3,
+                          x=np.column_stack([rng.uniform(-3.5, 3.5, (n, 2)),
+                                             rng.uniform(0.98, 1.02, (n, 2))]),
+                          ek=rng.exponential(1e-4, n), orbit=rng.exponential(1e-2, n),
+                          h=h, stage=rng.integers(-1, 2, n))
+        by_python = fileio._by_python
+        counts = {"values": 0, "slow": 0}
+
+        def counted(out, v, slow, fmt):
+            counts["values"] += len(v)
+            counts["slow"] += len(slow)
+            return by_python(out, v, slow, fmt)
+
+        monkeypatch.setattr(fileio, "_by_python", counted)
+        traj.to_csv(tmp_path / "traj.csv")
+        assert counts["values"] == 9 * n
+        assert counts["slow"] < 0.01 * counts["values"]
 
 
 def _assert_writers_match(traj, tmp_path):
