@@ -6,6 +6,7 @@ Run from the root of the repository:
     python3 scripts/compare_deoc.py --parent <commit> [--out report.json]
     python3 scripts/compare_deoc.py --parent <commit> --workload dfec-sweep
     python3 scripts/compare_deoc.py --parent <commit> --workload dfec-costs
+    python3 scripts/compare_deoc.py --parent <commit> --workload deoc-states
 
 The inputs are the commands of a bench workload (``deoc-mixed`` unless
 ``--workload`` names another) for bench seeds 1-10 and 4242, written once by
@@ -58,6 +59,22 @@ dips), and per side the accepted last-piece steps of the
 cost runs and of the sweep: the lanes ``_settled`` is asked about, counted
 by wrapping it in the worker. The exit code is 1 when any float differs or
 does not repeat.
+
+``deoc-states`` runs 600 seeded ``gridstep deoc`` commands on
+``initial-state`` disturbances, alternating the bundled wscc9 and ieee39
+systems and cycling through four kinds of state (``STATE_KINDS``: one
+machine's angle moved by 1e-6-1 rad, one machine's speed moved by 1e-6-0.1
+pu, about 30 % of the coordinates moved with sigma 0.05, and one machine's
+speed moved by 1e100-1e160 pu), each with a random ``t_end``,
+``stage_window`` and ``n_targets``. Each state is drawn as its offset from
+the equilibrium, which the worker adds to its own ``x_e``. The worker records
+each command's exit code, the exception that escapes ``main`` (a traceback),
+the ``RuntimeWarning``s raised during the run, and whether a run that does
+not exit 0 left files. The report gives per side and kind the runs, the exit
+codes, the runs with a traceback and those with a ``RuntimeWarning``, an
+example of each, and the commands whose exit code or outputs differ from the
+parent's. The exit code is 1 when the change side raises, warns, leaves files
+after a failed run, or does not repeat.
 """
 
 from __future__ import annotations
@@ -81,6 +98,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = [*range(1, 11), 4242]
 WORKLOADS = ("deoc-mixed", "dfec-sweep", "dfec-optimize")
 COSTS = "dfec-costs"
+STATES = "deoc-states"
+STATE_COMMANDS = 600
+STATE_KINDS = ("angle", "speed", "mixed", "huge speed")
 COST_OPTIONS = {"100 s": {}, "40 s": {"horizon": 40.0},
                 "40 s, load step at 0.7 s": {"horizon": 40.0, "t_disturbance": 0.7}}
 RANDOM_MODELS = 300
@@ -124,6 +144,65 @@ def write_inputs(work: Path, seeds, workload: str = "deoc-mixed") -> list[dict]:
     for command in BUNDLED_DFEC.get(workload, ()):
         add(f"bundled dfec {command}", ["dfec", command, "--scenario", bundled, "--out", "-"])
     return commands
+
+
+def state_inputs() -> list[dict]:
+    """The ``deoc-states`` commands: each a system file, a scenario without
+    its disturbance's ``x0``, and the state's offset ``dx`` from the
+    equilibrium."""
+    data = bench_module().DATA
+    rng = random.Random(STATES)
+    commands = []
+    for k in range(STATE_COMMANDS):
+        system = data / ("wscc9.json", "ieee39.json")[k % 2]
+        m = sum(not g.get("infinite") for g in json.loads(system.read_text())["generators"])
+        kind = STATE_KINDS[k // 2 % len(STATE_KINDS)]
+        dx, j, sign = [0.0] * (2 * m), rng.randrange(m), rng.choice((-1.0, 1.0))
+        if kind == "angle":
+            dx[j] = sign * 10.0 ** rng.uniform(-6.0, 0.0)
+        elif kind == "speed":
+            dx[m + j] = sign * 10.0 ** rng.uniform(-6.0, -1.0)
+        elif kind == "mixed":
+            dx = [rng.gauss(0.0, 0.05) if rng.random() < 0.3 else 0.0 for _ in dx]
+        else:
+            dx[m + j] = sign * 10.0 ** rng.uniform(100.0, 160.0)
+        scenario = {"schema_version": 1, "kind": "deoc", "name": f"{STATES} {k}",
+                    "disturbance": {"kind": "initial-state", "t0": 0.0},
+                    "t_end": rng.uniform(1.0, 10.0), "stage_window": rng.uniform(0.5, 10.0),
+                    "n_targets": rng.randint(1, m)}
+        commands.append({"id": f"state {k} {system.stem} {kind}", "kind": kind,
+                         "system": str(system), "scenario": scenario, "dx": dx})
+    return commands
+
+
+def state_record(cli, cmd: dict, out_dir: Path) -> dict:
+    """Run one ``deoc-states`` command: its exit code (``None`` when an
+    exception escapes ``main``), that exception, the ``RuntimeWarning``s, the
+    SHA-256 of each output file, stdout and stderr."""
+    import warnings
+
+    x_eq = cli._system(cmd["system"])[1].x_eq
+    doc = cmd["scenario"]
+    doc["disturbance"]["x0"] = [float(v) for v in x_eq + cmd["dx"]]
+    scenario, out = out_dir / "state.json", out_dir / "o"
+    scenario.write_text(json.dumps(doc))
+    stdout, stderr, raised = io.StringIO(), io.StringIO(), None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(["deoc", "--system", cmd["system"], "--scenario", str(scenario),
+                             "--out", str(out)])
+        except Exception as exc:    # a traceback is what this workload counts
+            code, raised = None, f"{type(exc).__name__}: {exc}"
+    files = sorted(out.iterdir()) if out.is_dir() else []
+    record = {"id": cmd["id"], "kind": cmd["kind"], "code": code, "traceback": raised,
+              "runtime_warnings": [str(w.message) for w in caught
+                                   if issubclass(w.category, RuntimeWarning)],
+              "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+              "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}}
+    shutil.rmtree(out, ignore_errors=True)
+    return record
 
 
 def cost_inputs() -> list[dict]:
@@ -245,6 +324,9 @@ def worker(src: Path, commands_path: Path, out_dir: Path) -> None:
     if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"imported gridstep from {cli.__file__}, not {src}")
     for cmd in json.loads(commands_path.read_text()):
+        if "dx" in cmd:
+            print(json.dumps(state_record(cli, cmd, out_dir)), flush=True)
+            continue
         if "scenario" in cmd:
             print(json.dumps(cost_record(cmd)), flush=True)
             continue
@@ -381,13 +463,47 @@ def compare_costs(parent: dict, change: dict) -> dict:
                                  for side, runs in (("parent", parent), ("change", change))}}
 
 
+def state_counts(side: dict) -> dict:
+    """Per kind of state: the runs, each exit code, the runs with a
+    traceback, with a ``RuntimeWarning`` and with files left by a failed run,
+    and one example of each of the last three."""
+    counts = {}
+    for rec in side.values():
+        row = counts.setdefault(rec["kind"], {"runs": 0, "exit 0": 0, "exit 1": 0, "exit 2": 0,
+                                              "traceback": 0, "RuntimeWarning": 0,
+                                              "files after a failed run": 0, "examples": {}})
+        row["runs"] += 1
+        if rec["code"] is not None:
+            row[f"exit {rec['code']}"] += 1
+        found = {"traceback": rec["traceback"], "RuntimeWarning": rec["runtime_warnings"],
+                 "files after a failed run": rec["code"] != 0 and bool(rec["sha256"])}
+        for what, seen in found.items():
+            if seen:
+                row[what] += 1
+                row["examples"].setdefault(what, {"id": rec["id"], "seen": seen})
+    return counts
+
+
+def compare_states(parent: dict, change: dict) -> dict:
+    """Both sides' :func:`state_counts`, and the commands whose exit code, or
+    whose outputs where both exit 0, differ."""
+    code_diff = [{"id": cid, "parent": old["code"], "change": change[cid]["code"]}
+                 for cid, old in parent.items() if old["code"] != change[cid]["code"]]
+    output_diff = [cid for cid, old in parent.items()
+                   if old["code"] == change[cid]["code"] == 0
+                   and old["sha256"] != change[cid]["sha256"]]
+    return {"commands": len(parent),
+            "by_kind": {"parent": state_counts(parent), "change": state_counts(change)},
+            "exit_codes_differ": code_diff, "outputs_differ": output_diff}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="commit to compare against")
     parser.add_argument("--out", default=None, help="also write the report to this file")
-    parser.add_argument("--workload", choices=(*WORKLOADS, COSTS), default="deoc-mixed",
+    parser.add_argument("--workload", choices=(*WORKLOADS, COSTS, STATES), default="deoc-mixed",
                         help="bench workload whose commands are compared (default "
-                             "deoc-mixed), or dfec-costs")
+                             "deoc-mixed), dfec-costs or deoc-states")
     parser.add_argument("--worker", nargs=3, metavar=("SRC", "COMMANDS", "SCRATCH"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -409,8 +525,8 @@ def main(argv=None) -> int:
         (tmp / "inputs").mkdir()
         commands_path = tmp / "commands.json"
         commands_path.write_text(json.dumps(
-            cost_inputs() if args.workload == COSTS
-            else write_inputs(tmp / "inputs", SEEDS, args.workload)))
+            cost_inputs() if args.workload == COSTS else state_inputs()
+            if args.workload == STATES else write_inputs(tmp / "inputs", SEEDS, args.workload)))
 
         parent = run_side(parent_tree, commands_path, tmp / "run_parent")
         change = run_side(ROOT, commands_path, tmp / "run_change")
@@ -418,12 +534,15 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    kept = ("code", "stdout", "stderr", "sha256", "values", "steps")
+    kept = ("code", "stdout", "stderr", "sha256", "values", "steps", "traceback",
+            "runtime_warnings")
     not_repeated = [cid for cid, rec in change.items()
                     if [rec.get(k) for k in kept] != [repeat[cid].get(k) for k in kept]]
     deoc = args.workload == "deoc-mixed"
-    sides = {"deoc-mixed": compare, COSTS: compare_costs}.get(args.workload, compare_outputs)
-    report = {"parent_commit": commit, "seeds": None if args.workload == COSTS else SEEDS,
+    sides = {"deoc-mixed": compare, COSTS: compare_costs, STATES: compare_states}.get(
+        args.workload, compare_outputs)
+    report = {"parent_commit": commit,
+              "seeds": None if args.workload in (COSTS, STATES) else SEEDS,
               "parent_vs_change": sides(parent, change),
               "change_repeat_not_identical": not_repeated}
     if not deoc:
@@ -433,6 +552,10 @@ def main(argv=None) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
     diff = report["parent_vs_change"]
+    if args.workload == STATES:
+        bad = ("traceback", "RuntimeWarning", "files after a failed run")
+        return 1 if not_repeated or any(row[what] for row in diff["by_kind"]["change"].values()
+                                        for what in bad) else 0
     if not deoc:
         return 1 if diff["differ"] or not_repeated else 0
     return 1 if (diff["stages_differ"] or diff["skips_differ"]

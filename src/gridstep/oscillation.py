@@ -115,76 +115,67 @@ def energy_rate(model: ReducedModel, x_c: np.ndarray, x: np.ndarray) -> float | 
     return -model.omega_s * (((x[..., :m] - x_c[:m]) @ model.b_red) * dw).sum(-1)
 
 
-def design_dp(
-    basis: ModalBasis,
-    model: ReducedModel,
-    x0: np.ndarray,
-    target_modes,
-    scale: float,
-) -> np.ndarray:
-    """CC power change whose equilibrium shift points into the targeted
-    modal subspace of the current excitation.
+def design_dp(basis: ModalBasis, model: ReducedModel, x0: np.ndarray, pair: int,
+              scale: float) -> np.ndarray:
+    """CC power change whose equilibrium shift points along mode pair
+    ``pair``'s angle column.
 
     Solves ``min || b_red^-1 b_cc dp - scale * v ||`` by least squares, where
-    ``v`` is the normalized angle part of the modal components of
-    ``x0 - x_e`` in the targeted pairs.
+    ``v`` is the pair's unit angle column ``from_pairs[:m, 2 pair] / || . ||``,
+    signed by the pair's ``p`` coordinate of ``x0 - x_e`` (+1 where ``p`` is
+    zero, as when the pair's energy is all kinetic). An unexcited pair
+    (``|| (p, q) || < 1e-14``) gives ``dp = 0``.
     """
-    target_modes = tuple(target_modes)
-    if not target_modes:
-        raise DimensionError("target_modes must be nonempty")
     if model.n_cc == 0:
         raise DimensionError("model has no controllable components")
-
-    v = _target_direction(basis, model, x0, target_modes)
-    if v is None:
+    column, amplitude, _ = _pair_part(basis, model, x0, pair)
+    if amplitude < 1e-14:
         return np.zeros(model.n_cc)
+    v = column / np.linalg.norm(column)
 
     t_map = np.linalg.solve(model.b_red, model.b_cc)
     dp, *_ = np.linalg.lstsq(t_map, scale * v, rcond=None)
     resid = np.linalg.norm(t_map @ dp - scale * v)
     if resid > 1e-6 * abs(scale):
-        warnings.warn(
-            ReachabilityWarning(
-                f"targeted subspace only partially reachable through the CCs "
-                f"(residual {resid:.3e})",
-                residual=resid,
-            )
-        )
+        warnings.warn(ReachabilityWarning(f"targeted subspace only partially reachable "
+                                          f"through the CCs (residual {resid:.3e})",
+                                          residual=resid))
     return dp
 
 
-def _target_direction(basis, model, x0, target_modes):
-    """Normalized angle-space direction of the targeted pairs' part of
-    ``x0 - x_e``."""
-    rows = _pair_rows(target_modes)
-    v = basis.from_pairs[:model.n_machines, rows] @ (basis.pairs[rows] @ (x0 - model.x_eq))
-    norm = np.linalg.norm(v)
-    if norm < 1e-14:
-        return None
-    return v / norm
+def auto_scale(basis: ModalBasis, model: ReducedModel, x0: np.ndarray, pair: int) -> float:
+    """Shift magnitude that guarantees a switching-function root for mode
+    pair ``pair``, or 0 where the pair is unexcited (``|| (p, q) || <
+    1e-14``).
 
-
-def _pair_rows(target_modes):
-    return [i for p in target_modes for i in (2 * p, 2 * p + 1)]
-
-
-def auto_scale(basis, model, x0, target_modes) -> float:
-    """Shift magnitude that guarantees a switching-function root.
-
-    A root exists when the targeted pairs' part of the shift exceeds (half
-    of) the total squared pair amplitude divided by the targeted pairs'
-    amplitude; a factor-2 margin is applied.
+    A shift of ``s`` along :func:`design_dp`'s unit column moves the pair's
+    ``p`` coordinate by ``s / || from_pairs[:m, 2 pair] ||`` (``pairs`` inverts
+    ``from_pairs``, and a ``p`` row has no speed entries). A root exists when
+    that move exceeds half of ``|y|^2 / || (p, q) ||``, ``y`` all pairs'
+    coordinates of ``x0 - x_e``; a factor-2 margin is applied.
     """
-    y = basis.pairs @ (x0 - model.x_eq)
-    rows = _pair_rows(target_modes)
-    pair_mag = np.linalg.norm(y[rows])
-    if pair_mag < 1e-14:
+    column, amplitude, excitation = _pair_part(basis, model, x0, pair)
+    if amplitude < 1e-14:
         return 0.0
-    v = _target_direction(basis, model, x0, target_modes)
-    w_pair = np.linalg.norm(basis.pairs[rows, :model.n_machines] @ v)
-    if w_pair < 1e-14:
-        return 0.0
-    return (y @ y) / (pair_mag * w_pair)
+    return excitation * float(np.linalg.norm(column)) / amplitude
+
+
+def _pair_part(basis, model, x0, pair):
+    """Mode pair ``pair``'s angle column ``from_pairs[:m, 2 pair]``, negated
+    where the pair's ``p`` coordinate of ``x0 - x_e`` is negative; the pair's
+    amplitude ``|| (p, q) ||``; and ``|y|^2``, ``y`` all pairs' coordinates."""
+    _check_pair(basis, pair)
+    y = basis.pairs @ (np.asarray(x0, dtype=float) - model.x_eq)
+    p, q = y[2 * pair], y[2 * pair + 1]
+    column = basis.from_pairs[:model.n_machines, 2 * pair]
+    return (-column if p < 0.0 else column), math.hypot(p, q), float(y @ y)
+
+
+def _check_pair(basis, pair):
+    n_pairs = len(basis.modes)
+    if not 0 <= pair < n_pairs:
+        raise DimensionError(f"target pair {pair} is outside [0, {n_pairs}): "
+                             f"the system has {n_pairs} mode pairs")
 
 
 def find_switch_on(
@@ -361,9 +352,10 @@ def build_schedule(
     root, ride the shifted orbit to the energy minimum, advance, repeat.
 
     Each target is one mode pair index; anything else raises
-    :class:`DimensionError`. A stage that finds no switching opportunity is
-    skipped with a recorded reason; later stages continue from the unchanged
-    state.
+    :class:`DimensionError`, as does a stage whose ride has an orbit value
+    times its largest energy curvature beyond the float range. A stage that
+    finds no switching opportunity is skipped with a recorded reason; later
+    stages continue from the unchanged state.
     """
     try:
         targets = [operator.index(target) for target in targets]
@@ -371,33 +363,40 @@ def build_schedule(
         raise DimensionError(f"each target must be one integer mode pair: {exc}") from exc
     if dp_overrides is not None and len(dp_overrides) != len(targets):
         raise DimensionError("dp_overrides must match targets in length")
-    n_pairs = len(basis.modes)
     for target in targets:
-        if not 0 <= target < n_pairs:
-            raise DimensionError(f"target pair {target} is outside [0, {n_pairs}): "
-                                 f"the system has {n_pairs} mode pairs")
+        _check_pair(basis, target)
+    # Each root a stage tries has h = 0, so its ride orbits x_c at the orbit
+    # value V of x_e, where the kinetic energy is sum_i e_i q_i^2 (e_i = w_s
+    # |from_pairs[m:, 2i + 1]|_H^2): the switch-off search's slope, the energy's
+    # curvature, is at most V max_i e_i w_i^2. Seeded wscc9 and ieee39 stages
+    # reach that bound; their switch-on slopes stay under 5 % of it.
+    curvature = (model.omega_s * (model.h @ basis.from_pairs[model.n_machines:, 1::2] ** 2)
+                 * basis.omega ** 2).max()
 
     x, t = np.asarray(x0, dtype=float), float(t0)
     stages: list[ControlStage] = []
     skipped: list[tuple[int, str]] = []
 
     for k, target in enumerate(targets):
-        pair_targets = (target,)
-        if dp_overrides is not None and dp_overrides[k] is not None:
-            dp = np.asarray(dp_overrides[k], dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_c = equilibrium_shifted(model, dp)
-                ride = orbit_value(basis, x_c, x)     # the orbit this stage would take
-            if not np.isfinite(ride):
-                raise DimensionError(f"dp_overrides[{k}] shifts the equilibrium so far that "
-                                     f"the stage's orbit value is beyond the float range")
-        else:
-            s = auto_scale(basis, model, x, pair_targets)
-            if s == 0.0:
-                skipped.append((target, "target mode not excited"))
-                continue
-            dp = design_dp(basis, model, x, pair_targets, s)
+        override = dp_overrides is not None and dp_overrides[k] is not None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if override:
+                dp = np.asarray(dp_overrides[k], dtype=float)
+            else:
+                s = auto_scale(basis, model, x, target)
+                if s == 0.0:
+                    skipped.append((target, "target mode not excited"))
+                    continue
+                dp = design_dp(basis, model, x, target, s)
             x_c = equilibrium_shifted(model, dp)
+            ride = orbit_value(basis, x_c, model.x_eq)
+            reach = ride * curvature
+        if not np.isfinite(reach):
+            cause = (f"dp_overrides[{k}] shifts the equilibrium so far that" if override else
+                     f"disturbance.x0, or the state a pulse leaves, needs so large a "
+                     f"target-{target} shift that")
+            what = " times its largest energy curvature" if np.isfinite(ride) else ""
+            raise DimensionError(f"{cause} the stage's orbit value{what} is beyond the float range")
         if np.linalg.norm(x_c - model.x_eq) < 1e-14:
             skipped.append((target, "zero equilibrium shift"))
             continue
@@ -412,7 +411,7 @@ def build_schedule(
         stages.append(
             ControlStage(
                 dp=dp,
-                target_modes=pair_targets,
+                target_modes=(target,),
                 t_on=t_on,
                 t_off=t_off,
                 x_c=x_c,

@@ -4,7 +4,9 @@ The numerical oracle is ``scipy.integrate.solve_ivp`` run piece by piece, a
 fresh solver for each continuous piece that restarts from the previous
 solver's state at the break. Tests check the closed-form DEOC propagation and
 both DFEC steppers against it, and the pair coordinates of ``modal`` against
-the complex modal form of ``np.linalg.eig``.
+the complex modal form of ``np.linalg.eig``. ``target_direction``,
+``auto_scale`` and ``design_dp`` are DEOC's injection design written for any
+set of target pairs, the reference of the package's one-pair design.
 ``list_rows`` is the DFEC float stepper written over 9-element lists, the
 bit-for-bit reference of the package's straight-line
 ``frequency._dense_rows``. The reference writers are the
@@ -68,6 +70,36 @@ def orbit_value(basis, center, x):
     dx = np.asarray(x, dtype=float) - center
     xdot = dx @ basis.a.T
     return ((dx @ form.d) * dx).sum(-1) + ((xdot @ form.e) * xdot).sum(-1)
+
+
+def target_direction(basis, model, x0, target_modes):
+    """Multi-pair reference of ``oscillation.design_dp``'s shift direction:
+    the normalized angle part of the targeted pairs' share of ``x0 - x_e``,
+    ``None`` where it is zero. For one pair it is that pair's signed unit
+    angle column wherever the pair's ``p`` coordinate is nonzero."""
+    rows = [i for p in target_modes for i in (2 * p, 2 * p + 1)]
+    v = basis.from_pairs[:model.n_machines, rows] @ (basis.pairs[rows] @ (x0 - model.x_eq))
+    norm = np.linalg.norm(v)
+    return None if norm < 1e-14 else v / norm
+
+
+def auto_scale(basis, model, x0, target_modes):
+    """Multi-pair reference of ``oscillation.auto_scale``: the total squared
+    pair amplitude over the targeted pairs' amplitude and the targeted pairs'
+    part of a unit shift along :func:`target_direction`."""
+    y = basis.pairs @ (x0 - model.x_eq)
+    rows = [i for p in target_modes for i in (2 * p, 2 * p + 1)]
+    v = target_direction(basis, model, x0, target_modes)
+    w_pair = np.linalg.norm(basis.pairs[rows, :model.n_machines] @ v)
+    return (y @ y) / (np.linalg.norm(y[rows]) * w_pair)
+
+
+def design_dp(basis, model, x0, target_modes, scale):
+    """Multi-pair reference of ``oscillation.design_dp``: the least-squares
+    CC power change whose shift is ``scale`` along :func:`target_direction`."""
+    t_map = np.linalg.solve(model.b_red, model.b_cc)
+    v = target_direction(basis, model, x0, target_modes)
+    return np.linalg.lstsq(t_map, scale * v, rcond=None)[0]
 
 
 def piecewise(pieces, y0, t_grid, method, rtol, atol):

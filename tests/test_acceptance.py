@@ -132,8 +132,8 @@ def test_switch_time_matches_brute_force_oracle(smib_cc_model, smib_cc_basis):
     dist = Disturbance(kind="power-pulse", bus=2, magnitude=-1.0, start=0.0,
                       duration=0.1)
     t0, x0 = apply_disturbance(model, basis, dist)
-    s = auto_scale(basis, model, x0, (0,))
-    dp = design_dp(basis, model, x0, (0,), s)
+    s = auto_scale(basis, model, x0, 0)
+    dp = design_dp(basis, model, x0, 0, s)
     x_c = equilibrium_shifted(model, dp)
 
     period = 2.0 * math.pi / basis.modes[0].frequency

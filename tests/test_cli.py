@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridstep import cli
@@ -383,6 +383,75 @@ class TestFuzz:
                 assert not stray
 
 
+@st.composite
+def deoc_cases(draw):
+    """A ``gridstep deoc`` run on a bundled system: its scenario's drawn
+    ``t_end``, ``stage_window``, ``targets`` or ``n_targets``, and a pulse at
+    a CC bus or an initial state ``x_e + dx`` at ``t0``, ``dx`` moving one
+    machine's angle or speed, or every coordinate, or none, by up to
+    1e-12 to 1e300."""
+    system = draw(st.sampled_from(["wscc9", "ieee39"]))
+    model = cli._system(DATA / f"{system}.json")[1]
+    m = model.n_machines
+    case = {"system": system, "t_end": draw(st.floats(0.01, 12.0)),
+            "stage_window": draw(st.floats(0.001, 10.0))}
+    if draw(st.booleans()):
+        case["targets"] = draw(st.lists(st.integers(0, m), max_size=3))
+    else:
+        case["n_targets"] = draw(st.integers(1, m + 1))
+    size = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, 300.0))
+    kind = draw(st.sampled_from(["angle", "speed", "mixed", "equilibrium", "pulse"]))
+    if kind == "pulse":
+        case["disturbance"] = {"kind": "power-pulse", "bus": draw(st.sampled_from(model.cc_buses)),
+                               "magnitude": size, "start": draw(st.floats(0.0, 1.0)),
+                               "duration": draw(st.floats(0.001, 0.5))}
+        return case
+    dx = [0.0] * (2 * m)
+    if kind == "mixed":
+        dx = [size * draw(st.floats(-1.0, 1.0)) for _ in dx]
+    elif kind != "equilibrium":
+        dx[draw(st.integers(0, m - 1)) + (m if kind == "speed" else 0)] = size
+    case["disturbance"] = {"kind": "initial-state", "t0": draw(st.floats(0.0, 5.0)), "dx": dx}
+    return case
+
+
+class TestDeocStates:
+    """``gridstep deoc`` on drawn disturbances and stage settings of the
+    bundled systems exits 0, 1 or 2, with no exception and no
+    ``RuntimeWarning`` (warnings are recorded, each one), and a run that does
+    not exit 0 writes no files."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=deoc_cases())
+    @example(case={"system": "wscc9", "t_end": 10.0, "stage_window": 10.0, "n_targets": 2,
+                   "disturbance": {"kind": "initial-state", "t0": 0.0,
+                                   "dx": [0.0, 0.0, 1e-3, 0.0]}})
+    @example(case={"system": "ieee39", "t_end": 10.0, "stage_window": 10.0, "n_targets": 5,
+                   "disturbance": {"kind": "initial-state", "t0": 0.0,
+                                   "dx": [0.01] + [0.0] * 8 + [1e151] + [0.0] * 8}})
+    def test_runs_or_exits_cleanly(self, case):
+        system = DATA / f"{case['system']}.json"
+        dist = dict(case["disturbance"])
+        if dist["kind"] == "initial-state":
+            dist["x0"] = list(cli._system(system)[1].x_eq + dist.pop("dx"))
+        doc = {**json.loads((DATA / "scenario_wscc9.json").read_text()), **case,
+               "disturbance": dist}
+        del doc["system"]
+        if "n_targets" in doc:
+            del doc["targets"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["deoc", "--system", str(system), "--scenario",
+                             str(write_json(Path(tmp) / "s.json", doc)), "--out", str(out)])
+            assert code in (0, 1, 2), err.getvalue()
+            assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            assert code == 0 or not out.exists()
+
+
 class TestDeepNesting:
     """An unknown member nested past what the JSON parser can read is an
     input error naming the file; one the parser reads is validated, and
@@ -595,6 +664,32 @@ class TestDeoc:
         if code:
             assert err == ("input error: disturbance.x0 leaves an orbit value times the "
                            "fastest mode's squared frequency beyond the float range\n")
+            assert not out.exists()
+        else:
+            assert err == "" and (out / "controlled.csv").exists()
+
+    @pytest.mark.parametrize("speed,code", [(1e100, 0), (1e151, 2)])
+    def test_stage_ride_beyond_the_search_scale(self, capsys, tmp_path, speed, code):
+        """On ieee39 a 1e151 pu speed and 0.01 rad on machine 1 passes the
+        disturbance's range check, but its first stage's ride has an orbit
+        value times its largest energy curvature beyond the float range, which
+        bounds the switch-off search's slopes: an input error. At 1e100 pu the
+        run is clean."""
+        x0 = cli._system(DATA / "ieee39.json")[1].x_eq.copy()
+        x0[0] += 0.01
+        x0[9] = speed
+        scn = _edited(tmp_path, "scenario_ieee39.json", ("disturbance",),
+                      {"kind": "initial-state", "x0": list(x0)})
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, _, err = run(capsys, "deoc", "--system", str(DATA / "ieee39.json"),
+                              "--scenario", str(scn), "--out", str(out))
+        assert (got, [str(w.message) for w in caught]) == (code, [])
+        if code:
+            assert err == ("input error: disturbance.x0, or the state a pulse leaves, needs so "
+                           "large a target-0 shift that the stage's orbit value times its "
+                           "largest energy curvature is beyond the float range\n")
             assert not out.exists()
         else:
             assert err == "" and (out / "controlled.csv").exists()

@@ -83,14 +83,62 @@ class TestOscillationEnergy:
 
 class TestDesignDp:
     def test_unexcited_state_gives_zero(self, smib_cc_basis, smib_cc_model):
-        dp = design_dp(smib_cc_basis, smib_cc_model, smib_cc_model.x_eq, (0,), 0.1)
+        dp = design_dp(smib_cc_basis, smib_cc_model, smib_cc_model.x_eq, 0, 0.1)
         assert dp == pytest.approx(np.zeros(1), abs=1e-12)
 
     def test_homogeneous_in_scale(self, wscc9_basis, wscc9_model, smib_cc_excited):
         x0 = wscc9_model.x_eq + np.array([0.03, -0.05, 0.002, 0.001])
-        dp1 = design_dp(wscc9_basis, wscc9_model, x0, (0,), 0.05)
-        dp2 = design_dp(wscc9_basis, wscc9_model, x0, (0,), 0.10)
+        dp1 = design_dp(wscc9_basis, wscc9_model, x0, 0, 0.05)
+        dp2 = design_dp(wscc9_basis, wscc9_model, x0, 0, 0.10)
         assert dp2 == pytest.approx(2.0 * dp1)
+
+    @pytest.mark.parametrize("p,q", [(0.0, 0.01), (0.0, -0.01), (0.02, 0.01), (-0.02, 0.01)])
+    def test_shift_along_the_pair_column_signed_by_p(self, wscc9_basis, wscc9_model, p, q):
+        """The shift is the pair's unit angle column, signed by its ``p``
+        coordinate: +1 where ``p`` is zero (the pair's energy all kinetic)."""
+        basis, model = wscc9_basis, wscc9_model
+        m, t_map = model.n_machines, np.linalg.solve(model.b_red, model.b_cc)
+        for pair in range(m):
+            x0 = model.x_eq + basis.from_pairs[:, 2 * pair:2 * pair + 2] @ [p, q]
+            column = basis.from_pairs[:m, 2 * pair]
+            sign = -1.0 if p < 0.0 else 1.0
+            dp = design_dp(basis, model, x0, pair, 0.1)
+            assert t_map @ dp == pytest.approx(0.1 * sign * column / np.linalg.norm(column),
+                                               rel=1e-12, abs=1e-15)
+            assert auto_scale(basis, model, x0, pair) == pytest.approx(
+                math.hypot(p, q) * np.linalg.norm(column), rel=1e-12)
+
+    def test_speed_only_kick_gets_its_stages(self, wscc9_basis, wscc9_model):
+        x0 = wscc9_model.x_eq.copy()
+        x0[wscc9_model.n_machines] += 1e-3
+        sched = build_schedule(wscc9_basis, wscc9_model, x0, 0.0, [0, 1])
+        assert [s.target_modes for s in sched.stages] == [(0,), (1,)]
+
+    @pytest.mark.parametrize("pair", [-1, 2, 3])
+    def test_pair_outside_the_modes_is_dimension_error(self, wscc9_basis, wscc9_model, pair):
+        x0 = wscc9_model.x_eq + 0.01
+        for call in (lambda: design_dp(wscc9_basis, wscc9_model, x0, pair, 0.1),
+                     lambda: auto_scale(wscc9_basis, wscc9_model, x0, pair)):
+            with pytest.raises(DimensionError, match=f"target pair {pair} is outside"):
+                call()
+
+    @pytest.mark.parametrize("system", ["wscc9", "ieee39"])
+    def test_matches_the_multi_pair_form(self, request, system):
+        """On seeded states, where every pair's ``p`` coordinate is nonzero,
+        one pair's scale and injection are those of the multi-pair reference
+        to 1e-14 relative."""
+        basis = request.getfixturevalue(f"{system}_basis")
+        model = request.getfixturevalue(f"{system}_model")
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            x0 = model.x_eq + rng.normal(0.0, 0.05, 2 * model.n_machines)
+            for pair in range(model.n_machines):
+                assert basis.pairs[2 * pair] @ (x0 - model.x_eq) != 0.0
+                s = oracle.auto_scale(basis, model, x0, (pair,))
+                assert auto_scale(basis, model, x0, pair) == pytest.approx(s, rel=1e-14)
+                want = oracle.design_dp(basis, model, x0, (pair,), s)
+                got = design_dp(basis, model, x0, pair, s)
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_fixed_vectors_accepted_as_overrides(self, wscc9_basis, wscc9_model):
         # Externally supplied MW vectors pass straight through to the
@@ -107,8 +155,8 @@ class TestSwitchTimes:
     ):
         t0, x0 = smib_cc_excited
         basis, model = smib_cc_basis, smib_cc_model
-        s = auto_scale(basis, model, x0, (0,))
-        dp = design_dp(basis, model, x0, (0,), s)
+        s = auto_scale(basis, model, x0, 0)
+        dp = design_dp(basis, model, x0, 0, s)
         x_c = equilibrium_shifted(model, dp)
         t_on, x_on, h_res, _ = find_switch_on(basis, model, x_c, x0, t0, t0, t0 + 5.0)
         # Ride the shifted orbit; it must pass through x_e.
@@ -131,8 +179,8 @@ class TestSwitchTimes:
     ):
         t0, x0 = smib_cc_excited
         basis, model = smib_cc_basis, smib_cc_model
-        s = auto_scale(basis, model, x0, (0,))
-        dp = design_dp(basis, model, x0, (0,), s)
+        s = auto_scale(basis, model, x0, 0)
+        dp = design_dp(basis, model, x0, 0, s)
         x_c = equilibrium_shifted(model, dp)
         t_on, x_on, _, _ = find_switch_on(basis, model, x_c, x0, t0, t0, t0 + 5.0)
         t_off, x_off, e_off = find_switch_off(basis, model, x_c, x_on, t_on, t_on + 5.0)
@@ -146,8 +194,8 @@ class TestSwitchTimes:
         basis, model = wscc9_basis, wscc9_model
         _, x0 = apply_disturbance(model, basis,
                                   load_scenario(DATA / "scenario_wscc9.json").disturbance)
-        x_c = equilibrium_shifted(model, design_dp(basis, model, x0, (0,),
-                                                   auto_scale(basis, model, x0, (0,))))
+        x_c = equilibrium_shifted(model, design_dp(basis, model, x0, 0,
+                                                   auto_scale(basis, model, x0, 0)))
         assert oscillation.energy_rate(model, x_c, model.x_eq) == 0.0
         t_on = 1.0
         t_off, _, e_off = find_switch_off(basis, model, x_c, model.x_eq, t_on, t_on + 2.0)
@@ -168,8 +216,8 @@ class TestSwitchTimes:
             warnings.simplefilter("ignore")
             sched = build_schedule(basis, model, x0, t0, targets[:-1], stage_window=1.0)
         x, t = sched.final_state, sched.final_time
-        x_c = equilibrium_shifted(model, design_dp(basis, model, x, (8,),
-                                                   auto_scale(basis, model, x, (8,))))
+        x_c = equilibrium_shifted(model, design_dp(basis, model, x, 8,
+                                                   auto_scale(basis, model, x, 8)))
         t_on = 2.6437059880777474
         x_on = propagate(basis, model.x_eq, x, t_on - t)
         t_off, _, e_off = find_switch_off(basis, model, x_c, x_on, t_on, t_on + 1.0)
@@ -195,8 +243,8 @@ FULL_GRID = 10**9   # SEARCH_BLOCK that evaluates a whole search window at once
 def smib_cc_stage(smib_cc_basis, smib_cc_model, smib_cc_excited):
     """``(x_c, t0, x0)`` of the auto-designed stage on the excited SMIB case."""
     t0, x0 = smib_cc_excited
-    s = auto_scale(smib_cc_basis, smib_cc_model, x0, (0,))
-    dp = design_dp(smib_cc_basis, smib_cc_model, x0, (0,), s)
+    s = auto_scale(smib_cc_basis, smib_cc_model, x0, 0)
+    dp = design_dp(smib_cc_basis, smib_cc_model, x0, 0, s)
     return equilibrium_shifted(smib_cc_model, dp), t0, x0
 
 
